@@ -124,7 +124,7 @@ def _load_document(path: str) -> dict:
     m = doc["matrix"]
     if (not m or not all(isinstance(r, list) for r in m)
             or len({len(r) for r in m}) != 1
-            or not all(isinstance(x, int) for r in m for x in r)):
+            or not all(type(x) is int for r in m for x in r)):  # no bools
         raise DomainError("'matrix' must be a rectangular integer array")
     return doc
 

@@ -59,6 +59,8 @@ class Configuration:
             raise DomainError("configuration must have at least one row and one column")
         self.cols = il.columns(self.matrix)
         self.rank = il.rational_rank(self.matrix)
+        if self.rank == 0:
+            raise DomainError("configuration must have a nonzero column")
         self.lattice_basis = il.column_lattice_basis(self.matrix)  # basis of ZA
         self._cache: dict = {}
 
@@ -92,34 +94,12 @@ class Configuration:
     def facets(self) -> list[FacetFunctional]:
         if "facets" in self._cache:
             return self._cache["facets"]
-        r = self.rank
         col_coords = [tuple(int(x) for x in self.lattice_coords(c)) for c in self.cols]
-        seen: dict[tuple, FacetFunctional] = {}
-        distinct = sorted(set(col_coords))
-        combos = [()] if r == 1 else combinations(distinct, r - 1)
-        for combo in combos:
-            # a functional on QA vanishing on the combo, unique up to scale,
-            # recorded by its values y on the ZA basis
-            if not combo:
-                ker = [(Fraction(1),)]
-            else:
-                ker = il.rational_kernel(il.freeze(combo))
-            if len(ker) != 1:
-                continue
-            y = ker[0]
-            vals = [il.dot(y, cc) for cc in col_coords]
-            if all(v <= 0 for v in vals):
-                y, vals = il.vneg(y), [-v for v in vals]
-            if any(v < 0 for v in vals):
-                continue
-            face_idx = tuple(j for j, v in enumerate(vals) if v == 0)
-            if len(face_idx) == self.N or face_idx in seen:
-                continue
-            yz = il.clear_denominators(y)  # primitive integer values on the ZA basis
-            l = self._extend_functional(yz)
+        out = []
+        for face_idx, y in _facet_values(col_coords, self.rank):
+            l = self._extend_functional(y)
             face = Face(indices=face_idx, codim=1, witness=il.clear_denominators(l))
-            seen[face_idx] = FacetFunctional(face=face, l=l)
-        out = sorted(seen.values(), key=lambda f: f.face.indices)
+            out.append(FacetFunctional(face=face, l=l))
         self._cache["facets"] = out
         return out
 
@@ -253,14 +233,8 @@ class Configuration:
         return member(q, tuple(v), **kwargs)
 
     def is_pointed(self) -> bool:
-        return not self.minimal_face().indices
-
-    def strictly_positive_functional(self):
-        """Sum of all facet functionals: positive on the cone minus its minimal face."""
-        w = tuple(Fraction(0) for _ in range(self.n))
-        for f in self.facets():
-            w = tuple(a + b for a, b in zip(w, f.l))
-        return w
+        """True iff the minimal face has rank 0 (zero columns are allowed)."""
+        return self.minimal_face().codim == self.rank
 
     # -- normality / saturation -----------------------------------------------------
 
@@ -272,104 +246,70 @@ class Configuration:
         """
         if "hilbert" in self._cache:
             return self._cache["hilbert"]
-        minimal = self.minimal_face()
-        unit_basis = self.face_span_lattice(minimal) if minimal.indices else []
-        quot = il.quotient(self.n, unit_basis) if unit_basis else None
-
-        if quot is None:
-            pointed_gens = self._hilbert_pointed(self.cols, self.lattice_basis, budget)
-            out = sorted(pointed_gens)
+        unit_basis = [] if self.is_pointed() else self.face_span_lattice(self.minimal_face())
+        if not unit_basis:
+            out = sorted(self._hilbert_pointed(self.cols, self.lattice_basis, budget))
         else:
-            # work in the free quotient coordinates (the quotient of ZA is
-            # torsion-free since the unit lattice is saturated in ZA)
-            reduced = {}
-            for c in self.cols:
-                free, tor = quot.project(c)
-                assert il.is_zero_vec(tor)
-                if not il.is_zero_vec(free):
-                    reduced.setdefault(free, c)
-            red_cols = list(reduced)
-            red_lattice = il.column_lattice_basis(
-                il.from_columns([quot.project(b)[0] for b in self.lattice_basis],
-                                dim=quot.free_rank))
-            gens_down = self._hilbert_pointed(red_cols, red_lattice, budget)
-            lifts = []
-            for g in gens_down:
-                lift = self._lift_from_quotient(quot, g)
-                lifts.append(lift)
+            # work in coordinates on the ZA basis: the unit lattice is
+            # saturated in ZA, so the quotient by it is free and every class
+            # lifts to ZA; facet values depend only on the class
+            coords = [tuple(int(x) for x in self.lattice_coords(v)) for v in self.cols]
+            units = [tuple(int(x) for x in self.lattice_coords(u)) for u in unit_basis]
+            quot = il.quotient(self.rank, units)
+            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords],
+                                              il.identity(quot.free_rank), budget)
+            B = il.from_columns(self.lattice_basis)
+            lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
             out = sorted(lifts) + sorted(unit_basis) + sorted(il.vneg(u) for u in unit_basis)
         self._cache["hilbert"] = out
         return out
 
-    def _lift_from_quotient(self, quot, free_vec):
-        """A ZA point in the cone mapping to the given quotient coordinates."""
-        x = quot.section(free_vec, ())
-        # adjust into ZA: x is in Z^n; find z in ZA with the same image
-        # (facet values only depend on the class, so any ZA preimage works)
-        img = il.from_columns([quot.project(b)[0] for b in self.lattice_basis],
-                              dim=quot.free_rank)
-        coeffs = il.integral_system_solve(img, free_vec)
-        assert coeffs is not None, "quotient class has no lattice preimage"
-        z = tuple(0 for _ in range(self.n))
-        for c, b in zip(coeffs, self.lattice_basis):
-            z = il.vadd(z, il.vscale(c, b))
-        return z
-
     def _hilbert_pointed(self, cols, lattice_basis, budget: int) -> list:
         """Hilbert basis of cone(cols) ∩ lattice for a pointed cone.
 
-        Candidates: generators plus lattice points of the fundamental
-        parallelepipeds of all full-rank generator subsets (these cover the
-        cone by Caratheodory), reduced to the irreducible elements.
+        Works in coordinates on the lattice basis.  Candidates: generators plus
+        the lattice points of the fundamental parallelepipeds of all full-rank
+        generator subsets (these cover the cone by Caratheodory, and each lies
+        in the cone by construction).  The cone's lattice points are exactly
+        those with every facet value l_F >= 0, so a candidate p is reducible
+        iff some kept element q has l_F(q) <= l_F(p) for every facet F: then
+        p - q is a nonzero lattice point of the cone.  Candidates are taken in
+        increasing order of a positive functional, so every such q is kept
+        before p.
         """
         cols = [tuple(c) for c in cols if not il.is_zero_vec(c)]
         if not cols:
             return []
-        dim = len(cols[0])
-        r = il.rational_rank(il.from_columns(cols, dim=dim))
-        B = il.from_columns(lattice_basis, dim=dim)
-        coords = []
-        for c in sorted(set(cols)):
-            sol = il.rational_solve(B, c)
-            coords.append(tuple(int(x) for x in sol))
-        w = find_positive_functional(coords, len(lattice_basis))
+        r = len(lattice_basis)
+        B = il.from_columns(lattice_basis, dim=len(cols[0]))
+        coords = sorted({tuple(int(x) for x in il.rational_solve(B, c)) for c in cols})
+        w = find_positive_functional(coords, r)
         if w is None:
             raise DomainError("hilbert basis requires a pointed cone")
         candidates = set(coords)
         count = 0
-        for combo in combinations(sorted(set(coords)), r):
-            M = il.from_columns(combo, dim=len(lattice_basis))
+        for combo in combinations(coords, r):
+            M = il.from_columns(combo, dim=r)
             if il.rational_rank(M) != r:
                 continue
-            quot = il.quotient(len(lattice_basis), combo)
-            if quot.free_rank + r != len(lattice_basis):
-                continue
+            quot = il.quotient(r, combo)
             count += quot.torsion_order()
             if count > budget:
                 raise ComputationLimitError("hilbert candidate enumeration exceeded budget")
+            Minv = il.from_columns([il.rational_solve(M, e) for e in il.identity(r)])
             for tor in product(*(range(d) for d in quot.torsion)):
-                free0 = tuple(0 for _ in range(quot.free_rank))
-                y = quot.section(free0, tor)
-                lam = il.rational_solve(M, y)
-                frac = tuple(x - (x.numerator // x.denominator) for x in lam)
-                x = tuple(sum(frac[t] * combo[t][i] for t in range(r))
-                          for i in range(len(lattice_basis)))
-                if all(v.denominator == 1 for v in x):
-                    pt = tuple(int(v) for v in x)
-                    if not il.is_zero_vec(pt) and self._in_cone_coords(pt, coords):
-                        candidates.add(pt)
-        # reduce to irreducible elements
-        ordered = sorted(candidates, key=lambda p: (sum(a * b for a, b in zip(w, p)), p))
+                # y - M.floor(M^-1 y): the parallelepiped point of y's class
+                y = quot.section((), tor)
+                floor = tuple(x.numerator // x.denominator for x in il.matvec(Minv, y))
+                candidates.add(il.vsub(y, il.matvec(M, floor)))
+        candidates.discard(tuple(0 for _ in range(r)))
+        ys = [y for _idx, y in _facet_values(coords, r)]
+        values = {p: tuple(il.dot(y, p) for y in ys) for p in candidates}
         basis: list = []
-        for p in ordered:
-            if not _local_member(basis, p, w):
+        for p in sorted(candidates, key=lambda p: (il.dot(w, p), p)):
+            if not any(all(a <= b for a, b in zip(values[q], values[p])) for q in basis):
                 basis.append(p)
         return [il.matvec(B, p) for p in basis]
-
-    @staticmethod
-    def _in_cone_coords(pt, gens) -> bool:
-        """pt ∈ cone(gens) over Q, via feasibility of nonnegative combination."""
-        return _cone_member(tuple(gens), tuple(pt))
 
     def is_normal(self, budget: int = HILBERT_BUDGET):
         """(verdict, witness): witness is a hole of the semigroup on false."""
@@ -390,76 +330,27 @@ class Configuration:
         return Configuration(il.from_columns(self.cols + extra, dim=self.n))
 
 
-def _local_member(gens, target, w) -> bool:
-    """target ∈ N·gens, via memoized search pruned by the positive functional w."""
-    if not gens:
-        return il.is_zero_vec(target)
-    memo: dict = {}
+def _facet_values(coords, r: int) -> list:
+    """Facets of the cone spanned by integer vectors of rank r in Z^r.
 
-    def rec(t):
-        if il.is_zero_vec(t):
-            return True
-        if t in memo:
-            return memo[t]
-        memo[t] = False
-        for g in gens:
-            nt = il.vsub(t, g)
-            if sum(a * b for a, b in zip(w, nt)) >= 0 and rec(nt):
-                memo[t] = True
-                break
-        return memo[t]
-
-    return rec(tuple(target))
-
-
-def _cone_member(gens, pt) -> bool:
-    """pt ∈ cone(gens) over Q (nonnegative rational combination)."""
-    # solve gens·λ = pt, λ >= 0 via Fourier-Motzkin on the dual:
-    # infeasible iff ∃y: y·g >= 0 ∀g and y·pt < 0 (Farkas); test by
-    # searching for y with y·g >= 0 and y·(-pt) >= 1.
-    dim = len(pt)
-    cons = [tuple(Fraction(x) for x in g) for g in gens]
-    target = tuple(Fraction(-x) for x in pt)
-    w = _fm_feasible(cons, target, dim)
-    return w is None
-
-
-def _fm_feasible(nonneg_rows, strict_row, dim):
-    """y with y·v >= 0 for v in nonneg_rows and y·strict_row >= 1, or None."""
-    cons = [([Fraction(x) for x in v], Fraction(0)) for v in nonneg_rows]
-    cons.append(([Fraction(x) for x in strict_row], Fraction(1)))
-    stack = []
-    for var in range(dim - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, c in cons:
-            a = coeffs[var]
-            (pos if a > 0 else neg if a < 0 else rest).append((coeffs, c))
-        stack.append((var, pos, neg))
-        new = rest
-        for pc, pconst in pos:
-            for nc, nconst in neg:
-                a, b = pc[var], -nc[var]
-                coeffs = [b * x + a * y for x, y in zip(pc, nc)]
-                coeffs[var] = Fraction(0)
-                new.append((coeffs, b * pconst + a * nconst))
-        cons = new
-    if any(c > 0 for _, c in cons):
-        return None
-    y = [Fraction(0)] * dim
-    for var, pos, neg in reversed(stack):
-        lo, hi = None, None
-        for coeffs, c in pos:
-            bound = (c - sum(coeffs[j] * y[j] for j in range(dim) if j != var)) / coeffs[var]
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, c in neg:
-            bound = (c - sum(coeffs[j] * y[j] for j in range(dim) if j != var)) / coeffs[var]
-            hi = bound if hi is None or bound < hi else hi
-        if lo is None and hi is None:
-            y[var] = Fraction(0)
-        elif lo is None:
-            y[var] = hi - 1
-        elif hi is None:
-            y[var] = lo
-        else:
-            y[var] = (lo + hi) / 2
-    return tuple(y)
+    Returns (zero, y) pairs sorted by zero: y is the facet's primitive integer
+    functional, nonnegative on every vector, and zero lists the indices j with
+    y.coords[j] = 0.
+    """
+    seen: dict = {}
+    combos = [()] if r == 1 else combinations(sorted(set(coords)), r - 1)
+    for combo in combos:
+        # a functional vanishing on the combo, unique up to scale
+        ker = il.rational_kernel(il.freeze(combo)) if combo else [(1,)]
+        if len(ker) != 1:
+            continue
+        y = il.clear_denominators(ker[0])
+        vals = [il.dot(y, c) for c in coords]
+        if all(v <= 0 for v in vals):
+            y, vals = il.vneg(y), [-v for v in vals]
+        if any(v < 0 for v in vals):
+            continue
+        zero = tuple(j for j, v in enumerate(vals) if v == 0)
+        if len(zero) < len(coords):
+            seen.setdefault(zero, y)
+    return sorted(seen.items())

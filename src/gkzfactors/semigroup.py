@@ -91,12 +91,6 @@ def find_positive_functional(vectors, dim: int):
     return tuple(w)
 
 
-def is_pointed(vectors, dim: int) -> bool:
-    """True iff the cone generated by the (nonzero) vectors is pointed."""
-    vs = [v for v in vectors if not il.is_zero_vec(v)]
-    return find_positive_functional(vs, dim) is not None
-
-
 @dataclass
 class _Reduced:
     quotient: il.LatticeQuotient

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import sys
+from pathlib import Path
 
 from gkzfactors import cli
 
@@ -73,9 +74,40 @@ def test_exit_code_domain_error(tmp_path, capsys):
 
 def test_exit_code_bad_document(tmp_path, capsys):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"matrix": [[1, "x"]]}))
-    code, _ = _run(["faces", str(path)], capsys=capsys)
-    assert code == 2
+    for matrix in ([[1, "x"]], [[True, 2]]):
+        path.write_text(json.dumps({"matrix": matrix}))
+        code, _ = _run(["faces", str(path)], capsys=capsys)
+        assert code == 2, matrix
+
+
+# every subcommand that takes an input document, with its required arguments
+DOCUMENT_COMMANDS = (["faces"], ["normality"], ["resonance", "--gamma", "0"],
+                     ["sets", "sres", "--box=-1:1"],
+                     ["factors", "dmod", "--gamma", "0"],
+                     ["factors", "perverse"],
+                     ["factors", "compare", "--gamma", "0"],
+                     ["gap-factors"])
+
+
+def test_rank_zero_matrix_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[0, 0]]))
+    for argv in DOCUMENT_COMMANDS:
+        code = cli.main(argv + [str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+def test_golden_faces_and_normality_output(capsys):
+    golden = Path(__file__).parent / "golden"
+    for fixture in cli._fixture_files():
+        name = fixture.name.removesuffix(".json")
+        for command in ("faces", "normality"):
+            code, out = _run([command, str(fixture), "--json"], capsys=capsys)
+            assert code == 0
+            assert out == (golden / f"{name}.{command}.json").read_text(), \
+                (name, command)
 
 
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):

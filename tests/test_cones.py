@@ -83,6 +83,17 @@ def test_semigroup_member():
     assert A46.semigroup_member((0, 0))
 
 
+def test_zero_column_keeps_cone_pointed():
+    config = Configuration([[1, 0, 0], [0, 1, 0]])
+    assert config.minimal_face().indices == (2,)
+    assert config.is_pointed()
+
+
+def test_rank_zero_configuration_rejected():
+    with pytest.raises(DomainError):
+        Configuration([[0, 0]])
+
+
 def test_non_pointed_configuration():
     config = Configuration([[1, -1, 0], [0, 0, 1]])
     assert not config.is_pointed()
@@ -93,6 +104,10 @@ def test_non_pointed_configuration():
     assert not config.semigroup_member((0, -1))
     hb = config.saturation_hilbert_basis()
     assert hb  # lifts plus the unit directions
+    # the unit lattice Z(2, 0) is saturated in ZA = 2Z x Z but not in Z^2
+    config = Configuration([[0, 2, -2], [1, 0, 0]])
+    assert sorted(config.saturation_hilbert_basis()) == [(-2, 0), (0, 1), (2, 0)]
+    assert config.is_normal() == (True, None)
 
 
 def test_face_span_lattice_saturated():

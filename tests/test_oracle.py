@@ -1,10 +1,13 @@
 """Agreement between the production path and the independent brute-force path."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gkzfactors import bruteforce as bf
+from gkzfactors import cli
 from gkzfactors import factors as fa
 from gkzfactors import resonance as rs
 from gkzfactors.cones import Configuration
@@ -18,6 +21,22 @@ def test_bf_facets_match_production():
         prod = {f.face.indices for f in config.facets()}
         oracle = {idx for idx, _ in bf.bf_facets(m)}
         assert prod == oracle, m
+
+
+def test_bf_hilbert_basis_matches_production():
+    fixtures = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
+    rng = random.Random(20240602)
+    randoms = []
+    while len(randoms) < 20:
+        n, N = rng.randint(2, 3), rng.randint(3, 5)
+        # a positive first row keeps the cone pointed
+        m = [[rng.randint(1, 2) for _ in range(N)]]
+        m += [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n - 1)]
+        randoms.append(m)
+    for m in fixtures + randoms:
+        config = Configuration(m)
+        assert config.is_pointed(), m
+        assert sorted(config.saturation_hilbert_basis()) == bf.bf_hilbert_basis(m), m
 
 
 def test_region_agreement_coprime_pair():
