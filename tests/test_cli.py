@@ -99,15 +99,33 @@ def test_rank_zero_matrix_is_invalid_input(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, argv
 
 
+# the parameter each fixture pins: its resonance/dmod γ, or for the fixtures
+# without one, one of its dres probes (coprime-pair: the bounded negative)
+GOLDEN_GAMMA = {"coprime-pair": "-2", "folded-cube": "0,0,0",
+                "nonnormal-wedge": "0,0", "slanted-wedge": "3,1/2"}
+
+# golden file suffix -> command line (before the input path)
+GOLDEN_COMMANDS = {
+    "faces": ["faces"],
+    "normality": ["normality"],
+    "resonance": ["resonance", "--gamma={gamma}"],
+    "dmod": ["factors", "dmod", "--gamma={gamma}"],
+    "perverse": ["factors", "perverse"],
+    "compare": ["factors", "compare", "--gamma={gamma}"],
+    "gap-factors": ["gap-factors"],
+}
+
+
 def test_golden_faces_and_normality_output(capsys):
     golden = Path(__file__).parent / "golden"
     for fixture in cli._fixture_files():
         name = fixture.name.removesuffix(".json")
-        for command in ("faces", "normality"):
-            code, out = _run([command, str(fixture), "--json"], capsys=capsys)
-            assert code == 0
-            assert out == (golden / f"{name}.{command}.json").read_text(), \
-                (name, command)
+        for suffix, argv in GOLDEN_COMMANDS.items():
+            argv = [a.format(gamma=GOLDEN_GAMMA[name]) for a in argv]
+            code, out = _run(argv + [str(fixture), "--json"], capsys=capsys)
+            assert code == 0, (name, suffix)
+            assert out == (golden / f"{name}.{suffix}.json").read_text(), \
+                (name, suffix)
 
 
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):
