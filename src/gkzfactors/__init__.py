@@ -8,19 +8,18 @@ The public surface: `Configuration` (cone/face/lattice combinatorics),
 oracles), and the `gkzfactors` command-line tool in `cli`.
 """
 
-from .cones import Configuration, Face, FacetFunctional
-from .degrees import (DegreeFamily, QDegComponent, TriState, gap_family,
-                      good_class_exists, ideal_family,
-                      ideal_power_quotient_family, module_family,
-                      qdeg_components, sumset_member_bounded)
+from .cones import Configuration, Face, FaceData, FacetFunctional
+from .degrees import (DegreeFamily, QDegComponent, gap_family,
+                      good_class_exists, ideal_family, module_family,
+                      qdeg_components)
 from .errors import (ComputationLimitError, DimensionMismatchError,
                      DomainError, GKZError, NonPointedError)
 from .factors import (ComparisonReport, FactorLabel, FiltrationReport,
                       LocalSystemClass, class_of, dmod_report,
                       gap_factor_candidates, perverse_report,
                       pullback_solutions, rh_compare, trivial_class)
-from .resonance import (ResonanceProfile, classify, in_DRes, in_SRes, in_dres,
-                        in_res, in_sres, in_wres, region_scan)
+from .resonance import (ResonanceProfile, TriState, classify, in_DRes, in_SRes,
+                        in_dres, in_res, in_sres, in_wres, region_scan)
 from .semigroup import MembershipQuery, member
 
 __version__ = "0.1.0"

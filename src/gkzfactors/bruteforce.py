@@ -16,7 +16,7 @@ from math import gcd
 
 from . import intlin as il
 from .cones import Configuration
-from .errors import DomainError
+from .errors import ComputationLimitError, DomainError
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
             continue
         try:
             config = Configuration(matrix)
-        except Exception as exc:  # zero matrix etc.
+        except DomainError as exc:  # rank 0 etc.
             report.notes.append(f"seed {seed}: degenerate ({exc})")
             continue
         report.instances += 1
@@ -446,7 +446,7 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
             a_A = config.column_sum()
             try:
                 comps = degrees.qdeg_components(degrees.module_family(), config)
-            except Exception as exc:
+            except ComputationLimitError as exc:
                 report.notes.append(f"seed {seed}: component budget ({exc})")
                 comps = []
             for comp in comps:

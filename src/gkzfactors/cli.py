@@ -2,12 +2,12 @@
 
 Commands take one input document (JSON file path or ``-`` for stdin):
 
-    {"matrix": [[2, 3]], "gamma": ["1/2"], "character": ["0"],
-     "bounds": {"K_max": 4, "W": 20, "R": 8}}
+    {"matrix": [[2, 3]], "gamma": ["1/2"], "character": ["0"]}
 
-All rational numbers cross the boundary as exact "p/q" strings.  Exit codes:
-0 success, 2 invalid input, 3 computation budget exceeded, 4 a bounded
-(``false_up_to_bounds``) verdict was demanded as definite via ``--strict``.
+Other keys, such as a "bounds" object, are ignored.  All rational numbers
+cross the boundary as exact "p/q" strings.  Exit codes: 0 success, 2 invalid
+input, 3 computation budget exceeded, 4 a bounded (``false_up_to_bounds``)
+verdict was demanded as definite via ``--strict``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from importlib import resources
 
 from . import bruteforce, factors, resonance
 from .cones import Configuration
-from .degrees import TriState
 from .errors import ComputationLimitError, DomainError, GKZError
+from .resonance import TriState
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -158,11 +158,6 @@ def _character(doc: dict, args, config: Configuration) -> factors.LocalSystemCla
     return factors.class_of(config, tuple(range(config.N)), v)
 
 
-def _bounds(doc: dict):
-    b = doc.get("bounds", {}) or {}
-    return {"k_max": b.get("K_max"), "window": b.get("W")}
-
-
 # ---------------------------------------------------------------------------
 # command payloads
 # ---------------------------------------------------------------------------
@@ -195,7 +190,8 @@ def cmd_resonance(doc, args):
     config = _config(doc)
     gamma = _gamma(doc, args, config)
     prof = resonance.classify(config, gamma)
-    b = _bounds(doc)
+    sres = resonance.in_sres(config, gamma)
+    dres = resonance.in_dres(config, gamma)
     return {
         "matrix": doc["matrix"],
         "gamma": _vec(gamma),
@@ -206,10 +202,10 @@ def cmd_resonance(doc, args):
         "semi_nonresonant": prof.is_semi,
         "resonant_facets": [list(idx) for idx in prof.resonant_facets],
         "sets": {
-            "res": resonance.in_res(config, gamma),
-            "sres": resonance.in_sres(config, gamma),
-            "dres": _tristate(resonance.in_dres(config, gamma, **b)),
-            "wres": _tristate(resonance.in_wres(config, gamma, **b)),
+            "res": not prof.is_nonresonant,
+            "sres": sres,
+            "dres": _tristate(dres),
+            "wres": _tristate(resonance.wres_from(sres, dres)),
             "SRes": resonance.in_SRes(config, gamma),
             "DRes": resonance.in_DRes(config, gamma),
         },
@@ -232,9 +228,7 @@ def cmd_sets(doc, args):
     if len(box) != config.n:
         raise DomainError("box dimension does not match the matrix")
     step = _parse_fr(args.step)
-    b = _bounds(doc)
-    grid = resonance.region_scan(config, args.name, box, step,
-                                 k_max=b["k_max"], window=b["window"])
+    grid = resonance.region_scan(config, args.name, box, step)
     return {
         "matrix": doc["matrix"],
         "set": args.name,
@@ -249,15 +243,12 @@ def cmd_sets(doc, args):
 
 def cmd_factors(doc, args):
     config = _config(doc)
-    b = _bounds(doc)
     if args.table == "dmod":
-        return _filtration(factors.dmod_report(config, _gamma(doc, args, config),
-                                               k_max=b["k_max"], window=b["window"]))
+        return _filtration(factors.dmod_report(config, _gamma(doc, args, config)))
     if args.table == "perverse":
         return _filtration(factors.perverse_report(config,
                                                    _character(doc, args, config)))
-    cmp = factors.rh_compare(config, _gamma(doc, args, config),
-                             k_max=b["k_max"], window=b["window"])
+    cmp = factors.rh_compare(config, _gamma(doc, args, config))
     return {
         "dmod": _filtration(cmp.dmod),
         "perverse": _filtration(cmp.perverse),
@@ -310,7 +301,7 @@ def _diff(expected, actual, path=""):
 
 def run_fixture(fix: dict) -> list:
     """Evaluate one golden fixture; returns a list of mismatch strings."""
-    doc = {"matrix": fix["matrix"], "bounds": fix.get("bounds")}
+    doc = {"matrix": fix["matrix"]}
     expect = fix["expect"]
     ns = argparse.Namespace(gamma=None, character=None)
     mismatches = []
@@ -328,12 +319,9 @@ def run_fixture(fix: dict) -> list:
         config = _config(doc)
         gamma = _parse_vec(probe["gamma"])
         name = probe["name"]
-        if name in ("dres", "wres"):
-            b = _bounds(doc)
-            verdict = getattr(resonance, f"in_{name}")(config, gamma, **b).verdict
-        else:
-            verdict = ("true" if getattr(resonance, f"in_{name}")(config, gamma)
-                       else "false")
+        result = getattr(resonance, f"in_{name}")(config, gamma)
+        verdict = (result.verdict if isinstance(result, TriState)
+                   else "true" if result else "false")
         if verdict != probe["verdict"]:
             mismatches.append(f"set_probe {name}@{probe['gamma']}: "
                               f"{verdict} != expected {probe['verdict']}")

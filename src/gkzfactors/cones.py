@@ -8,6 +8,7 @@ of the saturation, and the simplicial-family predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -63,6 +64,7 @@ class Configuration:
             raise DomainError("configuration must have a nonzero column")
         self.lattice_basis = il.column_lattice_basis(self.matrix)  # basis of ZA
         self._cache: dict = {}
+        self._face_data: dict = {}
 
     # -- basic lattice helpers -------------------------------------------------
 
@@ -157,31 +159,18 @@ class Configuration:
         return self.all_faces()[-1] if self.all_faces() else None
 
     def facets_containing(self, face: Face) -> list[FacetFunctional]:
-        return [f for f in self.facets() if set(face.indices) <= set(f.face.indices)]
+        return self.face_data(face.indices).facets_over
 
-    def face_columns(self, face: Face) -> list:
-        return [self.cols[j] for j in face.indices]
-
-    def face_rank(self, face: Face) -> int:
-        return self.rank - face.codim
+    def face_data(self, indices) -> "FaceData":
+        """The cached lattice record of a column-index set (a face or not)."""
+        idx = tuple(indices)
+        if idx not in self._face_data:
+            self._face_data[idx] = FaceData(self, idx)
+        return self._face_data[idx]
 
     def face_span_lattice(self, face: Face) -> list:
         """Basis of QF ∩ ZA (the saturated face lattice inside ZA)."""
-        cols = self.face_columns(face)
-        if not cols:
-            return []
-        # annihilator of span(F) as integer rows, then integer kernel
-        ann = il.rational_kernel(il.transpose(il.from_columns(cols, dim=self.n)))
-        if not ann:
-            rows = ()
-        else:
-            rows = tuple(il.clear_denominators(a) for a in ann)
-        if not rows:
-            candidates = il.columns(il.identity(self.n))
-        else:
-            candidates = il.integer_kernel(tuple(rows))
-        # candidates span QF ∩ Z^n; intersect with ZA
-        return self._intersect_with_lattice(candidates)
+        return self.face_data(face.indices).span_lat
 
     def _intersect_with_lattice(self, sat_basis):
         """Basis of span(sat_basis) ∩ ZA, computed in ZA coordinates."""
@@ -328,6 +317,62 @@ class Configuration:
         """Â: the configuration augmented with the saturation generators."""
         extra = [g for g in self.saturation_hilbert_basis() if g not in self.cols]
         return Configuration(il.from_columns(self.cols + extra, dim=self.n))
+
+
+class FaceData:
+    """Lattice data of the columns at `indices`, each field computed on first use.
+
+    `indices` is usually a face, but any column-index set works (pullbacks
+    take subcones); then "F" below means the cone of those columns.
+    """
+
+    def __init__(self, config: Configuration, indices: tuple):
+        self.config = config
+        self.indices = indices
+        self.cols = tuple(config.cols[j] for j in indices)
+
+    @cached_property
+    def span_lat(self) -> list:
+        """Basis of QF ∩ ZA, as ambient vectors."""
+        config = self.config
+        if not self.cols:
+            return []
+        # annihilator of span(F) as integer rows, then integer kernel
+        ann = il.rational_kernel(il.transpose(il.from_columns(self.cols, dim=config.n)))
+        if not ann:
+            candidates = il.columns(il.identity(config.n))
+        else:
+            candidates = il.integer_kernel(tuple(il.clear_denominators(a) for a in ann))
+        # candidates span QF ∩ Z^n; intersect with ZA
+        return config._intersect_with_lattice(candidates)
+
+    @cached_property
+    def a_F(self) -> tuple:
+        """The sum of the columns."""
+        return tuple(sum(c) for c in zip(*self.cols)) if self.cols else (0,) * self.config.n
+
+    @cached_property
+    def deltas(self) -> list:
+        """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors."""
+        if not self.span_lat:
+            return [tuple(0 for _ in range(self.config.n))]
+        S = il.from_columns(self.span_lat, dim=self.config.n)
+        coords = [tuple(int(x) for x in il.rational_solve(S, c)) for c in self.cols]
+        quot = il.quotient(len(self.span_lat), coords)
+        return [il.matvec(S, t) for t in quot.coset_representatives()]
+
+    @cached_property
+    def class_quotient(self) -> il.LatticeQuotient:
+        """ZA (in coordinates on its basis) modulo QF ∩ ZA."""
+        config = self.config
+        coords = [tuple(int(x) for x in config.lattice_coords(v)) for v in self.span_lat]
+        return il.quotient(config.rank, coords)
+
+    @cached_property
+    def facets_over(self) -> list[FacetFunctional]:
+        """The facets containing every column at `indices`."""
+        idx = set(self.indices)
+        return [f for f in self.config.facets() if idx <= set(f.face.indices)]
 
 
 def _facet_values(coords, r: int) -> list:

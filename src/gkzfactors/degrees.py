@@ -6,23 +6,17 @@ The degree sets handled here are attached to a configuration A:
                  where a_A is the sum of all columns;
 * ``ideal``    — deg of the radical-stratum ideal at a level i,
                  ℕA ∖ ⋃ {ℕG : G a face of codimension > i};
-* ``gap``      — the saturation gaps, (ℝ≥0A ∩ ℤA) ∖ ℕA;
-* ``ideal_power_quotient`` — deg(ideal level i) minus the k-fold sumset
-                 (plus ℕA) of itself, i.e. the degrees killed in the k-th
-                 power.
+* ``gap``      — the saturation gaps, (ℝ≥0A ∩ ℤA) ∖ ℕA.
 
 A class γ (mod ℚF) is *good* for a degree set D and a face F when some lattice
-point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  For the first three families this
-is decided exactly by absorption identities that reduce everything to
-semigroup membership with a lattice part (ℕA − ℕF = ℕA + ℤF and friends);
-for the power quotients the sumset side is certified through the additive
-facet bound and a bounded search otherwise.
+point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
+absorption identities that reduce everything to semigroup membership with a
+lattice part (ℕA − ℕF = ℕA + ℤF and friends).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 
 from . import intlin as il
@@ -33,23 +27,19 @@ from .semigroup import MembershipQuery, member
 QDEG_BUDGET = 200_000
 SEARCH_CAP = 10_000
 
-_EXACT_KINDS = ("module", "ideal", "gap")
+_KINDS = ("module", "ideal", "gap")
 
 
 @dataclass(frozen=True)
 class DegreeFamily:
     kind: str
     level: int | None = None
-    power: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _EXACT_KINDS + ("ideal_power_quotient",):
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown degree family kind {self.kind!r}")
-        if self.kind in ("ideal", "ideal_power_quotient") and (
-                self.level is None or self.level < 0):
+        if self.kind == "ideal" and (self.level is None or self.level < 0):
             raise DomainError("ideal families need a level i >= 0")
-        if self.kind == "ideal_power_quotient" and (self.power is None or self.power < 2):
-            raise DomainError("power quotient families need a power k >= 2")
 
 
 def module_family() -> DegreeFamily:
@@ -64,27 +54,6 @@ def gap_family() -> DegreeFamily:
     return DegreeFamily("gap")
 
 
-def ideal_power_quotient_family(level: int, power: int) -> DegreeFamily:
-    return DegreeFamily("ideal_power_quotient", level=level, power=power)
-
-
-@dataclass(frozen=True)
-class TriState:
-    """Verdict with optional bound metadata; ``false_up_to_bounds`` marks a
-    negative that is only guaranteed within the recorded search bounds."""
-
-    verdict: str  # "true" | "false" | "false_up_to_bounds"
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def is_true(self) -> bool:
-        return self.verdict == "true"
-
-    @property
-    def is_certain(self) -> bool:
-        return self.verdict != "false_up_to_bounds" or self.bounds.get("certified", False)
-
-
 @dataclass(frozen=True)
 class QDegComponent:
     base: tuple          # lattice point b with b + ℕF inside the degree set
@@ -96,58 +65,12 @@ class QDegComponent:
 # per-face plumbing
 # ---------------------------------------------------------------------------
 
-def _face_data(config: Configuration, face: Face) -> dict:
-    key = ("face_data", face.indices)
-    if key in config._cache:
-        return config._cache[key]
-    cols = config.face_columns(face)
-    span_lat = config.face_span_lattice(face)
-    a_F = tuple(0 for _ in range(config.n))
-    for c in cols:
-        a_F = il.vadd(a_F, c)
-    if not span_lat:
-        deltas = [tuple(0 for _ in range(config.n))]
-    else:
-        col_coords = []
-        for c in cols:
-            cc = il.lattice_coordinates(span_lat, c)
-            if cc is None:
-                raise DomainError("face column escapes the face lattice")
-            col_coords.append(tuple(cc))
-        quot = il.quotient(len(span_lat), col_coords)
-        if quot.free_rank != 0:
-            raise DomainError("face columns do not span the face")
-        B = il.from_columns(span_lat, dim=config.n)
-        deltas = [il.matvec(B, rep) for rep in quot.coset_representatives()]
-    # quotient of ZA (in basis coordinates) by the saturated face lattice
-    if span_lat:
-        span_coords = []
-        for v in span_lat:
-            cv = il.lattice_coordinates(config.lattice_basis, v)
-            if cv is None:
-                raise DomainError("face lattice escapes the column lattice")
-            span_coords.append(tuple(cv))
-    else:
-        span_coords = []
-    cls_quot = il.quotient(config.rank, span_coords)
-    data = {
-        "cols": tuple(cols),
-        "span_lat": span_lat,
-        "a_F": a_F,
-        "deltas": deltas,
-        "class_quotient": cls_quot,
-        "facets_over": config.facets_containing(face),
-    }
-    config._cache[key] = data
-    return data
-
-
 def class_representative(config: Configuration, face: Face, gamma):
     """An integer point of ℤA congruent to γ modulo ℚF, or None."""
     coords = config.lattice_coords(gamma)
     if coords is None:
         return None
-    quot = _face_data(config, face)["class_quotient"]
+    quot = config.face_data(face.indices).class_quotient
     free = quot.free_values(coords)
     if any(v.denominator != 1 for v in free):
         return None
@@ -160,7 +83,7 @@ def class_candidates(config: Configuration, face: Face, gamma) -> list:
     base = class_representative(config, face, gamma)
     if base is None:
         return []
-    return [il.vadd(base, d) for d in _face_data(config, face)["deltas"]]
+    return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
 
 
 def _q(config: Configuration, generators, face_cols, shift=None) -> MembershipQuery:
@@ -180,8 +103,7 @@ def _member_kwargs(budget):
 
 def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None) -> bool:
-    data = _face_data(config, face)
-    cols = data["cols"]
+    cols = config.face_data(face.indices).cols
     kw = _member_kwargs(budget)
     if family.kind == "module":
         if not member(_q(config, config.cols, cols), x, **kw):
@@ -197,12 +119,10 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
                 if member(_q(config, gcols, cols), x, **kw):
                     return False
         return True
-    if family.kind == "gap":
-        sat_gens = config.saturation_hilbert_basis()
-        if not member(_q(config, sat_gens, cols), x, **kw):
-            return False
-        return not member(_q(config, config.cols, cols), x, **kw)
-    raise DomainError(f"no exact decision for family {family.kind!r}")
+    sat_gens = config.saturation_hilbert_basis()  # the gap family
+    if not member(_q(config, sat_gens, cols), x, **kw):
+        return False
+    return not member(_q(config, config.cols, cols), x, **kw)
 
 
 def _first_passing(family: DegreeFamily, config: Configuration, face: Face,
@@ -215,143 +135,9 @@ def _first_passing(family: DegreeFamily, config: Configuration, face: Face,
 
 
 def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
-                      gamma, budget=None, window=None):
-    """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?
-
-    Exact boolean for the module/ideal/gap families; a TriState for the
-    power quotients, whose negative side is bound-limited.
-    """
-    reps = class_candidates(config, face, gamma)
-    if family.kind in _EXACT_KINDS:
-        return _first_passing(family, config, face, gamma, budget) is not None
-
-    # power quotient: the i-level conditions first, then the sumset side
-    base = ideal_family(family.level)
-    k = family.power
-    passing = [x for x in reps if _passes_exact(base, config, face, x, budget)]
-    if not passing:
-        return TriState("false", {"certified": True})
-    facets_over = _face_data(config, face)["facets_over"]
-    undecided = False
-    w = window
-    for x in passing:
-        total = sum(f.value(x) for f in facets_over)
-        if total < k:
-            # every k-fold decomposition forces the additive facet sum
-            # above k, so the class avoids the power degrees entirely
-            return TriState("true", {"certificate": "facet-sum",
-                                     "facet_sum": str(total)})
-        if w is None:
-            vals = [f.value(x) for f in config.facets()]
-            top = max([v for v in vals] + [Fraction(0)])
-            w = 2 * (int(top) + k)
-        killed = False
-        a_F = _face_data(config, face)["a_F"]
-        for m in range(0, w + 1):
-            probe = il.vadd(x, il.vscale(m, a_F))
-            hit = sumset_member_bounded(config, family.level, k, probe,
-                                        window=w, budget=budget)
-            if hit.is_true:
-                killed = True
-                break
-            if il.is_zero_vec(a_F):
-                break
-        if not killed:
-            undecided = True
-    return TriState("false_up_to_bounds",
-                    {"window": w, "certified": not undecided})
-
-
-# ---------------------------------------------------------------------------
-# sumsets of ideal degrees
-# ---------------------------------------------------------------------------
-
-def _point_in_ideal_degrees(config: Configuration, level: int, d, budget=None) -> bool:
-    kw = _member_kwargs(budget)
-    if not member(_q(config, config.cols, ()), d, **kw):
-        return False
-    for g in config.all_faces():
-        if g.codim > level:
-            gcols = [config.cols[j] for j in g.indices]
-            if member(_q(config, gcols, ()), d, **kw):
-                return False
-    return True
-
-
-def sumset_member_bounded(config: Configuration, level: int, power: int, target,
-                          window=None, budget=None) -> TriState:
-    """Is target in (power-fold sumset of the level-i ideal degrees) + ℕA?
-
-    Positive answers are certified by an explicit decomposition.  Negative
-    answers carry the search bounds, although the facet-value bound already
-    confines every decomposition: summands have componentwise facet values
-    at most those of the target, so the search region is complete for the
-    operational product-degree definition.
-    """
-    if power < 2:
-        raise DomainError("sumset decompositions need power k >= 2")
-    facets = config.facets()
-    if window is None:
-        vals = [f.value(target) for f in facets]
-        top = max([v for v in vals] + [Fraction(0)])
-        window = 2 * (int(top) + power)
-    bounds = {"window": window, "certified": True}
-
-    coords = config.lattice_coords(target)
-    if coords is None or any(c.denominator != 1 for c in coords):
-        return TriState("false_up_to_bounds", bounds)
-    tvals = [f.value(target) for f in facets]
-    if any(v < 0 or v.denominator != 1 for v in tvals):
-        return TriState("false_up_to_bounds", bounds)
-    tvals = [int(v) for v in tvals]
-
-    # enumerate candidate summands by their facet-value tuples
-    minimal = config.minimal_face()
-    min_data = _face_data(config, minimal)
-    lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis)
-                       for f in facets])
-    B = il.from_columns(config.lattice_basis, dim=config.n)
-    count = 1
-    for v in tvals:
-        count *= v + 1
-        if count > (budget or QDEG_BUDGET):
-            raise ComputationLimitError("sumset candidate region exceeds budget")
-    summands = []
-    for v in product(*(range(t + 1) for t in tvals)):
-        z = il.integral_system_solve(lrows, v)
-        if z is None:
-            continue
-        x0 = il.matvec(B, z)
-        for delta in min_data["deltas"]:
-            d = il.vadd(x0, delta)
-            if il.is_zero_vec(d):
-                continue
-            if _point_in_ideal_degrees(config, level, d, budget=budget):
-                summands.append((d, v))
-
-    kw = _member_kwargs(budget)
-    na_query = _q(config, config.cols, ())
-    memo: dict = {}
-
-    def can(k, t, tv):
-        if k == 0:
-            return member(na_query, t, **kw)
-        key = (k, t)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        for d, dv in summands:
-            if all(a <= b for a, b in zip(dv, tv)):
-                rest = il.vsub(t, d)
-                rv = tuple(b - a for a, b in zip(dv, tv))
-                if can(k - 1, rest, rv):
-                    memo[key] = True
-                    break
-        return memo[key]
-
-    if can(power, tuple(target), tuple(tvals)):
-        return TriState("true", bounds)
-    return TriState("false_up_to_bounds", bounds)
+                      gamma, budget=None) -> bool:
+    """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
+    return _first_passing(family, config, face, gamma, budget) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +194,8 @@ def facet_bounds(config: Configuration, budget=None) -> dict:
 def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
-    data = _face_data(config, face)
-    cols = data["cols"]
+    data = config.face_data(face.indices)
+    cols = data.cols
     kw = _member_kwargs(budget)
     if family.kind == "gap":
         gens = config.saturation_hilbert_basis()
@@ -425,7 +211,7 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
     if family.kind != "ideal":
         return b
     # push along the face so b + ℕF clears the strata not containing F
-    a_F = data["a_F"]
+    a_F = data.a_F
     m_needed = 0
     for g in config.all_faces():
         if g.codim <= family.level or set(face.indices) <= set(g.indices):
@@ -464,15 +250,13 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
     determine the class exactly; classes lying inside an already-reported
     component of a larger face are dropped, other overlaps are kept.
     """
-    if family.kind not in _EXACT_KINDS:
-        raise DomainError("component extraction needs an exactly decidable family")
     bounds = facet_bounds(config, budget=budget)
     comps: list[QDegComponent] = []
     work = 0
     cap = budget or QDEG_BUDGET
     for face in config.all_faces():  # sorted by codimension: larger faces first
-        data = _face_data(config, face)
-        facets_over = data["facets_over"]
+        data = config.face_data(face.indices)
+        facets_over = data.facets_over
         lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis)
                            for f in facets_over])
         B = il.from_columns(config.lattice_basis, dim=config.n)
@@ -495,7 +279,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
                 continue
             b = _witness_base(family, config, face, hit, budget=budget)
             coords = config.lattice_coords(b)
-            cls = data["class_quotient"].free_values(tuple(int(c) for c in coords))
+            cls = data.class_quotient.free_values(tuple(int(c) for c in coords))
             comps.append(QDegComponent(base=b, face=face,
                                        class_coords=tuple(int(c) for c in cls)))
     return comps

@@ -140,34 +140,6 @@ def trivial_class(config: Configuration, indices=None) -> LocalSystemClass:
 # pullback solutions on a face torus
 # ---------------------------------------------------------------------------
 
-def _span_lattice(config: Configuration, indices) -> list:
-    """Basis of Qspan(columns at `indices`) ∩ ZA, as ambient vectors."""
-    cols = [config.cols[j] for j in indices]
-    if not cols:
-        return []
-    ann = il.rational_kernel(il.transpose(il.from_columns(cols, dim=config.n)))
-    rows = tuple(il.clear_denominators(a) for a in ann) if ann else ()
-    if not rows:
-        cands = il.columns(il.identity(config.n))
-    else:
-        cands = il.integer_kernel(rows)
-    return config._intersect_with_lattice(cands)
-
-
-def _torsion_deltas(config: Configuration, indices) -> list:
-    """Coset representatives of (Qspan(F) ∩ ZA) / ZF, as ambient vectors."""
-    span_lat = _span_lattice(config, indices)
-    if not span_lat:
-        return [tuple(0 for _ in range(config.n))]
-    S = il.from_columns(span_lat, dim=config.n)
-    fcoords = []
-    for j in indices:
-        c = il.rational_solve(S, config.cols[j])
-        fcoords.append(tuple(int(x) for x in c))
-    quot = il.quotient(len(span_lat), fcoords)
-    return [il.matvec(S, t) for t in quot.coset_representatives()]
-
-
 def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> list:
     """All character classes on the face torus pulling back to the given class.
 
@@ -212,7 +184,7 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
                  zip(cls.representative, il.matvec(B, z)))
     out = [_make_class(ambient, indices,
                        tuple(Fraction(x) + Fraction(y) for x, y in zip(base, d)))
-           for d in _torsion_deltas(ambient, indices)]
+           for d in ambient.face_data(indices).deltas]
     out.sort(key=lambda c: c.canonical)
     return out
 
@@ -242,20 +214,12 @@ class FiltrationReport:
     certification: str
     notes: tuple = ()
 
-    def level(self, i):
-        return self.factors[i]
-
 
 def _faces_by_codim(config: Configuration) -> dict:
     out = {}
     for f in config.all_faces():
         out.setdefault(f.codim, []).append(f)
     return out
-
-
-def _resonant_facet_faces(config: Configuration, gamma) -> list:
-    prof = resonance.classify(config, gamma)
-    return [config.face(idx) for idx in prof.resonant_facets]
 
 
 def _simplicial_hypothesis(config: Configuration, facet_faces) -> bool:
@@ -280,8 +244,7 @@ def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
                            "resonant intersection")
 
 
-def dmod_report(config: Configuration, gamma, k_max=None, window=None,
-                budget=None) -> FiltrationReport:
+def dmod_report(config: Configuration, gamma, budget=None) -> FiltrationReport:
     """Factor table of the filtration by boundary supports, with hypothesis flags."""
     gamma = tuple(Fraction(x) for x in gamma)
     resonance._require_in_span(config, gamma)
@@ -294,16 +257,17 @@ def dmod_report(config: Configuration, gamma, k_max=None, window=None,
                 level.append(FactorLabel(i, f.indices, class_of(config, f, gamma)))
         factors.append(tuple(level))
 
-    facet_faces = _resonant_facet_faces(config, gamma)
+    prof = resonance.classify(config, gamma)
+    facet_faces = [config.face(idx) for idx in prof.resonant_facets]
     simplicial = _simplicial_hypothesis(config, facet_faces)
     if simplicial:
         _check_minimal_resonant_intersection(config, gamma, facet_faces)
     normal, _ = config.is_normal()
-    weak = resonance.classify(config, gamma).is_weak
-    res = resonance.in_res(config, gamma)
+    weak = prof.is_weak
+    res = not prof.is_nonresonant
     sres = resonance.in_sres(config, gamma, budget=budget)
-    dres = resonance.in_dres(config, gamma, k_max=k_max, window=window, budget=budget)
-    wres = resonance.in_wres(config, gamma, k_max=k_max, window=window, budget=budget)
+    dres = resonance.in_dres(config, gamma, budget=budget)
+    wres = resonance.wres_from(sres, dres)
 
     flags = {
         "simplicial_resonant_facets": simplicial,   # isomorphism hypothesis
@@ -380,8 +344,7 @@ class ComparisonReport:
     notes: tuple = ()
 
 
-def rh_compare(config: Configuration, gamma, k_max=None, window=None,
-               budget=None) -> ComparisonReport:
+def rh_compare(config: Configuration, gamma, budget=None) -> ComparisonReport:
     """Compare factor labels of the two filtrations codimension by codimension.
 
     When the configuration is normal and the parameter is weak-nonresonant the
@@ -389,7 +352,7 @@ def rh_compare(config: Configuration, gamma, k_max=None, window=None,
     discrepancies are reported without asserting.
     """
     gamma = tuple(Fraction(x) for x in gamma)
-    d = dmod_report(config, gamma, k_max=k_max, window=window, budget=budget)
+    d = dmod_report(config, gamma, budget=budget)
     full = tuple(range(config.N))
     p = perverse_report(config, class_of(config, full, gamma))
 

@@ -407,93 +407,29 @@ def integer_inverse(U: Mat) -> Mat:
     n, m = shape(U)
     if n != m:
         raise DimensionMismatchError("integer_inverse: matrix not square")
-    aug = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise DimensionMismatchError("integer_inverse: matrix not unimodular")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    A, pivots = _rref([list(U[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
+    if len(pivots) != n or any(x.denominator != 1 for row in A for x in row[n:]):
+        raise DimensionMismatchError("integer_inverse: matrix not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in A)
 
 
 # ---------------------------------------------------------------------------
 # Rational linear algebra
 # ---------------------------------------------------------------------------
 
-def rational_solve(M: Mat, b: Vec):
-    """Some rational x with M.x = b, or None when inconsistent (free vars -> 0)."""
-    n, m = shape(M)
-    if len(b) != n:
-        raise DimensionMismatchError("rational_solve: dimension mismatch")
-    A = [[Fraction(M[i][j]) for j in range(m)] + [Fraction(b[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        p = A[row][col]
-        A[row] = [x / p for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        pivots.append((row, col))
-        row += 1
+def _rref(rows, width: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan over Q on the first `width` columns of `rows`.
+
+    Returns the reduced rows (Fractions, pivots scaled to 1, the remaining
+    columns carried along) and the pivot columns; row r holds pivot r.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A)
+    pivots: list[int] = []
+    for col in range(width):
+        row = len(pivots)
         if row == n:
             break
-    for r in range(row, n):
-        if A[r][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for r, c in pivots:
-        x[c] = A[r][m]
-    return tuple(x)
-
-
-def rational_rank(M: Mat) -> int:
-    n, m = shape(M)
-    A = [[Fraction(M[i][j]) for j in range(m)] for i in range(n)]
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        p = A[rank][col]
-        A[rank] = [x / p for x in A[rank]]
-        for r in range(n):
-            if r != rank and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def rational_kernel(M: Mat) -> list[Vec]:
-    """Basis of {x in Q^m : M.x = 0}."""
-    n, m = shape(M)
-    A = [[Fraction(M[i][j]) for j in range(m)] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
         piv = next((r for r in range(row, n) if A[r][col] != 0), None)
         if piv is None:
             continue
@@ -505,14 +441,33 @@ def rational_kernel(M: Mat) -> list[Vec]:
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[row])]
         pivots.append(col)
-        row += 1
-        if row == n:
-            break
+    return A, pivots
+
+
+def rational_solve(M: Mat, b: Vec):
+    """Some rational x with M.x = b, or None when inconsistent (free vars -> 0)."""
+    n, m = shape(M)
+    if len(b) != n:
+        raise DimensionMismatchError("rational_solve: dimension mismatch")
+    A, pivots = _rref([list(M[i]) + [b[i]] for i in range(n)], m)
+    if any(A[r][m] != 0 for r in range(len(pivots), n)):
+        return None
+    x = [Fraction(0)] * m
+    for r, c in enumerate(pivots):
+        x[c] = A[r][m]
+    return tuple(x)
+
+
+def rational_rank(M: Mat) -> int:
+    return len(_rref(M, shape(M)[1])[1])
+
+
+def rational_kernel(M: Mat) -> list[Vec]:
+    """Basis of {x in Q^m : M.x = 0}."""
+    m = shape(M)[1]
+    A, pivots = _rref(M, m)
     basis = []
-    pivset = set(pivots)
-    for free in range(m):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(m)) - set(pivots)):
         v = [Fraction(0)] * m
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):

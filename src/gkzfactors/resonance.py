@@ -7,8 +7,9 @@ translation lattice tests, and the four derived parameter sets
 * sres  = negative multiples of a_A plus the witnessed degree classes of the
           quotient by the shifted module (decided exactly),
 * dres  = degree classes killed in powers of the stratum ideals (positive
-          side decided exactly through the stratum reduction; negatives on
-          non-normal configurations are reported as bound-limited),
+          side decided exactly through the stratum reduction; resonant
+          negatives on non-normal configurations are reported as
+          ``false_up_to_bounds`` with ``"certified": false``),
 * wres  = sres ∪ dres,
 
 plus the facet-sign approximations SRes/DRes.
@@ -16,17 +17,28 @@ plus the facet-sign approximations SRes/DRes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from . import degrees as dg
-from . import intlin as il
 from .cones import Configuration
-from .degrees import TriState
 from .errors import DomainError, GKZError
 
 SET_NAMES = ("res", "sres", "dres", "wres", "SRes", "DRes")
+
+
+@dataclass(frozen=True)
+class TriState:
+    """Verdict with metadata on how it was reached; ``false_up_to_bounds``
+    marks a negative that is not proven (``"certified": false``)."""
+
+    verdict: str  # "true" | "false" | "false_up_to_bounds"
+    bounds: dict = field(default_factory=dict)
+
+    @property
+    def is_true(self) -> bool:
+        return self.verdict == "true"
 
 
 @dataclass(frozen=True)
@@ -104,16 +116,6 @@ def in_sres(config: Configuration, gamma, budget=None) -> bool:
     return False
 
 
-def default_k_max(config: Configuration, gamma) -> int:
-    _require_in_span(config, gamma)
-    top = Fraction(0)
-    for f in config.facets():
-        v = f.value(gamma)
-        if v > top:
-            top = v
-    return max(2, -(-top.numerator // top.denominator) + 2)
-
-
 def _dres_certificate(config: Configuration, gamma, budget=None):
     """(level, face, k) for a witnessed power-quotient class, or None; exact.
 
@@ -134,13 +136,8 @@ def _dres_certificate(config: Configuration, gamma, budget=None):
     return None
 
 
-def in_dres(config: Configuration, gamma, k_max=None, window=None,
-            budget=None) -> TriState:
+def in_dres(config: Configuration, gamma, budget=None) -> TriState:
     _require_in_span(config, gamma)
-    if k_max is None:
-        k_max = default_k_max(config, gamma)
-    if k_max < 2:
-        raise DomainError("the power scan needs k_max >= 2")
     cert = _dres_certificate(config, gamma, budget=budget)
     normal, _ = config.is_normal()
     if normal:
@@ -152,25 +149,29 @@ def in_dres(config: Configuration, gamma, k_max=None, window=None,
     if cert is not None:
         level, face, k_wit = cert
         return TriState("true", {"level": level, "face": list(face.indices),
-                                 "power": k_wit, "k_max": k_max})
-    meta = {"k_max": k_max, "window": window, "certified": True,
-            "method": "stratum reduction"}
+                                 "power": k_wit})
     if normal:
-        return TriState("false", meta)
+        return TriState("false", {"certified": True, "method": "stratum reduction"})
     if not in_res(config, gamma):
-        meta["method"] = "nonresonant"
-        return TriState("false", meta)
-    return TriState("false_up_to_bounds", meta)
+        return TriState("false", {"certified": True, "method": "nonresonant"})
+    # no proof yet that the stratum search is complete on non-normal input
+    return TriState("false_up_to_bounds",
+                    {"certified": False, "method": "stratum reduction"})
 
 
-def in_wres(config: Configuration, gamma, k_max=None, window=None,
-            budget=None) -> TriState:
-    if in_sres(config, gamma, budget=budget):
+def wres_from(sres: bool, dres: TriState | None) -> TriState:
+    """wres = sres ∪ dres from the two verdicts; `dres` is read only when
+    `sres` is false."""
+    if sres:
         return TriState("true", {"member_of": "sres"})
-    out = in_dres(config, gamma, k_max=k_max, window=window, budget=budget)
-    if out.is_true:
-        return TriState("true", dict(out.bounds, member_of="dres"))
-    return out
+    if dres.is_true:
+        return TriState("true", dict(dres.bounds, member_of="dres"))
+    return dres
+
+
+def in_wres(config: Configuration, gamma, budget=None) -> TriState:
+    sres = in_sres(config, gamma, budget=budget)
+    return wres_from(sres, None if sres else in_dres(config, gamma, budget=budget))
 
 
 def _grid_points(box, step: Fraction):
@@ -187,7 +188,7 @@ def _grid_points(box, step: Fraction):
 
 
 def region_scan(config: Configuration, set_name: str, box, step,
-                k_max=None, window=None, budget=None) -> list[dict]:
+                budget=None) -> list[dict]:
     """Verdicts of a named parameter set over a rational grid.
 
     ``box`` is one (lo, hi) pair per ambient coordinate; points outside the
@@ -214,10 +215,8 @@ def region_scan(config: Configuration, set_name: str, box, step,
         elif set_name == "sres":
             verdict = "true" if in_sres(config, gamma, budget=budget) else "false"
         elif set_name == "dres":
-            verdict = in_dres(config, gamma, k_max=k_max, window=window,
-                              budget=budget).verdict
+            verdict = in_dres(config, gamma, budget=budget).verdict
         else:
-            verdict = in_wres(config, gamma, k_max=k_max, window=window,
-                              budget=budget).verdict
+            verdict = in_wres(config, gamma, budget=budget).verdict
         out.append({"gamma": gamma, "verdict": verdict})
     return out

@@ -64,33 +64,11 @@ def test_ideal_family_levels():
     assert not dg.good_class_exists(fam0, A23, apex, (0,))
 
 
-def test_power_quotient_tristate():
-    fam = dg.ideal_power_quotient_family(0, 3)
-    apex = A23.face(())
-    out = dg.good_class_exists(fam, A23, apex, (2,))
-    assert out.verdict == "true"
-    out = dg.good_class_exists(fam, A23, apex, (0,))
-    assert out.verdict in ("false", "false_up_to_bounds")
-    assert not out.is_true
-
-
-def test_sumset_member_bounded():
-    # deg(I_0^2) for the coprime pair: sums of two positive semigroup degrees
-    out = dg.sumset_member_bounded(A23, 0, 2, (4,))
-    assert out.verdict == "true"
-    out = dg.sumset_member_bounded(A23, 0, 2, (3,))
-    assert out.verdict == "false_up_to_bounds" and out.bounds.get("certified")
-    out = dg.sumset_member_bounded(A23, 0, 2, (1,))  # not even in deg(I_0)
-    assert not out.is_true
-
-
 def test_family_validation():
     with pytest.raises(DomainError):
         dg.ideal_family(-1)
     with pytest.raises(DomainError):
-        dg.ideal_power_quotient_family(0, 1)  # powers start at 2
-    with pytest.raises(DomainError):
-        dg.qdeg_components(dg.ideal_power_quotient_family(0, 2), A23)
+        dg.DegreeFamily("ideal_power_quotient", level=0)
 
 
 def test_class_representative_modulo_face_span():

@@ -106,6 +106,25 @@ def test_property_suite_reports_degenerate():
     assert any("degenerate" in n for n in report.notes)
 
 
+def test_property_suite_propagates_unexpected_errors(monkeypatch):
+    from gkzfactors import degrees
+
+    cfg = bf.OracleConfig(seed=5, max_n=1, max_cols=1, coeff_bound=1)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    # a crash while building a configuration is not a degenerate instance
+    monkeypatch.setattr(bf, "Configuration", boom)
+    with pytest.raises(RuntimeError):
+        bf.property_suite(cfg, instances=30, gammas_per_instance=1)
+    monkeypatch.undo()
+    # a crash in the component extraction is not a budget overrun
+    monkeypatch.setattr(degrees, "qdeg_components", boom)
+    with pytest.raises(RuntimeError):
+        bf.property_suite(cfg, instances=30, gammas_per_instance=1)
+
+
 def test_oracle_config_validation():
     with pytest.raises(DomainError):
         bf.OracleConfig(box_radius=0)

@@ -53,9 +53,18 @@ def test_sres_wedge_probes():
 def test_dres_line_fixture():
     got = {g for g in range(-6, 7) if rs.in_dres(A23, (g,)).is_true}
     assert got == {2, 3, 4, 5, 6}
+    assert rs.in_dres(A23, (-2,)).verdict == "false_up_to_bounds"
+
+
+def test_dres_bounded_negative_is_not_certified():
+    # the fixture-pinned probe of the coprime pair at γ = -2: resonant,
+    # non-normal, and no stratum witness, so the negative is not proven
     out = rs.in_dres(A23, (-2,))
     assert out.verdict == "false_up_to_bounds"
-    assert out.bounds.get("certified")  # the stratum reduction is complete
+    assert out.bounds == {"certified": False, "method": "stratum reduction"}
+    # definite negatives keep their certificate
+    assert rs.in_dres(A23, (Fraction(1, 2),)).bounds["certified"] is True
+    assert rs.in_dres(A54, (0, 0, 0)).bounds["certified"] is True
 
 
 def test_dres_wedge_probes():
