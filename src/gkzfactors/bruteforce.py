@@ -180,18 +180,25 @@ def _bf_ray_inside(base, face_cols, degset, depth: int) -> bool:
                for cc in set(combos))
 
 
-def _bf_qdeg_member(gamma, degset, faces, cols, depth: int) -> bool:
-    """gamma ∈ ∪ {b + ℚ·F : b ∈ degset, b + ℕF ⊆ degset (bounded)}."""
-    gamma = tuple(Fraction(x) for x in gamma)
+def _bf_qdeg_test(degset, faces, cols, n: int, depth: int):
+    """The test gamma ∈ ∪ {b + ℚ·F : b ∈ degset, b + ℕF ⊆ degset (bounded)}.
+
+    The bases b with b + ℕF inside degset do not depend on gamma, so they are
+    found once.  gamma − b ∈ ℚF iff the annihilator rows of F agree on gamma
+    and on b, so each face keeps the set of its bases' annihilator values.
+    """
+    keys = []
     for face in faces:
         fcols = [cols[j] for j in face]
-        for b in degset:
-            if not _bf_ray_inside(b, fcols, degset, depth):
-                continue
-            diff = tuple(g - x for g, x in zip(gamma, b))
-            if _bf_in_span(fcols, diff):
-                return True
-    return False
+        ann = (il.rational_kernel(il.transpose(il.from_columns(fcols, dim=n)))
+               if fcols else il.identity(n))
+        keys.append((ann, {tuple(il.dot(a, b) for a in ann) for b in degset
+                           if _bf_ray_inside(b, fcols, degset, depth)}))
+
+    def test(gamma) -> bool:
+        gamma = tuple(Fraction(x) for x in gamma)
+        return any(tuple(il.dot(a, gamma) for a in ann) in bases for ann, bases in keys)
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +214,14 @@ def _bf_degree_sets(matrix, radius: int):
     return cols, n, NA, a_A, NA - shifted
 
 
-def bf_in_sres(matrix, gamma, cfg: OracleConfig = OracleConfig()) -> bool:
-    cols, n, NA, a_A, D = _bf_degree_sets(matrix, cfg.box_radius)
-    faces = _bf_faces(matrix)
-    for m in range(1, cfg.shift_bound + 1):
-        x = tuple(Fraction(g) + m * c for g, c in zip(gamma, a_A))
-        if _bf_qdeg_member(x, D, faces, cols, cfg.ray_depth):
-            return True
-    return False
+def _bf_sres_test(matrix, cfg: OracleConfig):
+    cols, n, _NA, a_A, D = _bf_degree_sets(matrix, cfg.box_radius)
+    inside = _bf_qdeg_test(D, _bf_faces(matrix), cols, n, cfg.ray_depth)
+
+    def test(gamma) -> bool:
+        return any(inside(tuple(Fraction(g) + m * c for g, c in zip(gamma, a_A)))
+                   for m in range(1, cfg.shift_bound + 1))
+    return test
 
 
 def _bf_ideal_degrees(matrix, level: int, radius: int):
@@ -230,12 +237,13 @@ def _bf_ideal_degrees(matrix, level: int, radius: int):
     return cols, n, NA - bad
 
 
-def bf_in_dres(matrix, gamma, cfg: OracleConfig = OracleConfig()) -> bool:
+def _bf_dres_test(matrix, cfg: OracleConfig):
     n = len(matrix)
     cols = [tuple(c) for c in zip(*matrix)]
     basis = _bf_lattice_basis(cols, n)
     faces = _bf_faces(matrix)
     NA = _bf_semigroup_points(cols, n, cfg.box_radius)
+    tests = []
     for level in range(len(basis)):
         cols, n, I = _bf_ideal_degrees(matrix, level, cfg.box_radius)
         for k in range(2, cfg.power_bound + 1):
@@ -243,45 +251,47 @@ def bf_in_dres(matrix, gamma, cfg: OracleConfig = OracleConfig()) -> bool:
             for _ in range(k - 1):
                 Ik = {tuple(a + b for a, b in zip(p, q)) for p in Ik for q in I}
             Ik = {tuple(a + b for a, b in zip(p, q)) for p in Ik for q in NA}
-            D = I - Ik
-            if _bf_qdeg_member(gamma, D, faces, cols, cfg.ray_depth):
-                return True
-    return False
+            tests.append(_bf_qdeg_test(I - Ik, faces, cols, n, cfg.ray_depth))
+    return lambda gamma: any(test(gamma) for test in tests)
+
+
+def _bf_set_test(matrix, set_name: str, cfg: OracleConfig):
+    """The test gamma -> verdict for one set, with the matrix-only work done once."""
+    if set_name in ("res", "SRes", "DRes"):
+        hs = [h for _, h in bf_facets(matrix)]
+        keep = {"res": lambda v: True, "SRes": lambda v: v < 0, "DRes": lambda v: v > 0}[set_name]
+
+        def test(gamma) -> bool:
+            values = [sum(Fraction(a) * Fraction(x) for a, x in zip(h, gamma)) for h in hs]
+            return any(v.denominator == 1 and keep(v) for v in values)
+        return test
+    if set_name == "sres":
+        return _bf_sres_test(matrix, cfg)
+    if set_name == "dres":
+        return _bf_dres_test(matrix, cfg)
+    if set_name == "wres":
+        sres, dres = _bf_sres_test(matrix, cfg), _bf_dres_test(matrix, cfg)
+        return lambda gamma: sres(gamma) or dres(gamma)
+    raise DomainError(f"unknown set name: {set_name}")
 
 
 def bf_in_set(matrix, set_name: str, gamma,
               cfg: OracleConfig = OracleConfig()) -> bool:
-    facets = bf_facets(matrix)
-    values = []
-    for _, h in facets:
-        values.append(sum(Fraction(a) * Fraction(x) for a, x in zip(h, gamma)))
-    if set_name == "res":
-        return any(v.denominator == 1 for v in values)
-    if set_name == "SRes":
-        return any(v.denominator == 1 and v < 0 for v in values)
-    if set_name == "DRes":
-        return any(v.denominator == 1 and v > 0 for v in values)
-    if set_name == "sres":
-        return bf_in_sres(matrix, gamma, cfg)
-    if set_name == "dres":
-        return bf_in_dres(matrix, gamma, cfg)
-    if set_name == "wres":
-        return bf_in_sres(matrix, gamma, cfg) or bf_in_dres(matrix, gamma, cfg)
-    raise DomainError(f"unknown set name: {set_name}")
+    return _bf_set_test(matrix, set_name, cfg)(gamma)
 
 
 def bf_region(matrix, set_name: str, box, cfg: OracleConfig = OracleConfig()):
     """Integer-grid verdicts for a resonance locus, from first principles."""
+    test = _bf_set_test(matrix, set_name, cfg)
+    cols = [tuple(c) for c in zip(*matrix)]
     axes = [range(int(lo), int(hi) + 1) for lo, hi in box]
     out = []
     for point in itertools.product(*axes):
         gamma = tuple(Fraction(p) for p in point)
-        cols = [tuple(c) for c in zip(*matrix)]
         if not _bf_in_span(cols, gamma):
             out.append({"gamma": point, "verdict": "outside"})
             continue
-        v = bf_in_set(matrix, set_name, gamma, cfg)
-        out.append({"gamma": point, "verdict": "true" if v else "false"})
+        out.append({"gamma": point, "verdict": "true" if test(gamma) else "false"})
     return out
 
 

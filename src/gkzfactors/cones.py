@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
@@ -74,15 +75,21 @@ class Configuration:
 
     def in_span(self, v) -> bool:
         """v ∈ QA for rational v."""
-        if not self.lattice_basis:
-            return il.is_zero_vec(tuple(v))
-        return il.rational_solve(il.from_columns(self.lattice_basis), tuple(v)) is not None
+        return self.lattice_coords(v) is not None
+
+    @cached_property
+    def _za_inverse(self):
+        """(L, C): v ∈ QA iff C.v = 0, and then L.v are its ZA coordinates."""
+        return il.left_inverse(il.from_columns(self.lattice_basis))
 
     def lattice_coords(self, v):
         """Rational coordinates of v over the ZA basis, or None if v ∉ QA."""
-        if not self.lattice_basis:
-            return () if il.is_zero_vec(tuple(v)) else None
-        return il.rational_solve(il.from_columns(self.lattice_basis), tuple(v))
+        L, C = self._za_inverse
+        v = tuple(v)
+        coords = il.matvec(L, v)
+        if any(sum(map(mul, row, v)) for row in C):
+            return None
+        return coords
 
     def column_sum(self):
         """a_A = sum of all columns."""
@@ -177,9 +184,8 @@ class Configuration:
         if not sat_basis:
             return []
         coords = []
-        B = il.from_columns(self.lattice_basis)
         for v in sat_basis:
-            c = il.rational_solve(B, tuple(v))
+            c = self.lattice_coords(v)
             if c is None:
                 raise DomainError("face span escapes QA")
             coords.append(c)
@@ -191,6 +197,7 @@ class Configuration:
         else:
             rows = tuple(il.clear_denominators(a) for a in ann)
             inner = il.integer_kernel(tuple(rows))
+        B = il.from_columns(self.lattice_basis)
         return [il.matvec(B, u) for u in inner]
 
     # -- predicates ---------------------------------------------------------------
@@ -213,13 +220,10 @@ class Configuration:
                     return False
         return True
 
-    def semigroup_member(self, v, extra_lattice=(), budget=None) -> bool:
-        """v ∈ NA (+ Z·extra_lattice); exact, valid also for non-pointed cones."""
-        lat = list(extra_lattice) + [self.cols[j] for j in self.minimal_face().indices]
-        q = MembershipQuery(shift=tuple(0 for _ in range(self.n)),
-                            generators=tuple(self.cols), lattice_part=tuple(lat))
+    def semigroup_member(self, v, budget=None) -> bool:
+        """v ∈ NA; exact, valid also for non-pointed cones."""
         kwargs = {"budget": budget} if budget else {}
-        return member(q, tuple(v), **kwargs)
+        return member(self.face_data(()).query(self.cols), tuple(v), **kwargs)
 
     def is_pointed(self) -> bool:
         """True iff the minimal face has rank 0 (zero columns are allowed)."""
@@ -236,27 +240,27 @@ class Configuration:
         if "hilbert" in self._cache:
             return self._cache["hilbert"]
         unit_basis = [] if self.is_pointed() else self.face_span_lattice(self.minimal_face())
+        # work in coordinates on the ZA basis
+        B = il.from_columns(self.lattice_basis)
+        coords = [tuple(int(x) for x in self.lattice_coords(v)) for v in self.cols]
         if not unit_basis:
-            out = sorted(self._hilbert_pointed(self.cols, self.lattice_basis, budget))
+            out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords, budget))
         else:
-            # work in coordinates on the ZA basis: the unit lattice is
-            # saturated in ZA, so the quotient by it is free and every class
-            # lifts to ZA; facet values depend only on the class
-            coords = [tuple(int(x) for x in self.lattice_coords(v)) for v in self.cols]
+            # the unit lattice is saturated in ZA, so the quotient by it is
+            # free and every class lifts to ZA; facet values depend only on
+            # the class
             units = [tuple(int(x) for x in self.lattice_coords(u)) for u in unit_basis]
             quot = il.quotient(self.rank, units)
-            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords],
-                                              il.identity(quot.free_rank), budget)
-            B = il.from_columns(self.lattice_basis)
+            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords], budget)
             lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
             out = sorted(lifts) + sorted(unit_basis) + sorted(il.vneg(u) for u in unit_basis)
         self._cache["hilbert"] = out
         return out
 
-    def _hilbert_pointed(self, cols, lattice_basis, budget: int) -> list:
-        """Hilbert basis of cone(cols) ∩ lattice for a pointed cone.
+    def _hilbert_pointed(self, coords, budget: int) -> list:
+        """Hilbert basis of cone(coords) ∩ Z^r for a pointed cone of rank r.
 
-        Works in coordinates on the lattice basis.  Candidates: generators plus
+        Takes and returns coordinates on a lattice basis.  Candidates: generators plus
         the lattice points of the fundamental parallelepipeds of all full-rank
         generator subsets (these cover the cone by Caratheodory, and each lies
         in the cone by construction).  The cone's lattice points are exactly
@@ -266,12 +270,10 @@ class Configuration:
         increasing order of a positive functional, so every such q is kept
         before p.
         """
-        cols = [tuple(c) for c in cols if not il.is_zero_vec(c)]
-        if not cols:
+        coords = sorted({c for c in coords if not il.is_zero_vec(c)})
+        if not coords:
             return []
-        r = len(lattice_basis)
-        B = il.from_columns(lattice_basis, dim=len(cols[0]))
-        coords = sorted({tuple(int(x) for x in il.rational_solve(B, c)) for c in cols})
+        r = len(coords[0])
         w = find_positive_functional(coords, r)
         if w is None:
             raise DomainError("hilbert basis requires a pointed cone")
@@ -284,8 +286,10 @@ class Configuration:
             quot = il.quotient(r, combo)
             count += quot.torsion_order()
             if count > budget:
-                raise ComputationLimitError("hilbert candidate enumeration exceeded budget")
-            Minv = il.from_columns([il.rational_solve(M, e) for e in il.identity(r)])
+                raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
+                                            stage="cones.saturation_hilbert_basis",
+                                            used=count, limit=budget)
+            Minv, _ = il.left_inverse(M)
             for tor in product(*(range(d) for d in quot.torsion)):
                 # y - M.floor(M^-1 y): the parallelepiped point of y's class
                 y = quot.section((), tor)
@@ -298,7 +302,7 @@ class Configuration:
         for p in sorted(candidates, key=lambda p: (il.dot(w, p), p)):
             if not any(all(a <= b for a, b in zip(values[q], values[p])) for q in basis):
                 basis.append(p)
-        return [il.matvec(B, p) for p in basis]
+        return basis
 
     def is_normal(self, budget: int = HILBERT_BUDGET):
         """(verdict, witness): witness is a hole of the semigroup on false."""
@@ -330,6 +334,26 @@ class FaceData:
         self.config = config
         self.indices = indices
         self.cols = tuple(config.cols[j] for j in indices)
+        self._queries: dict = {}
+
+    @cached_property
+    def lattice_part(self) -> tuple:
+        """The columns at `indices`, then those of the minimal face."""
+        config = self.config
+        return self.cols + tuple(config.cols[j] for j in config.minimal_face().indices)
+
+    def query(self, generators, shift=None) -> MembershipQuery:
+        """shift + N.generators + Z.lattice_part; one object per (generators, shift).
+
+        Reusing the object reuses its reduction across targets.
+        """
+        key = (tuple(generators), shift)
+        q = self._queries.get(key)
+        if q is None:
+            q = MembershipQuery(shift=shift or (0,) * self.config.n,
+                                generators=key[0], lattice_part=self.lattice_part)
+            self._queries[key] = q
+        return q
 
     @cached_property
     def span_lat(self) -> list:
@@ -357,7 +381,8 @@ class FaceData:
         if not self.span_lat:
             return [tuple(0 for _ in range(self.config.n))]
         S = il.from_columns(self.span_lat, dim=self.config.n)
-        coords = [tuple(int(x) for x in il.rational_solve(S, c)) for c in self.cols]
+        L, _ = il.left_inverse(S)  # the columns lie in the span of S
+        coords = [tuple(int(x) for x in il.matvec(L, c)) for c in self.cols]
         quot = il.quotient(len(self.span_lat), coords)
         return [il.matvec(S, t) for t in quot.coset_representatives()]
 

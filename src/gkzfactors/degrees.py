@@ -22,7 +22,7 @@ from itertools import product
 from . import intlin as il
 from .cones import Configuration, Face
 from .errors import ComputationLimitError, DomainError
-from .semigroup import MembershipQuery, member
+from .semigroup import member
 
 QDEG_BUDGET = 200_000
 SEARCH_CAP = 10_000
@@ -86,13 +86,6 @@ def class_candidates(config: Configuration, face: Face, gamma) -> list:
     return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
 
 
-def _q(config: Configuration, generators, face_cols, shift=None) -> MembershipQuery:
-    zero = tuple(0 for _ in range(config.n))
-    lat = tuple(face_cols) + tuple(config.cols[j] for j in config.minimal_face().indices)
-    return MembershipQuery(shift=shift or zero, generators=tuple(generators),
-                           lattice_part=lat)
-
-
 def _member_kwargs(budget):
     return {"budget": budget} if budget else {}
 
@@ -103,26 +96,24 @@ def _member_kwargs(budget):
 
 def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None) -> bool:
-    cols = config.face_data(face.indices).cols
+    data = config.face_data(face.indices)
     kw = _member_kwargs(budget)
     if family.kind == "module":
-        if not member(_q(config, config.cols, cols), x, **kw):
+        if not member(data.query(config.cols), x, **kw):
             return False
-        return not member(_q(config, config.cols, cols, shift=config.column_sum()),
-                          x, **kw)
+        return not member(data.query(config.cols, shift=config.column_sum()), x, **kw)
     if family.kind == "ideal":
-        if not member(_q(config, config.cols, cols), x, **kw):
+        if not member(data.query(config.cols), x, **kw):
             return False
         for g in config.all_faces():
             if g.codim > family.level and set(face.indices) <= set(g.indices):
-                gcols = [config.cols[j] for j in g.indices]
-                if member(_q(config, gcols, cols), x, **kw):
+                if member(data.query(config.face_data(g.indices).cols), x, **kw):
                     return False
         return True
     sat_gens = config.saturation_hilbert_basis()  # the gap family
-    if not member(_q(config, sat_gens, cols), x, **kw):
+    if not member(data.query(sat_gens), x, **kw):
         return False
-    return not member(_q(config, config.cols, cols), x, **kw)
+    return not member(data.query(config.cols), x, **kw)
 
 
 def _first_passing(family: DegreeFamily, config: Configuration, face: Face,
@@ -155,8 +146,7 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
         return config._cache["conductor"]
     a_A = config.column_sum()
     kw = _member_kwargs(budget)
-    zero = tuple(0 for _ in range(config.n))
-    base = _q(config, config.cols, ())
+    base = config.face_data(()).query(config.cols)
     k_star = 0
     for h in config.saturation_hilbert_basis():
         m_h = None
@@ -165,7 +155,9 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
                 m_h = m
                 break
         if m_h is None:
-            raise ComputationLimitError("no multiple of a saturation generator found in the semigroup")
+            raise ComputationLimitError("no multiple of a saturation generator found in the semigroup",
+                                        stage="degrees.conductor_multiplier",
+                                        used=SEARCH_CAP - 1, limit=SEARCH_CAP - 1)
         k_h = None
         for k in range(0, SEARCH_CAP):
             shift = il.vscale(k, a_A)
@@ -174,7 +166,9 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
                 k_h = k
                 break
         if k_h is None:
-            raise ComputationLimitError("conductor search exceeded its cap")
+            raise ComputationLimitError("conductor search exceeded its cap",
+                                        stage="degrees.conductor_multiplier",
+                                        used=SEARCH_CAP, limit=SEARCH_CAP)
         k_star += k_h
     config._cache["conductor"] = k_star
     return k_star
@@ -195,18 +189,17 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
     data = config.face_data(face.indices)
-    cols = data.cols
     kw = _member_kwargs(budget)
     if family.kind == "gap":
         gens = config.saturation_hilbert_basis()
     else:
         gens = config.cols
-    ok, info = member(_q(config, gens, cols), x, witness=True, **kw)
+    q = data.query(gens)
+    ok, info = member(q, x, witness=True, **kw)
     if not ok:
         raise DomainError("witness requested for a class that is not good")
-    lat_gens = tuple(cols) + tuple(config.cols[j] for j in config.minimal_face().indices)
     b = tuple(x)
-    for coeff, g in zip(info["lattice"], lat_gens, strict=True):
+    for coeff, g in zip(info["lattice"], q.lattice_part, strict=True):
         b = il.vsub(b, il.vscale(coeff, g))
     if family.kind != "ideal":
         return b
@@ -259,14 +252,17 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
         facets_over = data.facets_over
         lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis)
                            for f in facets_over])
+        solve = il.integral_solver(lrows) if facets_over else None
         B = il.from_columns(config.lattice_basis, dim=config.n)
         ranges = [range(bounds[f.face.indices]) for f in facets_over]
         for v in product(*ranges):
             work += 1
             if work > cap:
-                raise ComputationLimitError("component enumeration exceeded budget")
+                raise ComputationLimitError("component enumeration exceeded budget",
+                                            stage="degrees.qdeg_components",
+                                            used=work, limit=cap)
             if facets_over:
-                z = il.integral_system_solve(lrows, v)
+                z = solve(v)
                 if z is None:
                     continue
                 x = il.matvec(B, z)

@@ -18,4 +18,15 @@ class NonPointedError(GKZError):
 
 
 class ComputationLimitError(GKZError):
-    """An explicit computation budget was exceeded; never a silent wrong answer."""
+    """An explicit computation budget was exceeded; never a silent wrong answer.
+
+    ``stage`` names the step that hit its budget, ``used`` says how much it
+    used and ``limit`` is the budget; each is None when not known.
+    """
+
+    def __init__(self, message: str, stage: str | None = None,
+                 used: int | None = None, limit: int | None = None):
+        self.stage, self.used, self.limit = stage, used, limit
+        if stage is not None:
+            message = f"{message} (stage {stage}, used {used}, limit {limit})"
+        super().__init__(message)

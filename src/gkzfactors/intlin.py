@@ -458,6 +458,18 @@ def rational_solve(M: Mat, b: Vec):
     return tuple(x)
 
 
+def left_inverse(M: Mat) -> tuple[Mat, Mat]:
+    """(L, C) for M of full column rank: M.x = b iff C.b = 0 and x = L.b.
+
+    One Gauss-Jordan on [M | I]; x is the solution `rational_solve` returns.
+    """
+    n, m = shape(M)
+    A, pivots = _rref([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], m)
+    if len(pivots) != m:
+        raise DimensionMismatchError("left_inverse: columns are linearly dependent")
+    return tuple(tuple(row[m:]) for row in A[:m]), tuple(tuple(row[m:]) for row in A[m:])
+
+
 def rational_rank(M: Mat) -> int:
     return len(_rref(M, shape(M)[1])[1])
 
@@ -484,25 +496,32 @@ def integer_kernel(M: Mat) -> list[Vec]:
     return [tuple(U[i][j] for i in range(ncols)) for j in zero_cols]
 
 
+def integral_solver(M: Mat):
+    """b -> some integer x with M.x = b, or None; one Smith normal form for every b."""
+    n, m = shape(M)
+    S, U, V = smith_normal_form(M)
+    diag = [S[i][i] if i < min(n, m) else 0 for i in range(n)]
+
+    def solve(b: Vec):
+        if len(b) != n:
+            raise DimensionMismatchError("integral_system_solve: dimension mismatch")
+        c = matvec(U, b)
+        y = [0] * m
+        for i, d in enumerate(diag):
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % d != 0:
+                    return None
+                y[i] = c[i] // d
+        return matvec(V, tuple(y))
+    return solve
+
+
 def integral_system_solve(M: Mat, b: Vec):
     """Some integer x with M.x = b for integer data, or None."""
-    n, m = shape(M)
-    if len(b) != n:
-        raise DimensionMismatchError("integral_system_solve: dimension mismatch")
-    S, U, V = smith_normal_form(M)
-    c = matvec(U, b)
-    y = [0] * m
-    k = min(n, m)
-    for i in range(n):
-        d = S[i][i] if i < k else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return matvec(V, tuple(y))
+    return integral_solver(M)(b)
 
 
 def clear_denominators(v) -> Vec:

@@ -1,9 +1,17 @@
 """Decidable membership in sets of the form shift + N.S + Z.L.
 
 The engine behind all degree-set computations: quotient by the lattice part
-(torsion carried as finite coordinates via Smith normal form), then a search
-from the target bounded by a strictly positive rational functional on the
-pointed quotient cone.  Pointedness certifies termination.
+(torsion carried as finite coordinates via Smith normal form), then a
+breadth-first search from the target down by the generators, bounded by a
+strictly positive functional on the pointed quotient cone.  Pointedness
+certifies termination.
+
+The reduction (quotient, generator images, functional) depends only on the
+generators and the lattice part, so a query computes it once and reuses it
+for every target; `cones.FaceData.query` keeps one query per face and
+generator set.  The functional is scaled to integers, each generator's
+height under it is precomputed, and the search carries integer heights and
+integer state keys, so it does no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm, prod
+from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DimensionMismatchError, NonPointedError
@@ -36,6 +47,11 @@ class MembershipQuery:
     @property
     def dim(self) -> int:
         return len(self.shift)
+
+    @cached_property
+    def reduced(self) -> "_Reduced":
+        """The reduction shared by every target, computed on first use."""
+        return _Reduced(self)
 
 
 def find_positive_functional(vectors, dim: int):
@@ -91,21 +107,67 @@ def find_positive_functional(vectors, dim: int):
     return tuple(w)
 
 
-@dataclass
 class _Reduced:
-    quotient: il.LatticeQuotient
-    gen_images: list  # list of (free, torsion) pairs per generator
-    w: tuple  # positive functional on nonzero free images
+    """The part of a query that every target shares, in integers.
 
+    Each generator's free and torsion image in the quotient by the lattice
+    part, and its height under the positive functional scaled to integers by
+    the lcm of its denominators.  A state's height is w.free; a step down by
+    a generator lowers it by that generator's height, and a step to a
+    negative height is pruned.
+    """
 
-def _reduce(q: MembershipQuery) -> _Reduced:
-    quot = il.quotient(q.dim, q.lattice_part)
-    gen_images = [quot.project(g) for g in q.generators]
-    nonzero_free = [f for f, _t in gen_images if not il.is_zero_vec(f)]
-    w = find_positive_functional(nonzero_free, quot.free_rank)
-    if w is None:
-        raise NonPointedError("cone of generators is not pointed modulo the lattice part")
-    return _Reduced(quot, gen_images, w)
+    def __init__(self, q: MembershipQuery):
+        quot = il.quotient(q.dim, q.lattice_part)
+        self.images = [quot.project(g) for g in q.generators]
+        w = find_positive_functional([f for f, _t in self.images if not il.is_zero_vec(f)],
+                                     quot.free_rank)
+        if w is None:
+            raise NonPointedError("cone of generators is not pointed modulo the lattice part")
+        scale = lcm(*(x.denominator for x in w))
+        self.quotient = quot
+        self.w = tuple(int(x * scale) for x in w)
+        self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
+        # a nonzero free image has height >= 1, a zero one height 0, so a
+        # state of height >= 0 reached from height h differs from the start
+        # by at most h * max |f_i| / h_f in free coordinate i
+        self.spread = [[(abs(f[i]), h) for (f, _t), h in zip(self.images, self.heights) if h]
+                       for i in range(quot.free_rank)]
+        self.order = quot.torsion_order()
+        self.places = [prod(quot.torsion[:k]) for k in range(len(quot.torsion))]
+
+    def keys(self, free, tor, height: int):
+        """(start key, goal key, per-generator free decrements) of one search.
+
+        Each state is one integer key: the torsion index in the lowest place,
+        then free coordinate i shifted into [0, 2R_i], where R_i bounds its
+        distance from the start over all states of height >= 0.  The goal
+        (free part zero) gets key -1 when it is out of range, hence
+        unreachable.
+        """
+        place = self.order
+        start = sum(map(mul, tor, self.places))
+        goal = 0
+        codes = [0] * len(self.images)
+        for i, s in enumerate(free):
+            reach = max((-(-height * a // h) for a, h in self.spread[i]), default=0)
+            start += reach * place
+            if goal >= 0:
+                goal = goal + (reach - s) * place if abs(s) <= reach else -1
+            for gi, (f, _t) in enumerate(self.images):
+                codes[gi] += f[i] * place
+            place *= 2 * reach + 1
+        return start, goal, codes
+
+    def moves(self, t: int, codes) -> list:
+        """(generator index, key decrement, height) for each step from torsion index t."""
+        torsion, places = self.quotient.torsion, self.places
+        digits = [t // p % d for p, d in zip(places, torsion)]
+        out = []
+        for gi, ((_f, u), code, h) in enumerate(zip(self.images, codes, self.heights)):
+            nt = sum(((a - b) % d) * p for a, b, d, p in zip(digits, u, torsion, places))
+            out.append((gi, code + t - nt, h))
+        return out
 
 
 def member(q: MembershipQuery, target, budget: int = DEFAULT_BUDGET,
@@ -118,40 +180,41 @@ def member(q: MembershipQuery, target, budget: int = DEFAULT_BUDGET,
     target = tuple(target)
     if len(target) != q.dim:
         raise DimensionMismatchError("member: target dimension differs from query")
-    red = _reduce(q)
-    quot, w = red.quotient, red.w
+    red = q.reduced
     t0 = il.vsub(target, q.shift)
-    start = quot.project(t0)
-
-    goal = (tuple(0 for _ in range(quot.free_rank)), tuple(0 for _ in quot.torsion))
-
-    def wval(state):
-        return sum(a * b for a, b in zip(w, state[0]))
-
-    if wval(start) < 0:
+    free, tor = red.quotient.project(t0)
+    height = sum(map(mul, red.w, free))
+    if height < 0:
         return (False, None) if witness else False
 
-    seen = {start: None}  # state -> (previous state, generator index)
-    dq = deque([start])
+    start, goal, codes = red.keys(free, tor, height)
+    order = red.order
+    seen = {start: None}  # key -> (previous key, generator index)
+    dq = deque([(start, height)])
+    table: dict = {}  # torsion index -> moves
     found = start == goal
     while dq and not found:
-        state = dq.popleft()
-        free, tor = state
-        for gi, (gf, gt) in enumerate(red.gen_images):
-            nfree = il.vsub(free, gf)
-            ntor = tuple((a - b) % d for a, b, d in zip(tor, gt, quot.torsion))
-            nstate = (nfree, ntor)
-            if nstate in seen:
+        state, height = dq.popleft()
+        t = state % order
+        moves = table.get(t)
+        if moves is None:
+            moves = table[t] = red.moves(t, codes)
+        for gi, step, gh in moves:
+            nheight = height - gh
+            if nheight < 0:
                 continue
-            if sum(a * b for a, b in zip(w, nfree)) < 0:
+            nstate = state - step
+            if nstate in seen:
                 continue
             seen[nstate] = (state, gi)
             if len(seen) > budget:
-                raise ComputationLimitError("membership search exceeded budget")
+                raise ComputationLimitError("membership search exceeded budget",
+                                            stage="semigroup.member",
+                                            used=len(seen), limit=budget)
             if nstate == goal:
                 found = True
                 break
-            dq.append(nstate)
+            dq.append((nstate, nheight))
     if not found:
         return (False, None) if witness else False
     if not witness:

@@ -128,17 +128,31 @@ def test_golden_faces_and_normality_output(capsys):
                 (name, suffix)
 
 
+def test_golden_gap_factors_deep_search(tmp_path, capsys):
+    # 11 gap labels decided by about a thousand membership searches
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[2, 2, 3, 3], [0, 0, 3, 2]]))
+    code, out = _run(["gap-factors", str(path), "--json"], capsys=capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "gap-2x4.gap-factors.json"
+    assert out == golden.read_text()
+
+
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):
     from gkzfactors.errors import ComputationLimitError
 
     def boom(*a, **k):
-        raise ComputationLimitError("synthetic budget exhaustion")
+        raise ComputationLimitError("synthetic budget exhaustion",
+                                    stage="resonance.classify", used=11, limit=10)
 
     monkeypatch.setattr(cli.resonance, "classify", boom)
     path = tmp_path / "doc.json"
     path.write_text(_doc([[2, 3]], gamma=["0"]))
-    code, _ = _run(["resonance", str(path), "--json"], capsys=capsys)
+    code = cli.main(["resonance", str(path), "--json"])
+    captured = capsys.readouterr()
     assert code == 3
+    assert captured.out == ""
+    assert "stage resonance.classify, used 11, limit 10" in captured.err
 
 
 def test_exit_code_strict(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from gkzfactors.cones import Configuration
 from gkzfactors import degrees as dg
-from gkzfactors.errors import DomainError
+from gkzfactors.errors import ComputationLimitError, DomainError
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -89,3 +89,19 @@ def test_conductor_multiplier_positive():
         assert dg.conductor_multiplier(config) >= 0
         for idx, bound in dg.facet_bounds(config).items():
             assert bound > 0
+
+
+def test_budget_errors_name_their_stage(monkeypatch):
+    # [[2, 3]] has 5 module components; a budget of 10 stops the enumeration
+    # after 11 facet-value tuples, one of 3 stops the first membership search
+    for budget, stage, used in ((10, "degrees.qdeg_components", 11),
+                                (3, "semigroup.member", 4)):
+        with pytest.raises(ComputationLimitError) as info:
+            dg.qdeg_components(dg.module_family(), Configuration([[2, 3]]), budget=budget)
+        assert (info.value.stage, info.value.used, info.value.limit) == (stage, used, budget)
+    # 1 enters NA only at its second multiple, beyond a cap that allows one
+    monkeypatch.setattr(dg, "SEARCH_CAP", 2)
+    with pytest.raises(ComputationLimitError) as info:
+        dg.conductor_multiplier(Configuration([[2, 3]]))
+    assert (info.value.stage, info.value.used, info.value.limit) == \
+        ("degrees.conductor_multiplier", 1, 1)

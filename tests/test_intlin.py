@@ -111,6 +111,34 @@ def test_integral_system_solve():
     assert il.integral_system_solve(M, (1, 0)) is None
 
 
+@settings(max_examples=60)
+@given(small_matrices, st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_left_inverse_matches_rational_solve(M, b):
+    # on a lattice basis (independent columns) the left inverse gives the
+    # solution rational_solve gives, and C.b = 0 exactly when one exists
+    basis = il.column_lattice_basis(il.freeze(M))
+    if not basis:
+        return
+    B = il.from_columns(basis)
+    L, C = il.left_inverse(B)
+    for v in (tuple(b[:len(M)]), basis[0], tuple(sum(c) for c in zip(*basis))):
+        want = il.rational_solve(B, v)
+        consistent = not any(il.dot(row, v) for row in C)
+        assert consistent == (want is not None)
+        if consistent:
+            assert il.matvec(L, v) == want
+    with pytest.raises(DimensionMismatchError):
+        il.left_inverse(il.from_columns(basis + [basis[0]]))
+
+
+def test_integral_solver_reuses_one_factorisation():
+    solve = il.integral_solver(((2, 0), (0, 3)))
+    assert solve((4, 9)) == (2, 3)
+    assert solve((1, 0)) is None
+    with pytest.raises(DimensionMismatchError):
+        solve((1, 0, 0))
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         il.rational_solve(((1, 2),), (1, 2, 3))

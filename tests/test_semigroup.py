@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,6 +42,44 @@ def test_member_budget():
     q = MembershipQuery(shift=(0, 0), generators=((1, 0),), lattice_part=())
     with pytest.raises(ComputationLimitError):
         member(q, (10**6, 10**6), budget=10)
+
+
+def test_member_budget_counts_states_seen():
+    # the search on q46 sees exactly 25 states for (3, 4) and 9 for (0, 5);
+    # the start state counts, and the budget bounds len(seen) from above
+    q = q46()
+    for target, seen, verdict in (((3, 4), 25, True), ((0, 5), 9, False)):
+        assert member(q, target, budget=seen) is verdict
+        with pytest.raises(ComputationLimitError) as info:
+            member(q, target, budget=seen - 1)
+        exc = info.value
+        assert (exc.stage, exc.used, exc.limit) == ("semigroup.member", seen, seen - 1)
+        assert f"used {seen}, limit {seen - 1}" in str(exc)
+
+
+def test_member_torsion_with_fractional_functional():
+    # Z^3 / Z(2,0,4) has torsion Z/2, and the positive functional found on
+    # the free images is (3/8, -1/8), so the search runs on scaled heights
+    q = MembershipQuery(shift=(0, 1, 0), generators=((1, 2, 0), (0, 3, 1), (3, 1, 0)),
+                        lattice_part=((2, 0, 4),))
+    trues = 0
+    for target in itertools.product(range(-2, 5), repeat=3):
+        got, witness = member(q, target, witness=True)
+        assert member(q, target) is got
+        if not got:
+            assert not bf.bf_member(q, target, 8), target
+            continue
+        trues += 1
+        box = max([8] + [abs(c) for c in witness["generators"]]
+                  + [abs(c) for c in witness["lattice"]])
+        assert bf.bf_member(q, target, box), target
+        point = q.shift
+        for c, g in zip(witness["generators"], q.generators, strict=True):
+            point = tuple(p + c * x for p, x in zip(point, g))
+        for c, v in zip(witness["lattice"], q.lattice_part, strict=True):
+            point = tuple(p + c * x for p, x in zip(point, v))
+        assert point == target
+    assert trues == 7
 
 
 def test_member_agrees_with_oracle_randomized():
