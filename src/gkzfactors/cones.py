@@ -289,11 +289,11 @@ class Configuration:
                 raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
                                             stage="cones.saturation_hilbert_basis",
                                             used=count, limit=budget)
-            Minv, _ = il.left_inverse(M)
+            N, D = il.scaled_inverse(M)
             for tor in product(*(range(d) for d in quot.torsion)):
                 # y - M.floor(M^-1 y): the parallelepiped point of y's class
                 y = quot.section((), tor)
-                floor = tuple(x.numerator // x.denominator for x in il.matvec(Minv, y))
+                floor = tuple(il.dot(row, y) // d for row, d in zip(N, D))
                 candidates.add(il.vsub(y, il.matvec(M, floor)))
         candidates.discard(tuple(0 for _ in range(r)))
         ys = [y for _idx, y in _facet_values(coords, r)]
@@ -356,17 +356,27 @@ class FaceData:
         return q
 
     @cached_property
+    def annihilator(self) -> tuple:
+        """Primitive integer rows w with v ∈ QF iff w.v = 0 for every row."""
+        if not self.cols:
+            return il.identity(self.config.n)
+        ann = il.rational_kernel(il.transpose(il.from_columns(self.cols, dim=self.config.n)))
+        return tuple(il.clear_denominators(a) for a in ann)
+
+    def in_span(self, v) -> bool:
+        """v ∈ QF for a rational vector v."""
+        return not any(il.dot(w, v) for w in self.annihilator)
+
+    @cached_property
     def span_lat(self) -> list:
         """Basis of QF ∩ ZA, as ambient vectors."""
         config = self.config
         if not self.cols:
             return []
-        # annihilator of span(F) as integer rows, then integer kernel
-        ann = il.rational_kernel(il.transpose(il.from_columns(self.cols, dim=config.n)))
-        if not ann:
+        if not self.annihilator:
             candidates = il.columns(il.identity(config.n))
         else:
-            candidates = il.integer_kernel(tuple(il.clear_denominators(a) for a in ann))
+            candidates = il.integer_kernel(self.annihilator)
         # candidates span QF ∩ Z^n; intersect with ZA
         return config._intersect_with_lattice(candidates)
 

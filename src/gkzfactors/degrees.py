@@ -221,18 +221,10 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
 
 
 def _covered(config: Configuration, face: Face, x, comps) -> bool:
-    for comp in comps:
-        if not set(face.indices) < set(comp.face.indices):
-            continue
-        span = [config.cols[j] for j in comp.face.indices]
-        diff = il.vsub(tuple(x), tuple(comp.base))
-        if not span:
-            if il.is_zero_vec(diff):
-                return True
-            continue
-        if il.rational_solve(il.from_columns(span, dim=config.n), diff) is not None:
-            return True
-    return False
+    """Is x ≡ comp.base (mod ℚG) for some component comp on a face G ⊋ face?"""
+    return any(set(face.indices) < set(comp.face.indices)
+               and config.face_data(comp.face.indices).in_span(il.vsub(x, comp.base))
+               for comp in comps)
 
 
 def qdeg_components(family: DegreeFamily, config: Configuration,

@@ -72,13 +72,6 @@ def _face_basis(config: Configuration, indices) -> list:
     return il.column_lattice_basis(il.from_columns(cols, dim=config.n))
 
 
-def _in_col_span(config: Configuration, indices, v) -> bool:
-    cols = [config.cols[j] for j in indices]
-    if not cols:
-        return il.is_zero_vec(tuple(v))
-    return il.rational_solve(il.from_columns(cols, dim=config.n), tuple(v)) is not None
-
-
 def _reduce_mod_lattice(basis, v) -> tuple:
     """Canonical representative of v modulo the integer lattice spanned by basis."""
     v = [Fraction(x) for x in v]
@@ -97,7 +90,7 @@ def _reduce_mod_lattice(basis, v) -> tuple:
 
 
 def _class_order(config: Configuration, indices, rep):
-    if not _in_col_span(config, indices, rep):
+    if not config.face_data(indices).in_span(rep):
         return INFINITE
     basis = _face_basis(config, indices)
     if not basis:
@@ -115,7 +108,7 @@ def _make_class(config: Configuration, indices, rep, require_span=True) -> Local
     rep = tuple(Fraction(x) for x in rep)
     if len(rep) != config.n:
         raise DomainError("representative dimension does not match the configuration")
-    if require_span and not _in_col_span(config, indices, rep):
+    if require_span and not config.face_data(indices).in_span(rep):
         raise DomainError("representative lies outside the span of the face")
     canonical = _reduce_mod_lattice(_face_basis(config, indices), rep)
     return LocalSystemClass(face_indices=indices, representative=rep,
@@ -239,7 +232,7 @@ def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
         common &= set(f.indices)
     f0 = config.face(tuple(sorted(common)))
     for f in config.all_faces():
-        if _in_col_span(config, f.indices, gamma) and not f0.leq(f):
+        if config.face_data(f.indices).in_span(gamma) and not f0.leq(f):
             raise GKZError("a face carrying the parameter misses the minimal "
                            "resonant intersection")
 
@@ -253,7 +246,7 @@ def dmod_report(config: Configuration, gamma, budget=None) -> FiltrationReport:
     for i in range(config.rank + 1):
         level = []
         for f in sorted(by_codim.get(i, []), key=lambda f: f.indices):
-            if _in_col_span(config, f.indices, gamma):
+            if config.face_data(f.indices).in_span(gamma):
                 level.append(FactorLabel(i, f.indices, class_of(config, f, gamma)))
         factors.append(tuple(level))
 

@@ -1,7 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Matrices are tuples of row tuples; vectors are tuples.  Integer routines use
-arbitrary-precision ints; rational routines use fractions.Fraction.  All
+arbitrary-precision ints; rational routines take and return
+fractions.Fraction, but their Gauss-Jordan elimination runs on integers, each
+row kept over one denominator, and gives the same results as elimination in
+fractions.  Smith normal forms carry the inverse of their row transform.  All
 results are exact; there is no floating point anywhere.
 """
 
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -222,16 +225,26 @@ def lattice_coordinates(B, v: Vec):
 
 def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
     """Returns (S, U, V) with S = U.M.V diagonal, entries >= 0 dividing in sequence."""
+    return _snf(M)[:3]
+
+
+def _snf(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """`smith_normal_form` plus U's inverse, kept by the inverse column operations."""
     n, m = shape(M)
     S = [list(row) for row in M]
     U = [list(row) for row in identity(n)]
     V = [list(row) for row in identity(m)]
+    Uinv = [list(row) for row in identity(n)]
 
     def rowop(i, k, a, b, c, d):
         for T, width in ((S, m), (U, n)):
             for j in range(width):
                 x, y = T[i][j], T[k][j]
                 T[i][j], T[k][j] = a * x + b * y, c * x + d * y
+        e = a * d - b * c  # +-1: every block used here is unimodular
+        for row in Uinv:
+            x, y = row[i], row[k]
+            row[i], row[k] = e * (d * x - c * y), e * (a * y - b * x)
 
     def colop(j, k, a, b, c, d):
         for T in (S, V):
@@ -286,6 +299,7 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
                 S[t][j] = -S[t][j]
             for j in range(n):
                 U[t][j] = -U[t][j]
+                Uinv[j][t] = -Uinv[j][t]
         t += 1
     # enforce divisibility chain: the matrix is diagonal, so replace each
     # offending pair diag(a, b) by diag(gcd, lcm) using operations confined
@@ -303,7 +317,7 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
                 colop(i, i + 1, s_, t_, -(b // g), a // g)  # block [[g,0],[t_*b, lcm]]
                 q = (t_ * b) // g
                 rowop(i, i + 1, 1, 0, -q, 1)  # clear the stray entry: diag(g, lcm)
-    return freeze(S), freeze(U), freeze(V)
+    return freeze(S), freeze(U), freeze(V), freeze(Uinv)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +398,12 @@ def quotient(ambient_rank: int, B) -> LatticeQuotient:
         B_mat = from_columns(B)
     if ambient_rank == 0:
         return LatticeQuotient(0, 0, (), (), (), (), ())
-    S, U, _V = smith_normal_form(B_mat)
+    S, U, _V, Uinv = _snf(B_mat)
     n, m = shape(S)
     diag = [S[i][i] for i in range(min(n, m))] + [0] * max(0, n - min(n, m))
     torsion_rows = tuple(i for i, d in enumerate(diag) if d not in (0, 1))
     free_rows = tuple(i for i, d in enumerate(diag) if d == 0)
     torsion = tuple(diag[i] for i in torsion_rows)
-    Uinv = integer_inverse(U)
     return LatticeQuotient(
         ambient_rank=ambient_rank,
         free_rank=len(free_rows),
@@ -407,23 +420,27 @@ def integer_inverse(U: Mat) -> Mat:
     n, m = shape(U)
     if n != m:
         raise DimensionMismatchError("integer_inverse: matrix not square")
-    A, pivots = _rref([list(U[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
-    if len(pivots) != n or any(x.denominator != 1 for row in A for x in row[n:]):
+    N, D = scaled_inverse(U)
+    # N[r] / D[r] is in lowest terms (the row also held D[r].e_r): integral iff D[r] = 1
+    if any(d != 1 for d in D):
         raise DimensionMismatchError("integer_inverse: matrix not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in A)
+    return tuple(tuple(row) for row in N)
 
 
 # ---------------------------------------------------------------------------
 # Rational linear algebra
 # ---------------------------------------------------------------------------
 
-def _rref(rows, width: int) -> tuple[list, list[int]]:
-    """Gauss-Jordan over Q on the first `width` columns of `rows`.
+def _rref_ints(rows, width: int) -> tuple[list, list[int], list[int]]:
+    """`_rref` kept fraction-free: returns (rows, denominators, pivots).
 
-    Returns the reduced rows (Fractions, pivots scaled to 1, the remaining
-    columns carried along) and the pivot columns; row r holds pivot r.
+    Row r stands for rows[r] / denominators[r] in lowest terms with a positive
+    denominator; each row operation is p.a - a_c.b over den.p followed by one
+    gcd reduction of the row, so every step holds the same rationals as a
+    Gauss-Jordan in fractions would.
     """
-    A = [[Fraction(x) for x in row] for row in rows]
+    D = [lcm(*(x.denominator for x in row)) for row in rows]
+    A = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, D)]
     n = len(A)
     pivots: list[int] = []
     for col in range(width):
@@ -433,15 +450,29 @@ def _rref(rows, width: int) -> tuple[list, list[int]]:
         piv = next((r for r in range(row, n) if A[r][col] != 0), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        p = A[row][col]
-        A[row] = [x / p for x in A[row]]
+        A[row], A[piv], D[piv] = A[piv], A[row], D[row]
+        # scaled to pivot 1 the row is A[row] / A[row][col]; reduce that
+        g = gcd(*A[row]) if A[row][col] > 0 else -gcd(*A[row])
+        b = A[row] = [x // g for x in A[row]]
+        p = D[row] = b[col]
         for r in range(n):
             if r != row and A[r][col] != 0:
                 f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
+                a = [p * x - f * y for x, y in zip(A[r], b)]
+                g = gcd(D[r] * p, *a)
+                A[r], D[r] = [x // g for x in a], D[r] * p // g
         pivots.append(col)
-    return A, pivots
+    return A, D, pivots
+
+
+def _rref(rows, width: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan over Q on the first `width` columns of `rows`.
+
+    Returns the reduced rows (Fractions, pivots scaled to 1, the remaining
+    columns carried along) and the pivot columns; row r holds pivot r.
+    """
+    A, D, pivots = _rref_ints(rows, width)
+    return [[Fraction(x, d) for x in row] for row, d in zip(A, D)], pivots
 
 
 def rational_solve(M: Mat, b: Vec):
@@ -449,12 +480,12 @@ def rational_solve(M: Mat, b: Vec):
     n, m = shape(M)
     if len(b) != n:
         raise DimensionMismatchError("rational_solve: dimension mismatch")
-    A, pivots = _rref([list(M[i]) + [b[i]] for i in range(n)], m)
+    A, D, pivots = _rref_ints([list(M[i]) + [b[i]] for i in range(n)], m)
     if any(A[r][m] != 0 for r in range(len(pivots), n)):
         return None
     x = [Fraction(0)] * m
     for r, c in enumerate(pivots):
-        x[c] = A[r][m]
+        x[c] = Fraction(A[r][m], D[r])
     return tuple(x)
 
 
@@ -470,20 +501,29 @@ def left_inverse(M: Mat) -> tuple[Mat, Mat]:
     return tuple(tuple(row[m:]) for row in A[:m]), tuple(tuple(row[m:]) for row in A[m:])
 
 
+def scaled_inverse(M: Mat) -> tuple[list, list[int]]:
+    """(N, D) for an invertible square M: row i of M's inverse is N[i] / D[i], D[i] > 0."""
+    n, m = shape(M)
+    A, D, pivots = _rref_ints([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
+    if n != m or len(pivots) != n:
+        raise DimensionMismatchError("scaled_inverse: matrix not invertible")
+    return [row[n:] for row in A], D
+
+
 def rational_rank(M: Mat) -> int:
-    return len(_rref(M, shape(M)[1])[1])
+    return len(_rref_ints(M, shape(M)[1])[2])
 
 
 def rational_kernel(M: Mat) -> list[Vec]:
     """Basis of {x in Q^m : M.x = 0}."""
     m = shape(M)[1]
-    A, pivots = _rref(M, m)
+    A, D, pivots = _rref_ints(M, m)
     basis = []
     for free in sorted(set(range(m)) - set(pivots)):
         v = [Fraction(0)] * m
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -A[r][free]
+            v[c] = Fraction(-A[r][free], D[r])
         basis.append(tuple(v))
     return basis
 

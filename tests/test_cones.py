@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import DomainError
 
@@ -152,3 +153,19 @@ def test_face_lattice_closed_under_intersection(rows):
     for a in index_sets:
         for b in index_sets:
             assert tuple(sorted(set(a) & set(b))) in index_sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs, st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_face_in_span_matches_rational_solve(rows, v):
+    # the cached annihilator decides v ∈ QF as a fresh solve against F's columns would
+    if all(all(x == 0 for x in r) for r in rows):
+        return
+    config = Configuration(rows)
+    for face in config.all_faces():
+        data = config.face_data(face.indices)
+        assert all(data.in_span(c) for c in data.cols)
+        for w in (tuple(v[:config.n]), config.column_sum(), config.cols[0]):
+            want = (il.rational_solve(il.from_columns(data.cols, dim=config.n), w) is not None
+                    if data.cols else il.is_zero_vec(w))
+            assert data.in_span(w) == want

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,8 +39,10 @@ def test_snf_exhaustive_2x2():
             for c in range(-2, 3):
                 for d in range(-2, 3):
                     M = ((a, b), (c, d))
-                    S, U, V = il.smith_normal_form(M)
+                    S, U, V, Uinv = il._snf(M)
+                    assert il.smith_normal_form(M) == (S, U, V)
                     assert il.matmul(il.matmul(U, M), V) == S
+                    assert il.matmul(U, Uinv) == il.identity(2)
                     assert S[0][1] == 0 and S[1][0] == 0
                     if S[0][0] and S[1][1]:
                         assert S[1][1] % S[0][0] == 0
@@ -49,8 +52,11 @@ def test_snf_exhaustive_2x2():
 @given(small_matrices)
 def test_snf_identity_and_divisibility(rows):
     M = il.freeze(rows)
-    S, U, V = il.smith_normal_form(M)
+    S, U, V, Uinv = il._snf(M)
+    assert il.smith_normal_form(M) == (S, U, V)
     assert il.matmul(il.matmul(U, M), V) == S
+    assert il.matmul(U, Uinv) == il.identity(len(M))
+    assert il.integer_inverse(U) == Uinv
     diag = [S[i][i] for i in range(min(il.shape(S)))]
     for x, y in zip(diag, diag[1:]):
         if x and y:
@@ -154,3 +160,88 @@ def test_free_values():
 def test_clear_denominators():
     assert il.clear_denominators((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert il.clear_denominators((Fraction(-1, 2),)) == (-1,)
+
+
+def _rref_fractions(rows, width: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan over Q on the first `width` columns of `rows`.
+
+    Returns the reduced rows (Fractions, pivots scaled to 1, the remaining
+    columns carried along) and the pivot columns; row r holds pivot r.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A)
+    pivots: list[int] = []
+    for col in range(width):
+        row = len(pivots)
+        if row == n:
+            break
+        piv = next((r for r in range(row, n) if A[r][col] != 0), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        p = A[row][col]
+        A[row] = [x / p for x in A[row]]
+        for r in range(n):
+            if r != row and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
+        pivots.append(col)
+    return A, pivots
+
+
+def _random_rational_rows(rng):
+    """A small matrix of ints and Fractions with zero and repeated rows."""
+    m = rng.randint(1, 6)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-5, 5)
+
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * m)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([entry() for _ in range(m)])
+    return rows, rng.randint(0, m)
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    # the fraction-free engine holds the same rationals at every step, so
+    # its rows (pivot and non-pivot) and pivots equal elimination in fractions
+    rng = random.Random(20240601)
+    for _ in range(20_000):
+        rows, width = _random_rational_rows(rng)
+        want = _rref_fractions(rows, width)
+        got = il._rref(rows, width)
+        assert got == want, (rows, width)
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        if width == len(rows[0]):
+            assert il.rational_rank(il.freeze(rows)) == len(want[1])
+
+
+def test_scaled_inverse_floors_match_fractions():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        r = rng.randint(1, 4)
+        M = il.freeze([[rng.randint(-4, 4) for _ in range(r)] for _ in range(r)])
+        if il.rational_rank(M) != r:
+            for inverse in (il.scaled_inverse, il.integer_inverse):
+                with pytest.raises(DimensionMismatchError):
+                    inverse(M)
+            continue
+        N, D = il.scaled_inverse(M)
+        Minv, _ = il.left_inverse(M)
+        assert all(d > 0 for d in D)
+        for _ in range(5):
+            y = tuple(rng.randint(-30, 30) for _ in range(r))
+            floor = tuple(il.dot(row, y) // d for row, d in zip(N, D))
+            assert floor == tuple(x.numerator // x.denominator for x in il.matvec(Minv, y))
+        checked += 1
