@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import intlin as il
 from .cones import Configuration
@@ -140,13 +140,47 @@ def bf_hilbert_basis(matrix):
                              for q, u in points.items()))
 
 
-def _bf_semigroup_points(cols, n, radius: int):
-    """All points of ℕ·cols with coefficients at most radius."""
+def _bf_semigroup_points(cols, n, radius: int, keep=None):
+    """All points of ℕ·cols with coefficients at most radius.
+
+    With ``keep``, only the points it accepts; it must accept every partial
+    sum of a point it accepts, since the rest are dropped after each column.
+    """
     pts = {tuple(0 for _ in range(n))}
     for c in cols:
         pts = {tuple(p + k * x for p, x in zip(base, c))
                for base in pts for k in range(radius + 1)}
+        if keep is not None:
+            pts = set(filter(keep, pts))
     return pts
+
+
+def bf_gap_holes(matrix, radius: int) -> set:
+    """The holes (ℝ≥0A ∩ ℤA) ∖ ℕA whose facet values sum to at most radius.
+
+    Pointed configurations only.  A point is in the saturation when it is in
+    ZA and every ``bf_facets`` value is >= 0.  Their sum s is >= 1 on every
+    nonzero column, so a point of ℕA with s <= radius uses at most radius
+    columns, and each partial sum also has s <= radius.  A cone point
+    x = Σλⱼaⱼ has Σλⱼs(aⱼ) = s(x), so |x_i| <= radius · max_j |a_ij|/s(aⱼ).
+    """
+    cols = [tuple(c) for c in zip(*matrix)]
+    n = len(matrix)
+    hs = [h for _zero, h in bf_facets(matrix)]
+    D = lcm(*(x.denominator for h in hs for x in h))  # s(x) = S.x / D
+    S = tuple(int(sum(h[i] for h in hs) * D) for i in range(n))
+    nonzero = [c for c in cols if any(c)]
+    if any(il.dot(S, c) < D for c in nonzero):
+        raise DomainError("the gap-hole oracle needs a pointed configuration")
+    reach = [max((radius * D * abs(c[i]) // il.dot(S, c) for c in nonzero), default=0)
+             for i in range(n)]
+    scaled = [il.clear_denominators(h) for h in hs]  # positive multiples
+    basis = _bf_lattice_basis(cols, n)
+    sat = {x for x in itertools.product(*(range(-r, r + 1) for r in reach))
+           if il.dot(S, x) <= radius * D and all(il.dot(h, x) >= 0 for h in scaled)
+           and _bf_in_lattice(basis, x)}
+    return sat - _bf_semigroup_points(cols, n, radius,
+                                      keep=lambda p: il.dot(S, p) <= radius * D)
 
 
 def _bf_faces(matrix, h_range: int = 9):
@@ -385,7 +419,7 @@ def _grid_gammas(config: Configuration, rng: random.Random, count: int):
 def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
                    gammas_per_instance: int = 4) -> PropertyReport:
     """Randomized invariant checks; failures carry the reproduction seed."""
-    from . import resonance
+    from . import degrees, resonance
 
     report = PropertyReport()
     master = random.Random(cfg.seed)
@@ -420,6 +454,14 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
                 report.fail("facet-primitive", seed, str(matrix))
 
         normal, _ = config.is_normal()
+        try:
+            gaps = degrees.qdeg_components(degrees.gap_family(), config)
+        except ComputationLimitError as exc:
+            report.notes.append(f"seed {seed}: gap component budget ({exc})")
+        else:
+            report.checks += 1
+            if (not gaps) != normal:
+                report.fail("gap-empty-iff-normal", seed, str(matrix))
         for gamma in _grid_gammas(config, rng, gammas_per_instance):
             prof = resonance.classify(config, gamma)
             sres = resonance.in_sres(config, gamma)
@@ -452,7 +494,6 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
 
         # witness property of shifted-degree components on normal instances
         if normal and config.is_pointed():
-            from . import degrees
             a_A = config.column_sum()
             try:
                 comps = degrees.qdeg_components(degrees.module_family(), config)

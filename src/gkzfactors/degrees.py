@@ -11,13 +11,20 @@ The degree sets handled here are attached to a configuration A:
 A class γ (mod ℚF) is *good* for a degree set D and a face F when some lattice
 point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
-lattice part (ℕA − ℕF = ℕA + ℤF and friends).
+lattice part (ℕA − ℕF = ℕA + ℤF and friends); the gap family's saturation
+side is a sign test on facet values.  `qdeg_components` enumerates the box of
+facet values that the conductor bounds, after checking its size against the
+budget (exit 3 before any work), and answers membership inside the box from
+one forward closure per face and generator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from math import prod
+from operator import lt
 
 from . import intlin as il
 from .cones import Configuration, Face
@@ -86,43 +93,42 @@ def class_candidates(config: Configuration, face: Face, gamma) -> list:
     return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
 
 
-def _member_kwargs(budget):
-    return {"budget": budget} if budget else {}
-
-
 # ---------------------------------------------------------------------------
 # good classes
 # ---------------------------------------------------------------------------
 
 def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
-                  x, budget=None) -> bool:
-    data = config.face_data(face.indices)
-    kw = _member_kwargs(budget)
-    if family.kind == "module":
-        if not member(data.query(config.cols), x, **kw):
-            return False
-        return not member(data.query(config.cols, shift=config.column_sum()), x, **kw)
-    if family.kind == "ideal":
-        if not member(data.query(config.cols), x, **kw):
-            return False
-        for g in config.all_faces():
-            if g.codim > family.level and set(face.indices) <= set(g.indices):
-                if member(data.query(config.face_data(g.indices).cols), x, **kw):
-                    return False
-        return True
-    sat_gens = config.saturation_hilbert_basis()  # the gap family
-    if not member(data.query(sat_gens), x, **kw):
+                  x, inside) -> bool:
+    """Is the ℤF-class of the lattice point x good?  `inside(gens, y)` decides
+    y ∈ ℕ·gens + ℤF (+ the minimal face).  For y ∈ ℤA, y ∈ sat + ℤF iff
+    l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a positive multiple
+    of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ ℝ≥0A ∩ ℤA for large
+    m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
+    """
+    over = config.face_data(face.indices).facets_over
+
+    def nonneg(y):
+        return all(il.dot(f.face.witness, y) >= 0 for f in over)
+    if family.kind == "gap":
+        return nonneg(x) and not inside(config.cols, x)
+    if not inside(config.cols, x):
         return False
-    return not member(data.query(config.cols), x, **kw)
+    if family.kind == "module":
+        y = il.vsub(x, config.column_sum())
+        return not (nonneg(y) and inside(config.cols, y))
+    return not any(inside(config.face_data(g.indices).cols, x) for g in config.all_faces()
+                   if g.codim > family.level and set(face.indices) <= set(g.indices))
 
 
 def _first_passing(family: DegreeFamily, config: Configuration, face: Face,
                    gamma, budget=None):
-    """The first ℤF-class representative that passes the exact reduction."""
-    for x in class_candidates(config, face, gamma):
-        if _passes_exact(family, config, face, x, budget):
-            return x
-    return None
+    """The first ℤF-class representative that passes, by membership search."""
+    data, kw = config.face_data(face.indices), ({"budget": budget} if budget else {})
+
+    def inside(gens, y):
+        return member(data.query(gens), y, **kw)
+    return next((x for x in class_candidates(config, face, gamma)
+                 if _passes_exact(family, config, face, x, inside)), None)
 
 
 def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
@@ -145,7 +151,7 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
     if "conductor" in config._cache:
         return config._cache["conductor"]
     a_A = config.column_sum()
-    kw = _member_kwargs(budget)
+    kw = {"budget": budget} if budget else {}
     base = config.face_data(()).query(config.cols)
     k_star = 0
     for h in config.saturation_hilbert_basis():
@@ -189,12 +195,8 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
     data = config.face_data(face.indices)
-    kw = _member_kwargs(budget)
-    if family.kind == "gap":
-        gens = config.saturation_hilbert_basis()
-    else:
-        gens = config.cols
-    q = data.query(gens)
+    kw = {"budget": budget} if budget else {}
+    q = data.query(config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
     ok, info = member(q, x, witness=True, **kw)
     if not ok:
         raise DomainError("witness requested for a class that is not good")
@@ -227,6 +229,42 @@ def _covered(config: Configuration, face: Face, x, comps) -> bool:
                for comp in comps)
 
 
+def _closure_test(config: Configuration, face: Face, bounds: dict):
+    """`inside` for `_passes_exact` on y with 0 <= l_G(y) < bounds[G], G ⊇ F.
+
+    Each generator set gets, on first use, the states of (ℕ·gens + ℤF)/ℤF
+    whose primitive facet values over F lie in that box, by forward closure
+    from 0.  It holds every member y of the box: removing one column at a
+    time from y = Σnⱼaⱼ + f never raises a facet value over F and keeps it
+    >= 0, so every prefix lies in the box.  It is finite: a column outside F
+    raises some l_G (G ⊇ F) by at least 1.  A state fixes its facet values.
+    """
+    data = config.face_data(face.indices)
+    over, top = data.facets_over, [bounds[f.face.indices] for f in data.facets_over]
+
+    @cache
+    def closure(q):
+        red, torsion = q.reduced, q.reduced.quotient.torsion
+        steps = [(fr, t, [int(f.value(g)) for f in over])
+                 for (fr, t), g in zip(red.images, q.generators, strict=True)]
+        start = ((0,) * red.quotient.free_rank, (0,) * len(torsion))
+        seen, todo = {start}, [(start, [0] * len(over))]
+        while todo:
+            (free, tor), vals = todo.pop()
+            for fr, t, dv in steps:
+                nv = [a + b for a, b in zip(vals, dv)]
+                key = (il.vadd(free, fr), tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
+                if key not in seen and all(map(lt, nv, top)):
+                    seen.add(key)
+                    todo.append((key, nv))
+        return seen
+
+    def inside(gens, y):
+        q = data.query(gens)
+        return q.reduced.quotient.project(y) in closure(q)
+    return inside
+
+
 def qdeg_components(family: DegreeFamily, config: Configuration,
                     budget=None) -> list[QDegComponent]:
     """All witnessed classes (b, F), reported per face.
@@ -235,39 +273,36 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
     determine the class exactly; classes lying inside an already-reported
     component of a larger face are dropped, other overlaps are kept.
     """
+    if family.kind == "gap" and config.is_normal()[0]:
+        return []  # sat = ℕA, so no class passes
     bounds = facet_bounds(config, budget=budget)
-    comps: list[QDegComponent] = []
-    work = 0
+    faces = config.all_faces()  # sorted by codimension: larger faces first
     cap = budget or QDEG_BUDGET
-    for face in config.all_faces():  # sorted by codimension: larger faces first
+    work = sum(prod(bounds[f.face.indices] for f in config.facets_containing(face))
+               for face in faces)
+    if work > cap:
+        raise ComputationLimitError("component enumeration exceeded budget",
+                                    stage="degrees.qdeg_components", used=work, limit=cap)
+    B = il.from_columns(config.lattice_basis, dim=config.n)
+    comps: list[QDegComponent] = []
+    for face in faces:
         data = config.face_data(face.indices)
-        facets_over = data.facets_over
-        lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis)
-                           for f in facets_over])
-        solve = il.integral_solver(lrows) if facets_over else None
-        B = il.from_columns(config.lattice_basis, dim=config.n)
-        ranges = [range(bounds[f.face.indices]) for f in facets_over]
-        for v in product(*ranges):
-            work += 1
-            if work > cap:
-                raise ComputationLimitError("component enumeration exceeded budget",
-                                            stage="degrees.qdeg_components",
-                                            used=work, limit=cap)
-            if facets_over:
-                z = solve(v)
-                if z is None:
-                    continue
-                x = il.matvec(B, z)
-            else:
-                x = tuple(0 for _ in range(config.n))
-            if _covered(config, face, x, comps):
+        over, quot = data.facets_over, data.class_quotient
+        lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis) for f in over])
+        solve = il.integral_solver(lrows) if over else lambda v: (0,) * config.rank
+        inside = _closure_test(config, face, bounds)
+        for v in product(*(range(bounds[f.face.indices]) for f in over)):
+            z = solve(v)
+            if z is None or _covered(config, face, il.matvec(B, z), comps):
                 continue
-            hit = _first_passing(family, config, face, x, budget=budget)
+            # the class of B.z modulo ℚF, as class_representative gives it
+            base = il.matvec(B, quot.section(quot.project(z)[0], ()))
+            hit = next((y for y in (il.vadd(base, d) for d in data.deltas)
+                        if _passes_exact(family, config, face, y, inside)), None)
             if hit is None:
                 continue
             b = _witness_base(family, config, face, hit, budget=budget)
-            coords = config.lattice_coords(b)
-            cls = data.class_quotient.free_values(tuple(int(c) for c in coords))
+            cls = quot.free_values(tuple(int(c) for c in config.lattice_coords(b)))
             comps.append(QDegComponent(base=b, face=face,
                                        class_coords=tuple(int(c) for c in cls)))
     return comps

@@ -129,13 +129,16 @@ def test_golden_faces_and_normality_output(capsys):
 
 
 def test_golden_gap_factors_deep_search(tmp_path, capsys):
-    # 11 gap labels decided by about a thousand membership searches
-    path = tmp_path / "doc.json"
-    path.write_text(_doc([[2, 2, 3, 3], [0, 0, 3, 2]]))
-    code, out = _run(["gap-factors", str(path), "--json"], capsys=capsys)
-    assert code == 0
-    golden = Path(__file__).parent / "golden" / "gap-2x4.gap-factors.json"
-    assert out == golden.read_text()
+    # 11 gap labels on two faces, and 4 labels on one face of a 3x5
+    # configuration whose facet values are not those of Face.witness
+    for matrix, name in (([[2, 2, 3, 3], [0, 0, 3, 2]], "gap-2x4"),
+                         ([[1, 1, 1, 1, 1], [3, -1, 1, 3, 1], [1, 3, -1, 0, 2]], "gap-3x5")):
+        path = tmp_path / "doc.json"
+        path.write_text(_doc(matrix))
+        code, out = _run(["gap-factors", str(path), "--json"], capsys=capsys)
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / f"{name}.gap-factors.json"
+        assert out == golden.read_text(), name
 
 
 def test_exit_code_budget(tmp_path, capsys, monkeypatch):
@@ -153,6 +156,18 @@ def test_exit_code_budget(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "stage resonance.classify, used 11, limit 10" in captured.err
+
+
+def test_gap_factors_box_over_budget(tmp_path, capsys):
+    # k* = 32: face () alone has 528*759*660 facet-value tuples, so the
+    # enumeration is refused before it starts
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[0, -1, -2, -2], [1, 2, 0, 3], [-2, 3, 3, 3]]))
+    code = cli.main(["gap-factors", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "stage degrees.qdeg_components, used 265748440, limit 200000" in captured.err
 
 
 def test_exit_code_strict(tmp_path, capsys):

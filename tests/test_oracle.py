@@ -8,10 +8,12 @@ import pytest
 
 from gkzfactors import bruteforce as bf
 from gkzfactors import cli
+from gkzfactors import degrees as dg
 from gkzfactors import factors as fa
+from gkzfactors import intlin as il
 from gkzfactors import resonance as rs
 from gkzfactors.cones import Configuration
-from gkzfactors.errors import DomainError
+from gkzfactors.errors import ComputationLimitError, DomainError
 
 
 def test_bf_facets_match_production():
@@ -37,6 +39,42 @@ def test_bf_hilbert_basis_matches_production():
         config = Configuration(m)
         assert config.is_pointed(), m
         assert sorted(config.saturation_hilbert_basis()) == bf.bf_hilbert_basis(m), m
+
+
+def test_gap_components_match_hole_oracle():
+    # the fixtures, two deep gap searches, and pointed seeded draws whose
+    # facets bf_facets finds (the draws of the Hilbert basis test)
+    matrices = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
+    matrices += [[[1, 1, 1, 1, 1], [3, -1, 1, 3, 1], [1, 3, -1, 0, 2]], [[2, 2, 3, 3], [0, 0, 3, 2]]]
+    rng = random.Random(20240602)
+    for _ in range(20):
+        n, N = rng.randint(2, 3), rng.randint(3, 5)
+        m = [[rng.randint(1, 2) for _ in range(N)]]
+        m += [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n - 1)]
+        matrices.append(m)
+    depth, compared = 2, 0
+    for m in matrices:
+        try:
+            comps = dg.qdeg_components(dg.gap_family(), Configuration(m))
+        except ComputationLimitError:
+            continue  # the facet-value box is over budget: exit 3, no answer
+        compared += 1
+        cols = [tuple(c) for c in zip(*m)]
+        hs = [h for _zero, h in bf.bf_facets(m)]
+
+        def s(x):
+            return sum(il.dot(h, x) for h in hs)
+        # large enough to hold every base + depth steps along its face
+        radius = max([6] + [s(c.base) + depth * max([s(cols[j]) for j in c.face.indices] + [0])
+                            for c in comps])
+        holes = bf.bf_gap_holes(m, int(radius))
+        for c in comps:  # sound: base + NF stays among the holes
+            assert bf._bf_ray_inside(c.base, [cols[j] for j in c.face.indices], holes, depth), \
+                (m, c)
+        for h in holes:  # complete: every hole lies in some component's class
+            assert any(bf._bf_in_span([cols[j] for j in c.face.indices], il.vsub(h, c.base))
+                       for c in comps), (m, h)
+    assert compared >= 20
 
 
 def test_region_agreement_coprime_pair():
