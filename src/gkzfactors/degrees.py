@@ -11,17 +11,15 @@ The degree sets handled here are attached to a configuration A:
 A class γ (mod ℚF) is *good* for a degree set D and a face F when some lattice
 point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
-lattice part (ℕA − ℕF = ℕA + ℤF and friends); the gap family's saturation
-side is a sign test on facet values.  `qdeg_components` enumerates the box of
-facet values that the conductor bounds, after checking its size against the
-budget (exit 3 before any work), and answers membership inside the box from
-one forward closure per face and generator set.
+lattice part (ℕA − ℕF = ℕA + ℤF and friends); the gap family's saturation side
+is a sign test on facet values.  `qdeg_components` checks the size of the
+conductor's facet-value box against the budget (exit 3 before any work) and
+decides membership in it from one closure per face and generator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from math import prod
 from operator import lt
@@ -93,17 +91,20 @@ def class_candidates(config: Configuration, face: Face, gamma) -> list:
     return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
 
 
+def _member_kwargs(budget):
+    return {"budget": budget} if budget else {}
+
+
 # ---------------------------------------------------------------------------
 # good classes
 # ---------------------------------------------------------------------------
 
-def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
-                  x, inside) -> bool:
+def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x, inside) -> bool:
     """Is the ℤF-class of the lattice point x good?  `inside(gens, y)` decides
     y ∈ ℕ·gens + ℤF (+ the minimal face).  For y ∈ ℤA, y ∈ sat + ℤF iff
-    l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a positive multiple
-    of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ ℝ≥0A ∩ ℤA for large
-    m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
+    l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a positive multiple of
+    l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ sat for large m;
+    (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
     """
     over = config.face_data(face.indices).facets_over
 
@@ -120,21 +121,22 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: Face,
                    if g.codim > family.level and set(face.indices) <= set(g.indices))
 
 
-def _first_passing(family: DegreeFamily, config: Configuration, face: Face,
-                   gamma, budget=None):
-    """The first ℤF-class representative that passes, by membership search."""
-    data, kw = config.face_data(face.indices), ({"budget": budget} if budget else {})
+def _member_test(config: Configuration, face: Face, budget=None):
+    """`inside` for `_passes_exact`, by membership search."""
+    data, kw = config.face_data(face.indices), _member_kwargs(budget)
+    return lambda gens, y: member(data.query(gens), y, **kw)
 
-    def inside(gens, y):
-        return member(data.query(gens), y, **kw)
-    return next((x for x in class_candidates(config, face, gamma)
-                 if _passes_exact(family, config, face, x, inside)), None)
+
+def _first_passing(family: DegreeFamily, config: Configuration, face: Face, candidates, inside):
+    """The first ℤF-class representative among `candidates` that passes."""
+    return next((x for x in candidates if _passes_exact(family, config, face, x, inside)), None)
 
 
 def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
                       gamma, budget=None) -> bool:
     """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
-    return _first_passing(family, config, face, gamma, budget) is not None
+    return _first_passing(family, config, face, class_candidates(config, face, gamma),
+                          _member_test(config, face, budget)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
     if "conductor" in config._cache:
         return config._cache["conductor"]
     a_A = config.column_sum()
-    kw = {"budget": budget} if budget else {}
+    kw = _member_kwargs(budget)
     base = config.face_data(()).query(config.cols)
     k_star = 0
     for h in config.saturation_hilbert_basis():
@@ -195,7 +197,7 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
                   x, budget=None):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
     data = config.face_data(face.indices)
-    kw = {"budget": budget} if budget else {}
+    kw = _member_kwargs(budget)
     q = data.query(config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
     ok, info = member(q, x, witness=True, **kw)
     if not ok:
@@ -241,27 +243,26 @@ def _closure_test(config: Configuration, face: Face, bounds: dict):
     """
     data = config.face_data(face.indices)
     over, top = data.facets_over, [bounds[f.face.indices] for f in data.facets_over]
-
-    @cache
-    def closure(q):
-        red, torsion = q.reduced, q.reduced.quotient.torsion
-        steps = [(fr, t, [int(f.value(g)) for f in over])
-                 for (fr, t), g in zip(red.images, q.generators, strict=True)]
-        start = ((0,) * red.quotient.free_rank, (0,) * len(torsion))
-        seen, todo = {start}, [(start, [0] * len(over))]
-        while todo:
-            (free, tor), vals = todo.pop()
-            for fr, t, dv in steps:
-                nv = [a + b for a, b in zip(vals, dv)]
-                key = (il.vadd(free, fr), tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
-                if key not in seen and all(map(lt, nv, top)):
-                    seen.add(key)
-                    todo.append((key, nv))
-        return seen
+    closures = {}  # id of a generator list kept by config -> (projection, states)
 
     def inside(gens, y):
-        q = data.query(gens)
-        return q.reduced.quotient.project(y) in closure(q)
+        if id(gens) not in closures:
+            red = data.query(gens).reduced
+            steps = [(fr, t, [int(f.value(g)) for f in over])
+                     for (fr, t), g in zip(red.images, gens, strict=True)]
+            start, torsion = red.quotient.project((0,) * config.n), red.quotient.torsion
+            seen, todo = {start}, [(start, [0] * len(over))]
+            while todo:
+                (free, tor), vals = todo.pop()
+                for fr, t, dv in steps:
+                    nv = [a + b for a, b in zip(vals, dv)]
+                    key = (il.vadd(free, fr), tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
+                    if key not in seen and all(map(lt, nv, top)):
+                        seen.add(key)
+                        todo.append((key, nv))
+            closures[id(gens)] = red.quotient.project, seen
+        project, seen = closures[id(gens)]
+        return project(y) in seen
     return inside
 
 
@@ -297,12 +298,11 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
                 continue
             # the class of B.z modulo ℚF, as class_representative gives it
             base = il.matvec(B, quot.section(quot.project(z)[0], ()))
-            hit = next((y for y in (il.vadd(base, d) for d in data.deltas)
-                        if _passes_exact(family, config, face, y, inside)), None)
+            hit = _first_passing(family, config, face,
+                                 (il.vadd(base, d) for d in data.deltas), inside)
             if hit is None:
                 continue
             b = _witness_base(family, config, face, hit, budget=budget)
             cls = quot.free_values(tuple(int(c) for c in config.lattice_coords(b)))
-            comps.append(QDegComponent(base=b, face=face,
-                                       class_coords=tuple(int(c) for c in cls)))
+            comps.append(QDegComponent(base=b, face=face, class_coords=tuple(int(c) for c in cls)))
     return comps

@@ -129,7 +129,8 @@ def _dres_certificate(config: Configuration, gamma, budget=None):
             if face.codim <= level:
                 continue
             fam = family_cache.setdefault(level, dg.ideal_family(level))
-            hit = dg._first_passing(fam, config, face, gamma, budget=budget)
+            hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
+                                    dg._member_test(config, face, budget))
             if hit is not None:
                 total = sum(f.value(hit) for f in config.facets_containing(face))
                 return level, face, max(2, int(total) + 1)

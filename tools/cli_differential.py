@@ -27,6 +27,7 @@ from pathlib import Path
 
 RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
           "from gkzfactors.cli import main; sys.exit(main(sys.argv[1:]))")
+MAX_COLS, ENTRY = 5, 3  # columns per drawn matrix, largest |matrix entry|
 
 
 def command_lines(rows: int) -> dict:
@@ -44,10 +45,10 @@ def command_lines(rows: int) -> dict:
     }
 
 
-def draw(rng: random.Random, max_cols: int, entry: int) -> dict:
+def draw(rng: random.Random) -> dict:
     """A document: a 1-3 row matrix and a γ in the rational span of its columns."""
-    rows, cols = rng.randint(1, 3), rng.randint(1, max_cols)
-    matrix = [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(rows)]
+    rows, cols = rng.randint(1, 3), rng.randint(1, MAX_COLS)
+    matrix = [[rng.randint(-ENTRY, ENTRY) for _ in range(cols)] for _ in range(rows)]
     coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(cols)]
     gamma = [str(sum(c * row[j] for j, c in enumerate(coeffs))) for row in matrix]
     return {"matrix": matrix, "gamma": gamma, "character": gamma}
@@ -80,8 +81,6 @@ def main(argv=None) -> int:
     p.add_argument("--draws", type=int, default=120)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--cap", type=float, default=5.0, help="seconds per invocation")
-    p.add_argument("--max-cols", type=int, default=5)
-    p.add_argument("--entry", type=int, default=3, help="largest |matrix entry|")
     p.add_argument("--commands", default=None,
                    help="comma-separated subset of: " + ", ".join(command_lines(1)))
     args = p.parse_args(argv)
@@ -96,7 +95,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         doc_path = Path(tmp) / "doc.json"
         for i in range(args.draws):
-            doc = draw(rng, args.max_cols, args.entry)
+            doc = draw(rng)
             doc_path.write_text(json.dumps(doc))
             lines = command_lines(len(doc["matrix"]))
             for name in wanted:
