@@ -464,9 +464,13 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
                 report.fail("gap-empty-iff-normal", seed, str(matrix))
         for gamma in _grid_gammas(config, rng, gammas_per_instance):
             prof = resonance.classify(config, gamma)
-            sres = resonance.in_sres(config, gamma)
-            dres = resonance.in_dres(config, gamma)
-            wres = resonance.in_wres(config, gamma)
+            try:
+                sres = resonance.in_sres(config, gamma)
+                dres = resonance.in_dres(config, gamma)
+                wres = resonance.in_wres(config, gamma)
+            except ComputationLimitError as exc:
+                report.notes.append(f"seed {seed}: resonance budget ({exc})")
+                continue
             res = resonance.in_res(config, gamma)
             report.checks += 1
             # one-sided implications, all configurations

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from operator import mul
 
 from . import intlin as il
@@ -27,9 +28,6 @@ class Face:
     indices: tuple[int, ...]
     codim: int
     witness: tuple  # integer h with h(A) ⊆ N and ker(h) ∩ A = this face
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
 
     def leq(self, other: "Face") -> bool:
         return set(self.indices) <= set(other.indices)
@@ -68,10 +66,6 @@ class Configuration:
         self._face_data: dict = {}
 
     # -- basic lattice helpers -------------------------------------------------
-
-    def in_lattice(self, v) -> bool:
-        """v ∈ ZA (v integral)."""
-        return il.lattice_member(self.lattice_basis, tuple(v))
 
     def in_span(self, v) -> bool:
         """v ∈ QA for rational v."""
@@ -220,10 +214,9 @@ class Configuration:
                     return False
         return True
 
-    def semigroup_member(self, v, budget=None) -> bool:
+    def semigroup_member(self, v) -> bool:
         """v ∈ NA; exact, valid also for non-pointed cones."""
-        kwargs = {"budget": budget} if budget else {}
-        return member(self.face_data(()).query(self.cols), tuple(v), **kwargs)
+        return member(self.face_data(()).query(self.cols), tuple(v))
 
     def is_pointed(self) -> bool:
         """True iff the minimal face has rank 0 (zero columns are allowed)."""
@@ -231,7 +224,7 @@ class Configuration:
 
     # -- normality / saturation -----------------------------------------------------
 
-    def saturation_hilbert_basis(self, budget: int = HILBERT_BUDGET) -> list:
+    def saturation_hilbert_basis(self) -> list:
         """Minimal generating set of R>=0(A) ∩ ZA (modulo units when non-pointed).
 
         Non-pointed cones are handled by quotienting by the span of the minimal
@@ -244,20 +237,20 @@ class Configuration:
         B = il.from_columns(self.lattice_basis)
         coords = [tuple(int(x) for x in self.lattice_coords(v)) for v in self.cols]
         if not unit_basis:
-            out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords, budget))
+            out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords))
         else:
             # the unit lattice is saturated in ZA, so the quotient by it is
             # free and every class lifts to ZA; facet values depend only on
             # the class
             units = [tuple(int(x) for x in self.lattice_coords(u)) for u in unit_basis]
             quot = il.quotient(self.rank, units)
-            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords], budget)
+            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords])
             lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
             out = sorted(lifts) + sorted(unit_basis) + sorted(il.vneg(u) for u in unit_basis)
         self._cache["hilbert"] = out
         return out
 
-    def _hilbert_pointed(self, coords, budget: int) -> list:
+    def _hilbert_pointed(self, coords) -> list:
         """Hilbert basis of cone(coords) ∩ Z^r for a pointed cone of rank r.
 
         Takes and returns coordinates on a lattice basis.  Candidates: generators plus
@@ -268,7 +261,8 @@ class Configuration:
         iff some kept element q has l_F(q) <= l_F(p) for every facet F: then
         p - q is a nonzero lattice point of the cone.  Candidates are taken in
         increasing order of a positive functional, so every such q is kept
-        before p.
+        before p.  The parallelepiped points counted may not exceed
+        HILBERT_BUDGET.
         """
         coords = sorted({c for c in coords if not il.is_zero_vec(c)})
         if not coords:
@@ -285,10 +279,10 @@ class Configuration:
                 continue
             quot = il.quotient(r, combo)
             count += quot.torsion_order()
-            if count > budget:
+            if count > HILBERT_BUDGET:
                 raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
                                             stage="cones.saturation_hilbert_basis",
-                                            used=count, limit=budget)
+                                            used=count, limit=HILBERT_BUDGET)
             N, D = il.scaled_inverse(M)
             for tor in product(*(range(d) for d in quot.torsion)):
                 # y - M.floor(M^-1 y): the parallelepiped point of y's class
@@ -304,11 +298,11 @@ class Configuration:
                 basis.append(p)
         return basis
 
-    def is_normal(self, budget: int = HILBERT_BUDGET):
+    def is_normal(self):
         """(verdict, witness): witness is a hole of the semigroup on false."""
         if "normal" in self._cache:
             return self._cache["normal"]
-        gens = self.saturation_hilbert_basis(budget=budget)
+        gens = self.saturation_hilbert_basis()
         verdict, hole = True, None
         for g in sorted(gens):
             if not self.semigroup_member(g):
@@ -342,16 +336,16 @@ class FaceData:
         config = self.config
         return self.cols + tuple(config.cols[j] for j in config.minimal_face().indices)
 
-    def query(self, generators, shift=None) -> MembershipQuery:
-        """shift + N.generators + Z.lattice_part; one object per (generators, shift).
+    def query(self, generators) -> MembershipQuery:
+        """N.generators + Z.lattice_part; one object per generator tuple.
 
         Reusing the object reuses its reduction across targets.
         """
-        key = (tuple(generators), shift)
+        key = tuple(generators)
         q = self._queries.get(key)
         if q is None:
-            q = MembershipQuery(shift=shift or (0,) * self.config.n,
-                                generators=key[0], lattice_part=self.lattice_part)
+            q = MembershipQuery(shift=(0,) * self.config.n,
+                                generators=key, lattice_part=self.lattice_part)
             self._queries[key] = q
         return q
 
@@ -366,6 +360,32 @@ class FaceData:
     def in_span(self, v) -> bool:
         """v ∈ QF for a rational vector v."""
         return not any(il.dot(w, v) for w in self.annihilator)
+
+    @cached_property
+    def hnf(self) -> list:
+        """The column HNF basis of ZF as (pivot row, column) pairs, by increasing row."""
+        if not self.cols:
+            return []
+        H, _ = il.hermite_normal_form(il.from_columns(self.cols, dim=self.config.n))
+        cols = il.columns(H)
+        return [(r, cols[c]) for r, c in il.hnf_pivots(H)]
+
+    def reduce(self, v) -> tuple:
+        """(canonical, order) of a rational vector v modulo ZF.
+
+        `canonical` is v minus floor(v_r / pivot) times each HNF column, taken
+        along the pivots: one representative per class.  `order` is the least
+        k >= 1 with k.v in ZF, the lcm of the denominators of v's exact
+        coordinates over the HNF basis, or None when v is not in QF.
+        """
+        canonical = exact = [Fraction(x) for x in v]
+        order = 1
+        for r, col in self.hnf:
+            t, c = canonical[r] // col[r], exact[r] / col[r]
+            canonical = [x - t * y for x, y in zip(canonical, col)]
+            exact = [x - c * y for x, y in zip(exact, col)]
+            order = lcm(order, c.denominator)
+        return tuple(canonical), (None if any(exact) else order)
 
     @cached_property
     def span_lat(self) -> list:

@@ -70,12 +70,13 @@ class QDegComponent:
 # per-face plumbing
 # ---------------------------------------------------------------------------
 
-def class_representative(config: Configuration, face: Face, gamma):
-    """An integer point of ℤA congruent to γ modulo ℚF, or None."""
+def class_representative(config: Configuration, indices: tuple, gamma):
+    """An integer point of ℤA congruent to γ modulo ℚF, or None; F is the
+    cone of the columns at `indices`."""
     coords = config.lattice_coords(gamma)
     if coords is None:
         return None
-    quot = config.face_data(face.indices).class_quotient
+    quot = config.face_data(indices).class_quotient
     free = quot.free_values(coords)
     if any(v.denominator != 1 for v in free):
         return None
@@ -85,14 +86,10 @@ def class_representative(config: Configuration, face: Face, gamma):
 
 def class_candidates(config: Configuration, face: Face, gamma) -> list:
     """One lattice representative per ℤF-class inside γ + ℚF, or []."""
-    base = class_representative(config, face, gamma)
+    base = class_representative(config, face.indices, gamma)
     if base is None:
         return []
     return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
-
-
-def _member_kwargs(budget):
-    return {"budget": budget} if budget else {}
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +118,10 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x, in
                    if g.codim > family.level and set(face.indices) <= set(g.indices))
 
 
-def _member_test(config: Configuration, face: Face, budget=None):
+def _member_test(config: Configuration, face: Face):
     """`inside` for `_passes_exact`, by membership search."""
-    data, kw = config.face_data(face.indices), _member_kwargs(budget)
-    return lambda gens, y: member(data.query(gens), y, **kw)
+    data = config.face_data(face.indices)
+    return lambda gens, y: member(data.query(gens), y)
 
 
 def _first_passing(family: DegreeFamily, config: Configuration, face: Face, candidates, inside):
@@ -133,17 +130,17 @@ def _first_passing(family: DegreeFamily, config: Configuration, face: Face, cand
 
 
 def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
-                      gamma, budget=None) -> bool:
+                      gamma) -> bool:
     """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
     return _first_passing(family, config, face, class_candidates(config, face, gamma),
-                          _member_test(config, face, budget)) is not None
+                          _member_test(config, face)) is not None
 
 
 # ---------------------------------------------------------------------------
 # conductor bounds
 # ---------------------------------------------------------------------------
 
-def conductor_multiplier(config: Configuration, budget=None) -> int:
+def conductor_multiplier(config: Configuration) -> int:
     """Smallest recorded k with k·a_A + saturation ⊆ ℕA on a gap cover.
 
     Built from the Hilbert basis: each generator h enters ℕA at some
@@ -153,13 +150,12 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
     if "conductor" in config._cache:
         return config._cache["conductor"]
     a_A = config.column_sum()
-    kw = _member_kwargs(budget)
     base = config.face_data(()).query(config.cols)
     k_star = 0
     for h in config.saturation_hilbert_basis():
         m_h = None
         for m in range(1, SEARCH_CAP):
-            if member(base, il.vscale(m, h), **kw):
+            if member(base, il.vscale(m, h)):
                 m_h = m
                 break
         if m_h is None:
@@ -169,7 +165,7 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
         k_h = None
         for k in range(0, SEARCH_CAP):
             shift = il.vscale(k, a_A)
-            if all(member(base, il.vadd(shift, il.vscale(r, h)), **kw)
+            if all(member(base, il.vadd(shift, il.vscale(r, h)))
                    for r in range(m_h)):
                 k_h = k
                 break
@@ -182,9 +178,9 @@ def conductor_multiplier(config: Configuration, budget=None) -> int:
     return k_star
 
 
-def facet_bounds(config: Configuration, budget=None) -> dict:
+def facet_bounds(config: Configuration) -> dict:
     """Per-facet enumeration bound: the facet value of a_A plus conductor."""
-    k_star = conductor_multiplier(config, budget=budget)
+    k_star = conductor_multiplier(config)
     a_A = config.column_sum()
     return {f.face.indices: int((k_star + 1) * f.value(a_A)) for f in config.facets()}
 
@@ -193,13 +189,11 @@ def facet_bounds(config: Configuration, budget=None) -> dict:
 # component extraction
 # ---------------------------------------------------------------------------
 
-def _witness_base(family: DegreeFamily, config: Configuration, face: Face,
-                  x, budget=None):
+def _witness_base(family: DegreeFamily, config: Configuration, face: Face, x):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
     data = config.face_data(face.indices)
-    kw = _member_kwargs(budget)
     q = data.query(config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
-    ok, info = member(q, x, witness=True, **kw)
+    ok, info = member(q, x, witness=True)
     if not ok:
         raise DomainError("witness requested for a class that is not good")
     b = tuple(x)
@@ -266,8 +260,7 @@ def _closure_test(config: Configuration, face: Face, bounds: dict):
     return inside
 
 
-def qdeg_components(family: DegreeFamily, config: Configuration,
-                    budget=None) -> list[QDegComponent]:
+def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegComponent]:
     """All witnessed classes (b, F), reported per face.
 
     Classes at a face are enumerated through their facet-value tuples, which
@@ -276,14 +269,14 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
     """
     if family.kind == "gap" and config.is_normal()[0]:
         return []  # sat = ℕA, so no class passes
-    bounds = facet_bounds(config, budget=budget)
+    bounds = facet_bounds(config)
     faces = config.all_faces()  # sorted by codimension: larger faces first
-    cap = budget or QDEG_BUDGET
     work = sum(prod(bounds[f.face.indices] for f in config.facets_containing(face))
                for face in faces)
-    if work > cap:
+    if work > QDEG_BUDGET:
         raise ComputationLimitError("component enumeration exceeded budget",
-                                    stage="degrees.qdeg_components", used=work, limit=cap)
+                                    stage="degrees.qdeg_components", used=work,
+                                    limit=QDEG_BUDGET)
     B = il.from_columns(config.lattice_basis, dim=config.n)
     comps: list[QDegComponent] = []
     for face in faces:
@@ -302,7 +295,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration,
                                  (il.vadd(base, d) for d in data.deltas), inside)
             if hit is None:
                 continue
-            b = _witness_base(family, config, face, hit, budget=budget)
+            b = _witness_base(family, config, face, hit)
             cls = quot.free_values(tuple(int(c) for c in config.lattice_coords(b)))
             comps.append(QDegComponent(base=b, face=face, class_coords=tuple(int(c) for c in cls)))
     return comps

@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from . import intlin as il
 from .cones import Configuration, Face
-from .degrees import gap_family, qdeg_components
+from .degrees import class_representative, gap_family, qdeg_components
 from .errors import DomainError, GKZError
 from . import resonance
 
@@ -65,55 +65,18 @@ class LocalSystemClass:
         return f"LocalSystemClass(F={list(self.face_indices)}, rep={[str(c) for c in self.canonical]}, {tag})"
 
 
-def _face_basis(config: Configuration, indices) -> list:
-    cols = [config.cols[j] for j in indices]
-    if not cols:
-        return []
-    return il.column_lattice_basis(il.from_columns(cols, dim=config.n))
-
-
-def _reduce_mod_lattice(basis, v) -> tuple:
-    """Canonical representative of v modulo the integer lattice spanned by basis."""
-    v = [Fraction(x) for x in v]
-    if not basis:
-        return tuple(v)
-    H = il.from_columns([tuple(b) for b in basis], dim=len(v))
-    H, _ = il.hermite_normal_form(H)
-    hcols = il.columns(H)
-    pivots = sorted(il.hnf_pivots(H))  # (row, col), increasing pivot row
-    for r, c in pivots:
-        d = H[r][c]
-        t = v[r] // d  # floor division of a Fraction by a positive integer
-        if t:
-            v = [x - t * Fraction(y) for x, y in zip(v, hcols[c])]
-    return tuple(v)
-
-
-def _class_order(config: Configuration, indices, rep):
-    if not config.face_data(indices).in_span(rep):
-        return INFINITE
-    basis = _face_basis(config, indices)
-    if not basis:
-        return 1  # rep must be 0 here
-    coords = il.rational_solve(il.from_columns(basis, dim=config.n), tuple(rep))
-    order = 1
-    for c in coords:
-        c = Fraction(c)
-        order = order * c.denominator // gcd(order, c.denominator)
-    return order
-
-
 def _make_class(config: Configuration, indices, rep, require_span=True) -> LocalSystemClass:
     indices = tuple(indices)
     rep = tuple(Fraction(x) for x in rep)
     if len(rep) != config.n:
         raise DomainError("representative dimension does not match the configuration")
-    if require_span and not config.face_data(indices).in_span(rep):
-        raise DomainError("representative lies outside the span of the face")
-    canonical = _reduce_mod_lattice(_face_basis(config, indices), rep)
+    canonical, order = config.face_data(indices).reduce(rep)
+    if order is None:
+        if require_span:
+            raise DomainError("representative lies outside the span of the face")
+        order = INFINITE
     return LocalSystemClass(face_indices=indices, representative=rep,
-                            canonical=canonical,
-                            order=_class_order(config, indices, rep))
+                            canonical=canonical, order=order)
 
 
 def class_of(config: Configuration, face, gamma) -> LocalSystemClass:
@@ -147,36 +110,14 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
     if not set(indices) <= set(range(ambient.N)):
         raise DomainError("face indices out of range")
 
-    # work in ZA coordinates: find one shift z in ZA with rep + z in Qspan(F)
-    B = il.from_columns(ambient.lattice_basis, dim=ambient.n)
-    g = il.rational_solve(B, cls.representative)
-    if g is None:
+    if not ambient.in_span(cls.representative):
         raise DomainError("class representative lies outside the column span")
-    fcoords = [tuple(int(c) for c in ambient.lattice_coords(ambient.cols[j]))
-               for j in indices]
-    if fcoords:
-        ann = il.rational_kernel(il.transpose(il.from_columns(fcoords, dim=ambient.rank)))
-    else:
-        ann = il.columns(il.identity(ambient.rank))
-    if not ann:
-        z = tuple(0 for _ in range(ambient.rank))
-    else:
-        rows, rhs = [], []
-        for w in ann:
-            val = -sum(Fraction(a) * Fraction(x) for a, x in zip(w, g))
-            lcm = 1
-            for x in list(w) + [val]:
-                x = Fraction(x)
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-            rows.append(tuple(int(Fraction(x) * lcm) for x in w))
-            rhs.append(int(val * lcm))
-        z = il.integral_system_solve(il.freeze(rows), tuple(rhs))
-        if z is None:
-            return []
-    base = tuple(Fraction(a) + Fraction(b) for a, b in
-                 zip(cls.representative, il.matvec(B, z)))
-    out = [_make_class(ambient, indices,
-                       tuple(Fraction(x) + Fraction(y) for x, y in zip(base, d)))
+    # one z in ZA with rep + z in QF: a representative of -rep modulo QF
+    z = class_representative(ambient, indices, il.vneg(cls.representative))
+    if z is None:
+        return []
+    base = il.vadd(cls.representative, z)
+    out = [_make_class(ambient, indices, il.vadd(base, d))
            for d in ambient.face_data(indices).deltas]
     out.sort(key=lambda c: c.canonical)
     return out
@@ -237,7 +178,7 @@ def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
                            "resonant intersection")
 
 
-def dmod_report(config: Configuration, gamma, budget=None) -> FiltrationReport:
+def dmod_report(config: Configuration, gamma) -> FiltrationReport:
     """Factor table of the filtration by boundary supports, with hypothesis flags."""
     gamma = tuple(Fraction(x) for x in gamma)
     resonance._require_in_span(config, gamma)
@@ -258,8 +199,8 @@ def dmod_report(config: Configuration, gamma, budget=None) -> FiltrationReport:
     normal, _ = config.is_normal()
     weak = prof.is_weak
     res = not prof.is_nonresonant
-    sres = resonance.in_sres(config, gamma, budget=budget)
-    dres = resonance.in_dres(config, gamma, budget=budget)
+    sres = resonance.in_sres(config, gamma)
+    dres = resonance.in_dres(config, gamma)
     wres = resonance.wres_from(sres, dres)
 
     flags = {
@@ -337,7 +278,7 @@ class ComparisonReport:
     notes: tuple = ()
 
 
-def rh_compare(config: Configuration, gamma, budget=None) -> ComparisonReport:
+def rh_compare(config: Configuration, gamma) -> ComparisonReport:
     """Compare factor labels of the two filtrations codimension by codimension.
 
     When the configuration is normal and the parameter is weak-nonresonant the
@@ -345,7 +286,7 @@ def rh_compare(config: Configuration, gamma, budget=None) -> ComparisonReport:
     discrepancies are reported without asserting.
     """
     gamma = tuple(Fraction(x) for x in gamma)
-    d = dmod_report(config, gamma, budget=budget)
+    d = dmod_report(config, gamma)
     full = tuple(range(config.N))
     p = perverse_report(config, class_of(config, full, gamma))
 
@@ -381,7 +322,7 @@ def rh_compare(config: Configuration, gamma, budget=None) -> ComparisonReport:
 # saturation-gap labels (advisory)
 # ---------------------------------------------------------------------------
 
-def gap_factor_candidates(config: Configuration, budget=None) -> list:
+def gap_factor_candidates(config: Configuration) -> list:
     """Labels of the witnessed classes of the saturation gap, one per component.
 
     Advisory output: for a non-normal configuration these flag character
@@ -389,7 +330,7 @@ def gap_factor_candidates(config: Configuration, budget=None) -> list:
     the list is empty exactly when the configuration is normal.
     """
     labels = []
-    for comp in qdeg_components(gap_family(), config, budget=budget):
+    for comp in qdeg_components(gap_family(), config):
         cls = _make_class(config, comp.face.indices, comp.base, require_span=False)
         labels.append(FactorLabel(comp.face.codim, comp.face.indices, cls))
     labels.sort(key=lambda l: (l.codim, l.face_indices, l.cls.canonical))

@@ -32,10 +32,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(0 for _ in range(m)) for _ in range(n))
-
-
 def transpose(M: Mat) -> Mat:
     return tuple(zip(*M)) if M else ()
 

@@ -91,7 +91,7 @@ def _largest_below(q: Fraction) -> int:
     return q.numerator // q.denominator - (1 if q.denominator == 1 else 0)
 
 
-def in_sres(config: Configuration, gamma, budget=None) -> bool:
+def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
@@ -99,7 +99,7 @@ def in_sres(config: Configuration, gamma, budget=None) -> bool:
     shifts can work per face.
     """
     _require_in_span(config, gamma)
-    bounds = dg.facet_bounds(config, budget=budget)
+    bounds = dg.facet_bounds(config)
     a_A = config.column_sum()
     family = dg.module_family()
     for face in config.all_faces():
@@ -111,12 +111,12 @@ def in_sres(config: Configuration, gamma, budget=None) -> bool:
             m_max = max(m_max, _largest_below(q))
         for m in range(1, m_max + 1):
             shifted = tuple(Fraction(g) + m * Fraction(c) for g, c in zip(gamma, a_A))
-            if dg.good_class_exists(family, config, face, shifted, budget=budget):
+            if dg.good_class_exists(family, config, face, shifted):
                 return True
     return False
 
 
-def _dres_certificate(config: Configuration, gamma, budget=None):
+def _dres_certificate(config: Configuration, gamma):
     """(level, face, k) for a witnessed power-quotient class, or None; exact.
 
     A class is witnessed at level i only along faces of codimension above i,
@@ -130,16 +130,16 @@ def _dres_certificate(config: Configuration, gamma, budget=None):
                 continue
             fam = family_cache.setdefault(level, dg.ideal_family(level))
             hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
-                                    dg._member_test(config, face, budget))
+                                    dg._member_test(config, face))
             if hit is not None:
                 total = sum(f.value(hit) for f in config.facets_containing(face))
                 return level, face, max(2, int(total) + 1)
     return None
 
 
-def in_dres(config: Configuration, gamma, budget=None) -> TriState:
+def in_dres(config: Configuration, gamma) -> TriState:
     _require_in_span(config, gamma)
-    cert = _dres_certificate(config, gamma, budget=budget)
+    cert = _dres_certificate(config, gamma)
     normal, _ = config.is_normal()
     if normal:
         # on normal input the facet-sign test must agree with the reduction
@@ -170,9 +170,9 @@ def wres_from(sres: bool, dres: TriState | None) -> TriState:
     return dres
 
 
-def in_wres(config: Configuration, gamma, budget=None) -> TriState:
-    sres = in_sres(config, gamma, budget=budget)
-    return wres_from(sres, None if sres else in_dres(config, gamma, budget=budget))
+def in_wres(config: Configuration, gamma) -> TriState:
+    sres = in_sres(config, gamma)
+    return wres_from(sres, None if sres else in_dres(config, gamma))
 
 
 def _grid_points(box, step: Fraction):
@@ -188,8 +188,7 @@ def _grid_points(box, step: Fraction):
     return product(*axes)
 
 
-def region_scan(config: Configuration, set_name: str, box, step,
-                budget=None) -> list[dict]:
+def region_scan(config: Configuration, set_name: str, box, step) -> list[dict]:
     """Verdicts of a named parameter set over a rational grid.
 
     ``box`` is one (lo, hi) pair per ambient coordinate; points outside the
@@ -214,10 +213,10 @@ def region_scan(config: Configuration, set_name: str, box, step,
         elif set_name == "DRes":
             verdict = "true" if in_DRes(config, gamma) else "false"
         elif set_name == "sres":
-            verdict = "true" if in_sres(config, gamma, budget=budget) else "false"
+            verdict = "true" if in_sres(config, gamma) else "false"
         elif set_name == "dres":
-            verdict = in_dres(config, gamma, budget=budget).verdict
+            verdict = in_dres(config, gamma).verdict
         else:
-            verdict = in_wres(config, gamma, budget=budget).verdict
+            verdict = in_wres(config, gamma).verdict
         out.append({"gamma": gamma, "verdict": verdict})
     return out

@@ -170,9 +170,9 @@ class _Reduced:
         return out
 
 
-def member(q: MembershipQuery, target, budget: int = DEFAULT_BUDGET,
-           witness: bool = False):
-    """Exact decision of target ∈ shift + N.S + Z.L.
+def member(q: MembershipQuery, target, witness: bool = False):
+    """Exact decision of target ∈ shift + N.S + Z.L, seeing at most
+    DEFAULT_BUDGET search states.
 
     With witness=True returns (verdict, coefficients) where coefficients is a
     dict {"generators": [n_1..], "lattice": [m_1..]} for a true verdict.
@@ -181,6 +181,7 @@ def member(q: MembershipQuery, target, budget: int = DEFAULT_BUDGET,
     if len(target) != q.dim:
         raise DimensionMismatchError("member: target dimension differs from query")
     red = q.reduced
+    budget = DEFAULT_BUDGET  # read per call, so lowering the constant takes effect
     t0 = il.vsub(target, q.shift)
     free, tor = red.quotient.project(t0)
     height = sum(map(mul, red.w, free))

@@ -4,6 +4,7 @@ import pytest
 
 from gkzfactors.cones import Configuration
 from gkzfactors import degrees as dg
+from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, DomainError
 
 A23 = Configuration([[2, 3]])
@@ -73,10 +74,10 @@ def test_family_validation():
 
 def test_class_representative_modulo_face_span():
     f3 = A46.face((1,))
-    r1 = dg.class_representative(A46, f3, (0, 0))
-    r2 = dg.class_representative(A46, f3, (0, 7))  # same class modulo QF
+    r1 = dg.class_representative(A46, f3.indices, (0, 0))
+    r2 = dg.class_representative(A46, f3.indices, (0, 7))  # same class modulo QF
     assert r1 == r2
-    r3 = dg.class_representative(A46, f3, (1, 0))  # different free coordinate
+    r3 = dg.class_representative(A46, f3.indices, (1, 0))  # different free coordinate
     assert r1 != r3
     # the doubled column leaves a parity choice inside the span: two
     # ZF-classes per span class
@@ -94,10 +95,13 @@ def test_conductor_multiplier_positive():
 def test_budget_errors_name_their_stage(monkeypatch):
     # [[2, 3]] has 5 module components; a budget of 10 stops the enumeration
     # after 11 facet-value tuples, one of 3 stops the first membership search
-    for budget, stage, used in ((10, "degrees.qdeg_components", 11),
-                                (3, "semigroup.member", 4)):
-        with pytest.raises(ComputationLimitError) as info:
-            dg.qdeg_components(dg.module_family(), Configuration([[2, 3]]), budget=budget)
+    for module, name, budget, stage, used in (
+            (dg, "QDEG_BUDGET", 10, "degrees.qdeg_components", 11),
+            (sg, "DEFAULT_BUDGET", 3, "semigroup.member", 4)):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, budget)
+            with pytest.raises(ComputationLimitError) as info:
+                dg.qdeg_components(dg.module_family(), Configuration([[2, 3]]))
         assert (info.value.stage, info.value.used, info.value.limit) == (stage, used, budget)
     # 1 enters NA only at its second multiple, beyond a cap that allows one
     monkeypatch.setattr(dg, "SEARCH_CAP", 2)

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gkzfactors import bruteforce as bf
 from gkzfactors.cones import Configuration
 from gkzfactors import factors as fa
 from gkzfactors.errors import DomainError
@@ -31,6 +34,38 @@ def test_class_of_trivial():
 def test_class_of_domain_error():
     with pytest.raises(DomainError):
         fa.class_of(A46, A46.face((1,)), (1, 0))
+
+
+small_configs = st.integers(1, 3).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda N: st.lists(
+            st.lists(st.integers(-3, 3), min_size=N, max_size=N),
+            min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs, st.data())
+def test_class_order_and_canonical_random(rows, data):
+    # rep = Σ c_j a_j over a face F with denominators <= 4, so 12·rep ∈ ZF
+    assume(any(any(r) for r in rows))
+    config = Configuration(rows)
+    face = data.draw(st.sampled_from(config.all_faces()))
+    cols = [config.cols[j] for j in face.indices]
+    coeffs = data.draw(st.lists(st.fractions(-2, 2, max_denominator=4),
+                                min_size=len(cols), max_size=len(cols)))
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+
+    def combo(cs):
+        return tuple(sum((c * a[i] for c, a in zip(cs, cols)), Fraction(0))
+                     for i in range(config.n))
+    rep = combo(coeffs)
+    basis = bf._bf_lattice_basis(cols, config.n) if cols else []
+    cls = fa.class_of(config, face, rep)
+    assert cls.order == next(k for k in range(1, 13)
+                             if bf._bf_in_lattice(basis, tuple(k * x for x in rep)))
+    moved = combo([c + m for c, m in zip(coeffs, shift)])  # rep + a vector of ZF
+    assert fa.class_of(config, face, moved).canonical == cls.canonical
+    assert bf._bf_in_lattice(basis, tuple(a - b for a, b in zip(cls.canonical, rep)))
 
 
 def test_pullback_solutions_torsion_pair():

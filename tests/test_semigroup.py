@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gkzfactors import bruteforce as bf
+from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, NonPointedError
 from gkzfactors.semigroup import MembershipQuery, member
 
@@ -38,20 +39,23 @@ def test_member_with_lattice_part():
                                       lattice_part=()), (-1,))
 
 
-def test_member_budget():
+def test_member_budget(monkeypatch):
     q = MembershipQuery(shift=(0, 0), generators=((1, 0),), lattice_part=())
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 10)
     with pytest.raises(ComputationLimitError):
-        member(q, (10**6, 10**6), budget=10)
+        member(q, (10**6, 10**6))
 
 
-def test_member_budget_counts_states_seen():
+def test_member_budget_counts_states_seen(monkeypatch):
     # the search on q46 sees exactly 25 states for (3, 4) and 9 for (0, 5);
     # the start state counts, and the budget bounds len(seen) from above
     q = q46()
     for target, seen, verdict in (((3, 4), 25, True), ((0, 5), 9, False)):
-        assert member(q, target, budget=seen) is verdict
+        monkeypatch.setattr(sg, "DEFAULT_BUDGET", seen)
+        assert member(q, target) is verdict
+        monkeypatch.setattr(sg, "DEFAULT_BUDGET", seen - 1)
         with pytest.raises(ComputationLimitError) as info:
-            member(q, target, budget=seen - 1)
+            member(q, target)
         exc = info.value
         assert (exc.stage, exc.used, exc.limit) == ("semigroup.member", seen, seen - 1)
         assert f"used {seen}, limit {seen - 1}" in str(exc)
