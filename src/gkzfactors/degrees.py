@@ -13,16 +13,17 @@ point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
 lattice part (ℕA − ℕF = ℕA + ℤF and friends); the gap family's saturation side
 is a sign test on facet values.  `qdeg_components` checks the size of the
-conductor's facet-value box against the budget (exit 3 before any work) and
-decides membership in it from one closure per face and generator set.
+conductor's facet-value box against the budget (exit 3 before any work),
+walks the lattice points of the box along a Hermite normal form
+(`box_walk`), skips the gap classes the conductor already puts in ℕA + ℤF,
+and decides membership from one closure per face and generator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
-from operator import lt
+from operator import add, ge, lt
 
 from . import intlin as il
 from .cones import Configuration, Face
@@ -141,14 +142,32 @@ def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
 # ---------------------------------------------------------------------------
 
 def conductor_multiplier(config: Configuration) -> int:
-    """Smallest recorded k with k·a_A + saturation ⊆ ℕA on a gap cover.
+    """A recorded k* with k*·a_A + sat ⊆ ℕA, where sat = ℝ≥0A ∩ ℤA.
 
-    Built from the Hilbert basis: each generator h enters ℕA at some
-    multiple m_h, the residual multiples r·h (r < m_h) are pushed into ℕA
-    by k_h copies of a_A, and the per-generator pushes add up.
+    Built from the Hilbert basis of sat: each generator h enters ℕA at a
+    least multiple m_h, and k_h is the least k with k·a_A + r·h ∈ ℕA for
+    every 0 <= r < m_h.  The sum k* = Σ k_h is a conductor: every s ∈ sat is
+    Σ n_h·h with n_h ∈ ℕ (the unit part of a non-pointed cone is listed with
+    both signs), and with n_h = q_h·m_h + r_h,
+    k*·a_A + s = Σ (k_h·a_A + r_h·h) + Σ q_h·(m_h·h) ∈ ℕA.  For normal A
+    every h lies in ℕA, so m_h = 1, k_h = 0 and k* = 0 with no search.  A
+    search that fails is cached like a result: every later call raises the
+    same ComputationLimitError (stage, used, limit) at once.
     """
-    if "conductor" in config._cache:
-        return config._cache["conductor"]
+    if "conductor" not in config._cache:
+        try:
+            config._cache["conductor"] = 0 if config.is_normal()[0] else _conductor_search(config)
+        except ComputationLimitError as exc:
+            config._cache["conductor"] = exc
+            raise
+    k_star = config._cache["conductor"]
+    if isinstance(k_star, ComputationLimitError):
+        raise k_star.with_traceback(None)
+    return k_star
+
+
+def _conductor_search(config: Configuration) -> int:
+    """Σ k_h of `conductor_multiplier`, by membership search."""
     a_A = config.column_sum()
     base = config.face_data(()).query(config.cols)
     k_star = 0
@@ -174,7 +193,6 @@ def conductor_multiplier(config: Configuration) -> int:
                                         stage="degrees.conductor_multiplier",
                                         used=SEARCH_CAP, limit=SEARCH_CAP)
         k_star += k_h
-    config._cache["conductor"] = k_star
     return k_star
 
 
@@ -218,54 +236,104 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face, x):
     return il.vadd(b, il.vscale(m_needed, a_F))
 
 
-def _covered(config: Configuration, face: Face, x, comps) -> bool:
-    """Is x ≡ comp.base (mod ℚG) for some component comp on a face G ⊋ face?"""
-    return any(set(face.indices) < set(comp.face.indices)
-               and config.face_data(comp.face.indices).in_span(il.vsub(x, comp.base))
-               for comp in comps)
+def _closure(config: Configuration, face: Face, bounds: dict):
+    """(mod_zf, closure) for y ∈ ℤA with 0 <= l_G(y) < bounds[G], G ⊇ F:
+    y ∈ ℕ·gens + ℤF iff its key lies in closure(gens).
 
-
-def _closure_test(config: Configuration, face: Face, bounds: dict):
-    """`inside` for `_passes_exact` on y with 0 <= l_G(y) < bounds[G], G ⊇ F.
-
-    Each generator set gets, on first use, the states of (ℕ·gens + ℤF)/ℤF
-    whose primitive facet values over F lie in that box, by forward closure
-    from 0.  It holds every member y of the box: removing one column at a
-    time from y = Σnⱼaⱼ + f never raises a facet value over F and keeps it
-    >= 0, so every prefix lies in the box.  It is finite: a column outside F
-    raises some l_G (G ⊇ F) by at least 1.  A state fixes its facet values.
+    The key of y is its facet values over F and its torsion part in
+    mod_zf, ℤⁿ modulo ℤF; it fixes y modulo ℤF, since equal facet
+    values put the difference in ℚF, where the free part vanishes.  Each
+    generator set gets, on first use, the keys of (ℕ·gens + ℤF)/ℤF whose
+    facet values lie in the box, by forward closure from 0.  It holds every
+    member y of the box: removing one column at a time from y = Σnⱼaⱼ + f
+    never raises a facet value over F and keeps it >= 0, so every prefix
+    lies in the box.  It is finite: a column outside F raises some l_G
+    (G ⊇ F) by at least 1.
     """
     data = config.face_data(face.indices)
     over, top = data.facets_over, [bounds[f.face.indices] for f in data.facets_over]
-    closures = {}  # id of a generator list kept by config -> (projection, states)
+    mod_zf = il.quotient(config.n, data.lattice_part)
+    torsion = mod_zf.torsion
+    closures = {}  # id of a generator list kept by config -> keys
 
-    def inside(gens, y):
+    def closure(gens):
         if id(gens) not in closures:
-            red = data.query(gens).reduced
-            steps = [(fr, t, [int(f.value(g)) for f in over])
-                     for (fr, t), g in zip(red.images, gens, strict=True)]
-            start, torsion = red.quotient.project((0,) * config.n), red.quotient.torsion
-            seen, todo = {start}, [(start, [0] * len(over))]
+            steps = [([int(f.value(g)) for f in over], mod_zf.project(g)[1]) for g in gens]
+            start = ((0,) * len(over), (0,) * len(torsion))
+            seen, todo = {start}, [start]
             while todo:
-                (free, tor), vals = todo.pop()
-                for fr, t, dv in steps:
-                    nv = [a + b for a, b in zip(vals, dv)]
-                    key = (il.vadd(free, fr), tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
-                    if key not in seen and all(map(lt, nv, top)):
-                        seen.add(key)
-                        todo.append((key, nv))
-            closures[id(gens)] = red.quotient.project, seen
-        project, seen = closures[id(gens)]
-        return project(y) in seen
-    return inside
+                vals, tor = todo.pop()
+                for dv, t in steps:
+                    nv = tuple(map(add, vals, dv))
+                    if all(map(lt, nv, top)):
+                        key = (nv, tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
+                        if key not in seen:
+                            seen.add(key)
+                            todo.append(key)
+            closures[id(gens)] = seen
+        return closures[id(gens)]
+    return mod_zf, closure
+
+
+def box_walk(M, bounds, carry):
+    """The points v = M.c (c integral) with 0 <= v_i < bounds[i], in the
+    order of itertools.product over the ranges, each yielded as v followed
+    by carry.c.
+
+    M has full column rank.  Its column HNF H = M.U (U unimodular) has pivot
+    rows p_0 < p_1 < ... with positive pivots, and v = H.c' for c' = U⁻¹c.
+    Rows above p_0 vanish.  With c'_0..c'_{j-1} fixed, rows p_j up to the
+    next pivot row are affine in c'_j (H is zero right of column j there):
+    the box cuts each to an interval of c'_j, an empty intersection prunes
+    the branch, and v_{p_j} rises with c'_j while the rows above it stay, so
+    walking each c'_j upwards gives v in lexicographic order.  Everything is
+    carried as running sums of the columns of [H; carry.U], with no solve.
+    """
+    H, U = il.hermite_normal_form(il.freeze(M))
+    rows = list(H) + list(il.matmul(il.freeze(carry), U))
+    piv = [p for p, _c in il.hnf_pivots(H)] + [len(M)]
+    cols = il.columns(rows)
+
+    def walk(j, acc):
+        if j == len(cols):
+            yield acc
+            return
+        col, lo, hi = cols[j], None, None
+        for i in range(piv[j], piv[j + 1]):  # 0 <= acc_i + a·x <= top
+            a, s, top = col[i], acc[i], bounds[i] - 1
+            if a == 0:
+                if not 0 <= s <= top:
+                    return
+                continue
+            x0, x1 = (-(s // a), (top - s) // a) if a > 0 else (-((top - s) // -a), s // -a)
+            lo, hi = (x0, x1) if lo is None else (max(lo, x0), min(hi, x1))
+        acc = tuple(x + lo * y for x, y in zip(acc, col))
+        for _ in range(hi - lo + 1):
+            yield from walk(j + 1, acc)
+            acc = tuple(map(add, acc, col))
+    if all(b > 0 for b in bounds[:piv[0]]):
+        yield from walk(0, (0,) * len(rows))
 
 
 def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegComponent]:
     """All witnessed classes (b, F), reported per face.
 
-    Classes at a face are enumerated through their facet-value tuples, which
-    determine the class exactly; classes lying inside an already-reported
-    component of a larger face are dropped, other overlaps are kept.
+    The classes at a face F are the points f of the free group ℤA/(ℚF ∩ ℤA)
+    (`FaceData.class_quotient`); b is their section into ℤA, the point
+    `class_representative` gives.  The facet values over F are an injective
+    integer map M of f, so `box_walk` visits each class whose facet values
+    lie in the conductor's box once, in the order of those values, carrying
+    b, the annihilator values that test b against the components of larger
+    faces (classes inside one are dropped, other overlaps are kept) and, for
+    the gap family, b's closure key.  The points walked are at most the
+    tuples of the box, whose count is checked against QDEG_BUDGET first.
+
+    Gap family: b + δ (δ ∈ ℚF ∩ ℤA) lies in sat + ℤF, its facet values being
+    >= 0 (see `_passes_exact`), so only ℕA + ℤF is asked, by closure key.  A
+    class with l_G(b) >= k*·l_G(a_A) for every G ⊇ F is skipped: then
+    y = b − k*·a_A has l_G(y) >= 0 for G ⊇ F, so y ∈ sat + ℤF and
+    b ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`); no
+    representative b + δ passes.
     """
     if family.kind == "gap" and config.is_normal()[0]:
         return []  # sat = ℕA, so no class passes
@@ -278,21 +346,51 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
                                     stage="degrees.qdeg_components", used=work,
                                     limit=QDEG_BUDGET)
     B = il.from_columns(config.lattice_basis, dim=config.n)
+    k_star, a_A, n = conductor_multiplier(config), config.column_sum(), config.n
     comps: list[QDegComponent] = []
     for face in faces:
         data = config.face_data(face.indices)
         over, quot = data.facets_over, data.class_quotient
-        lrows = il.freeze([tuple(int(f.value(b)) for b in config.lattice_basis) for f in over])
-        solve = il.integral_solver(lrows) if over else lambda v: (0,) * config.rank
-        inside = _closure_test(config, face, bounds)
-        for v in product(*(range(bounds[f.face.indices]) for f in over)):
-            z = solve(v)
-            if z is None or _covered(config, face, il.matvec(B, z), comps):
+        mod_zf, closure = _closure(config, face, bounds)
+
+        def inside(gens, y):
+            return (tuple(int(f.value(y)) for f in over), mod_zf.project(y)[1]) in closure(gens)
+        # box_walk yields v, the k facet values, then rows linear in b: b
+        # itself; the annihilator of each larger face with components (b is
+        # in a component's class iff the values match its base's); for the
+        # gap family, b's torsion part modulo ℤF before reduction
+        covers: dict = {}  # annihilator -> its values on component bases
+        for comp in comps:
+            if set(face.indices) < set(comp.face.indices):
+                ann = config.face_data(comp.face.indices).annihilator
+                covers.setdefault(ann, set()).add(tuple(il.dot(w, comp.base) for w in ann))
+        linear, k, spans = list(il.identity(n)), len(over), []
+        for ann, vals in covers.items():
+            spans.append((k + len(linear), k + len(linear) + len(ann), vals))
+            linear += ann
+        if family.kind == "gap":
+            tor, torsion = k + len(linear), mod_zf.torsion
+            linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
+            offsets = [mod_zf.project(d)[1] for d in data.deltas]
+            skip = [k_star * int(f.value(a_A)) for f in over]
+        # b over a basis of the classes, and the facet values of that basis
+        G = il.matmul(B, il.from_columns([quot.section(e, ()) for e in il.identity(quot.free_rank)],
+                                         dim=config.rank))
+        M = [[int(f.value(g)) for g in il.columns(G)] for f in over]
+        for p in box_walk(M, [bounds[f.face.indices] for f in over], il.matmul(linear, G)):
+            if any(p[s:e] in vals for s, e, vals in spans):
                 continue
-            # the class of B.z modulo ℚF, as class_representative gives it
-            base = il.matvec(B, quot.section(quot.project(z)[0], ()))
-            hit = _first_passing(family, config, face,
-                                 (il.vadd(base, d) for d in data.deltas), inside)
+            base = p[k:k + n]
+            if family.kind != "gap":
+                hit = _first_passing(family, config, face,
+                                     (il.vadd(base, d) for d in data.deltas), inside)
+            elif all(map(ge, p[:k], skip)):
+                continue
+            else:
+                seen, v, key_tor = closure(config.cols), p[:k], p[tor:]
+                hit = next((il.vadd(base, d) for d, t in zip(data.deltas, offsets)
+                            if (v, tuple((a + b) % m for a, b, m in zip(key_tor, t, torsion)))
+                            not in seen), None)
             if hit is None:
                 continue
             b = _witness_base(family, config, face, hit)

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkzfactors.cones import Configuration
+from gkzfactors import cones
 from gkzfactors import degrees as dg
+from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, DomainError
 
@@ -109,3 +114,58 @@ def test_budget_errors_name_their_stage(monkeypatch):
         dg.conductor_multiplier(Configuration([[2, 3]]))
     assert (info.value.stage, info.value.used, info.value.limit) == \
         ("degrees.conductor_multiplier", 1, 1)
+
+
+@st.composite
+def walk_inputs(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(d, 3))
+    M = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                      min_size=k, max_size=k))
+    assume(il.rational_rank(il.freeze(M)) == d)
+    return M, draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_inputs())
+def test_box_walk_matches_solvable_tuples(data):
+    M, bounds = data
+    k, d = len(M), len(M[0])
+    solvable = [v for v in product(*(range(b) for b in bounds))
+                if il.integral_system_solve(il.freeze(M), v) is not None]
+    # carrying the identity yields the point's coordinates c after v = M.c
+    points = list(dg.box_walk(M, bounds, il.identity(d)))
+    assert [p[:k] for p in points] == solvable
+    assert all(il.matvec(il.freeze(M), p[k:]) == p[:k] for p in points)
+
+
+def _count_member_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sg.member(*args, **kwargs)
+    for module in (cones, dg):
+        monkeypatch.setattr(module, "member", counted)
+    return calls
+
+
+def test_conductor_failure_is_cached(monkeypatch):
+    config = Configuration([[2, 3]])
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 3)
+    with pytest.raises(ComputationLimitError) as first:
+        dg.conductor_multiplier(config)
+    calls = _count_member_calls(monkeypatch)
+    with pytest.raises(ComputationLimitError) as again:
+        dg.conductor_multiplier(config)
+    assert calls == []
+    assert (again.value.stage, again.value.used, again.value.limit) == \
+        (first.value.stage, first.value.used, first.value.limit) == ("semigroup.member", 4, 3)
+
+
+def test_conductor_of_normal_configuration_is_zero(monkeypatch):
+    config = Configuration(A54.matrix)
+    assert config.is_normal()[0]
+    calls = _count_member_calls(monkeypatch)
+    assert dg.conductor_multiplier(config) == 0
+    assert calls == []

@@ -42,10 +42,14 @@ def test_bf_hilbert_basis_matches_production():
 
 
 def test_gap_components_match_hole_oracle():
-    # the fixtures, two deep gap searches, and pointed seeded draws whose
-    # facets bf_facets finds (the draws of the Hilbert basis test)
+    # the fixtures, two deep gap searches, the monomial curves, and pointed
+    # seeded draws whose facets bf_facets finds (the draws of the Hilbert
+    # basis test)
     matrices = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
     matrices += [[[1, 1, 1, 1, 1], [3, -1, 1, 3, 1], [1, 3, -1, 0, 2]], [[2, 2, 3, 3], [0, 0, 3, 2]]]
+    # the monomial curves [0, a, b, c], 0 < a < b < c <= 5
+    matrices += [[[1, 1, 1, 1], [0, a, b, c]]
+                 for a in range(1, 6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
     rng = random.Random(20240602)
     for _ in range(20):
         n, N = rng.randint(2, 3), rng.randint(3, 5)
@@ -74,7 +78,7 @@ def test_gap_components_match_hole_oracle():
         for h in holes:  # complete: every hole lies in some component's class
             assert any(bf._bf_in_span([cols[j] for j in c.face.indices], il.vsub(h, c.base))
                        for c in comps), (m, h)
-    assert compared >= 20
+    assert compared >= 30
 
 
 def test_region_agreement_coprime_pair():

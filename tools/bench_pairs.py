@@ -1,0 +1,100 @@
+"""Paired benchmark runs of two source trees, summarised into one JSON file.
+
+Runs ``perfbench/run.py`` (``--trace 0``) from an old and a new root for each
+workload and seed, alternating which root goes first from pair to pair so
+that slow drift of a shared host falls on both sides alike.  Keeps each run's
+result line and machine record, and writes, per workload and seed, the
+median and quartiles of every end-to-end metric on each side, the ratio of
+the medians, and how many pairs the new tree won.  Standard library only.
+
+    python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
+        --seeds 1,2 --pairs 10 --seconds 25 --out BENCH.json
+
+A root is a checkout holding ``perfbench/run.py`` and ``src/gkzfactors``,
+such as a ``git archive`` of another commit.  The metrics and which way is
+better are read from the new root's ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one run, with its machine record under "record"."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, check=True)
+    *_, record, result = done.stdout.strip().splitlines()
+    return dict(json.loads(result), record=json.loads(record)["record"])
+
+
+def spread(values: list) -> dict:
+    """Median and quartiles (inclusive method) of a list of numbers."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list, end_to_end: list) -> dict:
+    """Per metric: each side's spread, the ratio new/old of the medians, and
+    the pairs in which the new run was better."""
+    out = {}
+    for metric in end_to_end:
+        name, higher = metric["name"], metric["better"] == "higher"
+        old = [p["old"]["metrics"][name]["value"] for p in pairs]
+        new = [p["new"]["metrics"][name]["value"] for p in pairs]
+        old_s, new_s = spread(old), spread(new)
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+        out[name] = {"unit": metric["unit"], "better": metric["better"],
+                     "old": old_s, "new": new_s,
+                     "ratio": new_s["median"] / old_s["median"] if old_s["median"] else None,
+                     "new_wins": wins, "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old", type=Path, help="root of the reference tree")
+    p.add_argument("new", type=Path, help="root of the tree under test")
+    p.add_argument("--workloads", required=True, help="comma-separated workload names")
+    p.add_argument("--seeds", default="1", help="comma-separated seeds")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = p.parse_args(argv)
+    spec = json.loads((args.new / "BENCHMARK.json").read_text())
+    roots = {"old": args.old, "new": args.new}
+
+    report = {"seconds": args.seconds, "pairs": args.pairs, "order": "alternating",
+              "runs": {}, "summary": {}}
+    for workload in args.workloads.split(","):
+        for seed in (int(s) for s in args.seeds.split(",")):
+            pairs = []
+            for i in range(args.pairs):
+                sides = ("old", "new") if i % 2 == 0 else ("new", "old")
+                pair = {side: run_once(roots[side], workload, seed, args.seconds)
+                        for side in sides}
+                pairs.append(pair)
+                print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']['value']:.2f}"
+                    for side in ("old", "new")), file=sys.stderr, flush=True)
+            label = f"{workload}/seed{seed}"
+            report["runs"][label] = pairs
+            report["summary"][label] = dict(
+                summarise(pairs, spec["end_to_end"]),
+                all_correct=all(p[s]["correct"] for p in pairs for s in p),
+                failed=sum(p[s]["failed"] for p in pairs for s in p))
+    report["machine"] = next(iter(report["runs"].values()))[0]["old"]["record"]["machine"]
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
