@@ -16,7 +16,8 @@ from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
-from .semigroup import MembershipQuery, find_positive_functional, member
+from .semigroup import MembershipQuery, member
+from .semigroup import find_positive_functional  # noqa: F401  (perfbench/tracing.py rebinds it)
 
 HILBERT_BUDGET = 500_000
 
@@ -73,17 +74,17 @@ class Configuration:
 
     @cached_property
     def _za_inverse(self):
-        """(L, C): v ∈ QA iff C.v = 0, and then L.v are its ZA coordinates."""
-        return il.left_inverse(il.from_columns(self.lattice_basis))
+        """(N, D, C): v ∈ QA iff C.v = 0, and then N[i].v / D[i] are its ZA coordinates."""
+        return il.scaled_left_inverse(il.from_columns(self.lattice_basis))
 
     def lattice_coords(self, v):
         """Rational coordinates of v over the ZA basis, or None if v ∉ QA."""
-        L, C = self._za_inverse
-        v = tuple(v)
-        coords = il.matvec(L, v)
-        if any(sum(map(mul, row, v)) for row in C):
+        N, D, C = self._za_inverse
+        e = lcm(*(x.denominator for x in v))
+        u = [x.numerator * (e // x.denominator) for x in v]  # e.v, in integers
+        if any(sum(map(mul, row, u)) for row in C):
             return None
-        return coords
+        return tuple(Fraction(sum(map(mul, row, u)), d * e) for row, d in zip(N, D))
 
     def column_sum(self):
         """a_A = sum of all columns."""
@@ -189,8 +190,7 @@ class Configuration:
         if not ann:
             inner = [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
         else:
-            rows = tuple(il.clear_denominators(a) for a in ann)
-            inner = il.integer_kernel(tuple(rows))
+            inner = il.integer_kernel(tuple(ann))
         B = il.from_columns(self.lattice_basis)
         return [il.matvec(B, u) for u in inner]
 
@@ -253,36 +253,40 @@ class Configuration:
     def _hilbert_pointed(self, coords) -> list:
         """Hilbert basis of cone(coords) ∩ Z^r for a pointed cone of rank r.
 
-        Takes and returns coordinates on a lattice basis.  Candidates: generators plus
-        the lattice points of the fundamental parallelepipeds of all full-rank
-        generator subsets (these cover the cone by Caratheodory, and each lies
-        in the cone by construction).  The cone's lattice points are exactly
+        Takes and returns coordinates on a lattice basis.  Candidates: the
+        generators plus the lattice points of the fundamental parallelepipeds
+        of the simplicial cones of one pulling triangulation.  They cover the
+        Hilbert basis: a lattice point x of the cone lies in some simplicial
+        cone, x = sum floor(c_i) g_i + p with p in that cone's parallelepiped,
+        so an irreducible x is p or a generator g_i.  Each candidate lies in
+        the cone by construction.  The cone's lattice points are exactly
         those with every facet value l_F >= 0, so a candidate p is reducible
         iff some kept element q has l_F(q) <= l_F(p) for every facet F: then
-        p - q is a nonzero lattice point of the cone.  Candidates are taken in
-        increasing order of a positive functional, so every such q is kept
-        before p.  The parallelepiped points counted may not exceed
-        HILBERT_BUDGET.
+        p - q is a nonzero lattice point of the cone.  Candidates are taken
+        in increasing order of w = sum of the facet functionals, which is
+        positive on every nonzero point of a pointed cone (all l_F vanish only
+        on its lineality space), so every such q is kept before p.  The
+        parallelepiped points counted may not exceed HILBERT_BUDGET.
         """
         coords = sorted({c for c in coords if not il.is_zero_vec(c)})
         if not coords:
             return []
         r = len(coords[0])
-        w = find_positive_functional(coords, r)
-        if w is None:
+        facets = _facet_values(coords, r)
+        w = tuple(sum(y[i] for _zero, y in facets) for i in range(r))
+        if any(il.dot(w, c) <= 0 for c in coords):
             raise DomainError("hilbert basis requires a pointed cone")
+        simplices = [[coords[j] for j in s]
+                     for s in pulling_triangulation([z for z, _y in facets], len(coords))]
+        quots = [il.quotient(r, s) for s in simplices]
+        count = sum(q.torsion_order() for q in quots)
+        if count > HILBERT_BUDGET:
+            raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
+                                        stage="cones.saturation_hilbert_basis",
+                                        used=count, limit=HILBERT_BUDGET)
         candidates = set(coords)
-        count = 0
-        for combo in combinations(coords, r):
+        for combo, quot in zip(simplices, quots):
             M = il.from_columns(combo, dim=r)
-            if il.rational_rank(M) != r:
-                continue
-            quot = il.quotient(r, combo)
-            count += quot.torsion_order()
-            if count > HILBERT_BUDGET:
-                raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
-                                            stage="cones.saturation_hilbert_basis",
-                                            used=count, limit=HILBERT_BUDGET)
             N, D = il.scaled_inverse(M)
             for tor in product(*(range(d) for d in quot.torsion)):
                 # y - M.floor(M^-1 y): the parallelepiped point of y's class
@@ -290,8 +294,7 @@ class Configuration:
                 floor = tuple(il.dot(row, y) // d for row, d in zip(N, D))
                 candidates.add(il.vsub(y, il.matvec(M, floor)))
         candidates.discard(tuple(0 for _ in range(r)))
-        ys = [y for _idx, y in _facet_values(coords, r)]
-        values = {p: tuple(il.dot(y, p) for y in ys) for p in candidates}
+        values = {p: tuple(il.dot(y, p) for _zero, y in facets) for p in candidates}
         basis: list = []
         for p in sorted(candidates, key=lambda p: (il.dot(w, p), p)):
             if not any(all(a <= b for a, b in zip(values[q], values[p])) for q in basis):
@@ -354,8 +357,7 @@ class FaceData:
         """Primitive integer rows w with v ∈ QF iff w.v = 0 for every row."""
         if not self.cols:
             return il.identity(self.config.n)
-        ann = il.rational_kernel(il.transpose(il.from_columns(self.cols, dim=self.config.n)))
-        return tuple(il.clear_denominators(a) for a in ann)
+        return tuple(il.rational_kernel(self.cols))  # the w with w.c = 0 for each column c
 
     def in_span(self, v) -> bool:
         """v ∈ QF for a rational vector v."""
@@ -444,7 +446,7 @@ def _facet_values(coords, r: int) -> list:
         ker = il.rational_kernel(il.freeze(combo)) if combo else [(1,)]
         if len(ker) != 1:
             continue
-        y = il.clear_denominators(ker[0])
+        y = ker[0]
         vals = [il.dot(y, c) for c in coords]
         if all(v <= 0 for v in vals):
             y, vals = il.vneg(y), [-v for v in vals]
@@ -454,3 +456,27 @@ def _facet_values(coords, r: int) -> list:
         if len(zero) < len(coords):
             seen.setdefault(zero, y)
     return sorted(seen.items())
+
+
+def pulling_triangulation(zeros, n: int) -> list:
+    """Simplicial cones of a pulling triangulation of a pointed cone.
+
+    The cone is spanned by n nonzero generators and `zeros` lists the
+    generator indices on each facet.  A face F, as its index set, is coned
+    from its least index v over the triangulations of its facets that miss v;
+    F's facets are the inclusion-maximal sets F ∩ Z ≠ F over the facet zero
+    sets Z.  The facets of F missing v are cut out of F by functionals
+    positive on v, so v ∉ span of such a facet and every simplex found has
+    independent generators.  Returns index tuples, one per simplex.
+    """
+    zeros = [frozenset(z) for z in zeros]
+    memo = {frozenset(): [()]}
+
+    def tri(face):
+        if face not in memo:
+            v = min(face)
+            subs = {face & z for z in zeros} - {face}
+            memo[face] = [(v,) + s for h in subs if v not in h and not any(h < k for k in subs)
+                          for s in tri(h)]
+        return memo[face]
+    return tri(frozenset(range(n)))

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Matrices are tuples of row tuples; vectors are tuples.  Integer routines use
-arbitrary-precision ints; rational routines take and return
-fractions.Fraction, but their Gauss-Jordan elimination runs on integers, each
+arbitrary-precision ints; rational routines take fractions.Fraction and
+return them where the result is rational (kernels come back as primitive
+integer vectors), but their Gauss-Jordan elimination runs on integers, each
 row kept over one denominator, and gives the same results as elimination in
 fractions.  Smith normal forms carry the inverse of their row transform.  All
 results are exact; there is no floating point anywhere.
@@ -428,11 +429,13 @@ def integer_inverse(U: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _rref_ints(rows, width: int) -> tuple[list, list[int], list[int]]:
-    """`_rref` kept fraction-free: returns (rows, denominators, pivots).
+    """Gauss-Jordan over Q on the first `width` columns of `rows`, fraction-free.
 
-    Row r stands for rows[r] / denominators[r] in lowest terms with a positive
-    denominator; each row operation is p.a - a_c.b over den.p followed by one
-    gcd reduction of the row, so every step holds the same rationals as a
+    Returns (rows, denominators, pivots): pivots scaled to 1, the remaining
+    columns carried along, row r holding pivot r.  Row r stands for
+    rows[r] / denominators[r] in lowest terms with a positive denominator;
+    each row operation is p.a - a_c.b over den.p followed by one gcd
+    reduction of the row, so every step holds the same rationals as a
     Gauss-Jordan in fractions would.
     """
     D = [lcm(*(x.denominator for x in row)) for row in rows]
@@ -461,16 +464,6 @@ def _rref_ints(rows, width: int) -> tuple[list, list[int], list[int]]:
     return A, D, pivots
 
 
-def _rref(rows, width: int) -> tuple[list, list[int]]:
-    """Gauss-Jordan over Q on the first `width` columns of `rows`.
-
-    Returns the reduced rows (Fractions, pivots scaled to 1, the remaining
-    columns carried along) and the pivot columns; row r holds pivot r.
-    """
-    A, D, pivots = _rref_ints(rows, width)
-    return [[Fraction(x, d) for x in row] for row, d in zip(A, D)], pivots
-
-
 def rational_solve(M: Mat, b: Vec):
     """Some rational x with M.x = b, or None when inconsistent (free vars -> 0)."""
     n, m = shape(M)
@@ -485,25 +478,30 @@ def rational_solve(M: Mat, b: Vec):
     return tuple(x)
 
 
-def left_inverse(M: Mat) -> tuple[Mat, Mat]:
-    """(L, C) for M of full column rank: M.x = b iff C.b = 0 and x = L.b.
+def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
+    """(N, D, C) for M of full column rank: M.x = b iff C.b = 0, and then
+    x_i = N[i].b / D[i] with D[i] > 0; all entries are integers.
 
     One Gauss-Jordan on [M | I]; x is the solution `rational_solve` returns.
     """
     n, m = shape(M)
-    A, pivots = _rref([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], m)
+    A, D, pivots = _rref_ints([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], m)
     if len(pivots) != m:
         raise DimensionMismatchError("left_inverse: columns are linearly dependent")
-    return tuple(tuple(row[m:]) for row in A[:m]), tuple(tuple(row[m:]) for row in A[m:])
+    return [row[m:] for row in A[:m]], D[:m], [row[m:] for row in A[m:]]
+
+
+def left_inverse(M: Mat) -> tuple[Mat, Mat]:
+    """(L, C) for M of full column rank: M.x = b iff C.b = 0 and x = L.b."""
+    N, D, C = scaled_left_inverse(M)
+    return tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(N, D)), freeze(C)
 
 
 def scaled_inverse(M: Mat) -> tuple[list, list[int]]:
     """(N, D) for an invertible square M: row i of M's inverse is N[i] / D[i], D[i] > 0."""
-    n, m = shape(M)
-    A, D, pivots = _rref_ints([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
-    if n != m or len(pivots) != n:
+    if len(M) != shape(M)[1]:
         raise DimensionMismatchError("scaled_inverse: matrix not invertible")
-    return [row[n:] for row in A], D
+    return scaled_left_inverse(M)[:2]
 
 
 def rational_rank(M: Mat) -> int:
@@ -511,16 +509,19 @@ def rational_rank(M: Mat) -> int:
 
 
 def rational_kernel(M: Mat) -> list[Vec]:
-    """Basis of {x in Q^m : M.x = 0}."""
+    """Basis of {x in Q^m : M.x = 0}: one primitive integer vector per free
+    column, positive there, zero at the other free columns."""
     m = shape(M)[1]
     A, D, pivots = _rref_ints(M, m)
     basis = []
     for free in sorted(set(range(m)) - set(pivots)):
-        v = [Fraction(0)] * m
-        v[free] = Fraction(1)
+        e = lcm(*(d for row, d in zip(A, D) if row[free]))
+        v = [0] * m
+        v[free] = e
         for r, c in enumerate(pivots):
-            v[c] = Fraction(-A[r][free], D[r])
-        basis.append(tuple(v))
+            v[c] = -A[r][free] * (e // D[r])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 

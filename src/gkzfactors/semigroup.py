@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import intlin as il
@@ -57,7 +57,13 @@ class MembershipQuery:
 def find_positive_functional(vectors, dim: int):
     """Rational w with w.v >= 1 for every v in vectors, or None.
 
-    Fourier-Motzkin elimination with witness back-substitution; exact.
+    Fourier-Motzkin elimination with witness back-substitution; exact.  After
+    each elimination step a constraint that is a positive multiple of one
+    already kept is dropped (both are scaled to coprime integers to compare).
+    This leaves w unchanged: a multiple gives the same back-substitution bound
+    (c - sum coeffs_j.w_j) / coeffs_var, and the products it would form are
+    multiples of those of the kept one, so each later step sees the same
+    constraints up to multiples and each lo, hi (a max, a min) is the same.
     """
     vectors = [tuple(v) for v in vectors]
     if not vectors:
@@ -83,7 +89,13 @@ def find_positive_functional(vectors, dim: int):
                 coeffs = [b * x + a * y for x, y in zip(pc, nc)]
                 coeffs[var] = Fraction(0)
                 new.append((coeffs, b * pconst + a * nconst))
-        cons = new
+        kept: dict = {}
+        for coeffs, c in new:
+            e = lcm(c.denominator, *(x.denominator for x in coeffs))
+            ints = [int(x * e) for x in (*coeffs, c)]
+            g = gcd(*ints) or 1
+            kept.setdefault(tuple(x // g for x in ints), (coeffs, c))
+        cons = list(kept.values())
     for coeffs, c in cons:
         if c > 0:  # 0 >= c > 0: infeasible
             return None

@@ -1,10 +1,14 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkzfactors import cones
 from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
-from gkzfactors.errors import DomainError
+from gkzfactors.errors import ComputationLimitError, DomainError
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -109,6 +113,72 @@ def test_non_pointed_configuration():
     config = Configuration([[0, 2, -2], [1, 0, 0]])
     assert sorted(config.saturation_hilbert_basis()) == [(-2, 0), (0, 1), (2, 0)]
     assert config.is_normal() == (True, None)
+
+
+def test_non_pointed_hilbert_basis_pinned():
+    # the cone is the line R.e1 times the quadrant spanned by (1,0),(0,2),(1,1)
+    # in the last two coordinates; ZA = Z^3, so modulo Z.e1 the saturation is
+    # generated by e2 and e3, which lift to themselves, and e3 is a hole
+    config = Configuration([[1, -1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 2, 1]])
+    assert config.minimal_face().indices == (0, 1)
+    assert config.saturation_hilbert_basis() == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, 0, 0)]
+    assert config.is_normal() == (False, (0, 0, 1))
+    with pytest.raises(DomainError):  # the line R.e1 has facet values 0
+        config._hilbert_pointed([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def _homogeneous_draws(seed: int, rows: int, cols: int, count: int) -> list:
+    """Full-rank matrices with an all-ones first row, other entries in [-2, 2]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = [[1] * cols] + [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows - 1)]
+        if il.rational_rank(il.freeze(m)) == rows:
+            out.append(m)
+    return out
+
+
+def _triangulation_volume(cols) -> int:
+    """Sum of |det| over the pulling triangulation of full-rank columns, in that order."""
+    r = len(cols[0])
+    zeros = [z for z, _y in cones._facet_values(cols, r)]
+    total = 0
+    for simplex in cones.pulling_triangulation(zeros, len(cols)):
+        gens = [cols[j] for j in simplex]
+        assert len(gens) == r and il.rational_rank(il.from_columns(gens)) == r
+        total += il.quotient(r, gens).torsion_order()
+    return total
+
+
+def test_pulling_triangulation_volume_is_order_free():
+    # on a homogeneous configuration sum |det| over a triangulation is the
+    # normalized volume, the same for every pulling order, and it never
+    # exceeds the sum over all full-rank r-subsets
+    for seed, rows, cols, count in ((1, 3, 5, 3), (2, 3, 6, 2), (3, 4, 5, 3)):
+        for m in _homogeneous_draws(seed, rows, cols, count):
+            columns = il.columns(il.freeze(m))
+            volumes = {_triangulation_volume([columns[j] for j in perm])
+                       for perm in permutations(range(cols))}
+            assert len(volumes) == 1, m
+            subsets = sum(il.quotient(rows, s).torsion_order()
+                          for s in combinations(columns, rows)
+                          if il.rational_rank(il.from_columns(s)) == rows)
+            assert volumes.pop() <= subsets, m
+
+
+def test_hilbert_budget_counts_one_triangulation(monkeypatch):
+    m = [[1, 1, 1, 1, 1], [0, 3, 0, 3, 1], [0, 0, 3, 3, 1]]
+    config = Configuration(m)
+    coords = sorted({tuple(int(x) for x in config.lattice_coords(c)) for c in config.cols})
+    count = _triangulation_volume(coords)
+    assert count == 6  # two simplicial cones of index 3 each
+    monkeypatch.setattr(cones, "HILBERT_BUDGET", count - 1)
+    with pytest.raises(ComputationLimitError) as err:
+        config.saturation_hilbert_basis()
+    assert (err.value.stage, err.value.used, err.value.limit) == (
+        "cones.saturation_hilbert_basis", count, count - 1)
+    monkeypatch.setattr(cones, "HILBERT_BUDGET", count)
+    assert Configuration(m).saturation_hilbert_basis()
 
 
 def test_face_span_lattice_saturated():

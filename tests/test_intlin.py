@@ -109,6 +109,8 @@ def test_rational_solve_and_kernel():
     assert il.rational_solve(M, (1, 0)) is None
     ker = il.rational_kernel(M)
     assert len(ker) == 1
+    # primitive integer vectors: scaled to (-2, -2, 2, 0) the first has content 2
+    assert il.rational_kernel(((2, 0, 2, 1), (0, 2, 2, 1))) == [(-1, -1, 1, 0), (-1, -1, 0, 2)]
 
 
 def test_integral_system_solve():
@@ -219,9 +221,10 @@ def test_rref_matches_fraction_gauss_jordan():
     for _ in range(20_000):
         rows, width = _random_rational_rows(rng)
         want = _rref_fractions(rows, width)
-        got = il._rref(rows, width)
+        A, D, pivots = il._rref_ints(rows, width)
+        assert all(type(x) is int for row in A for x in row) and all(d > 0 for d in D)
+        got = ([[Fraction(x, d) for x in row] for row, d in zip(A, D)], pivots)
         assert got == want, (rows, width)
-        assert all(type(x) is Fraction for row in got[0] for x in row)
         if width == len(rows[0]):
             assert il.rational_rank(il.freeze(rows)) == len(want[1])
 

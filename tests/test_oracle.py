@@ -35,6 +35,15 @@ def test_bf_hilbert_basis_matches_production():
         m = [[rng.randint(1, 2) for _ in range(N)]]
         m += [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n - 1)]
         randoms.append(m)
+    rng = random.Random(20261018)
+    for _ in range(3):  # 4-row draws; the oracle's facet search takes about 1 s each
+        N = rng.randint(4, 5)
+        randoms.append([[1] * N] + [[rng.randint(-1, 1) for _ in range(N)] for _ in range(3)])
+    randoms += [m[::-1] for m in randoms[:4]]  # the positive row last
+    for m in randoms[:6]:  # repeated rays (columns a and 2a), then a zero column
+        a = rng.randrange(len(m[0]))
+        randoms.append([row + [2 * row[a]] for row in m])
+        randoms.append([row + [0] for row in m])
     for m in fixtures + randoms:
         config = Configuration(m)
         assert config.is_pointed(), m

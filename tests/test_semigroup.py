@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,3 +119,51 @@ def test_member_agrees_with_oracle_randomized():
             else:
                 assert not bf.bf_member(q, target, R), (q, target)
             agreements += 1
+
+
+def _positive_functional_unpruned(vectors, dim: int):
+    """Fourier-Motzkin with back-substitution, keeping every constraint."""
+    cons = [([Fraction(x) for x in v], Fraction(1)) for v in vectors]
+    stack = []
+    for var in range(dim - 1, -1, -1):
+        pos = [(a, c) for a, c in cons if a[var] > 0]
+        neg = [(a, c) for a, c in cons if a[var] < 0]
+        stack.append((var, pos, neg))
+        cons = [(a, c) for a, c in cons if a[var] == 0]
+        for pa, pc in pos:
+            for na, nc in neg:
+                s, t = -na[var], pa[var]
+                cons.append(([s * x + t * y for x, y in zip(pa, na)], s * pc + t * nc))
+    if any(c > 0 for _a, c in cons):
+        return None
+    w = [Fraction(0)] * dim
+    for var, pos, neg in reversed(stack):
+        bounds = [((c - sum(a[j] * w[j] for j in range(dim) if j != var)) / a[var], a[var] > 0)
+                  for a, c in pos + neg]
+        lo = max((b for b, up in bounds if up), default=None)
+        hi = min((b for b, up in bounds if not up), default=None)
+        if lo is None and hi is None:
+            w[var] = Fraction(0)
+        elif lo is None:
+            w[var] = hi - 1
+        elif hi is None:
+            w[var] = lo
+        else:
+            w[var] = (lo + hi) / 2
+    return tuple(w)
+
+
+def test_positive_functional_pruning_keeps_w():
+    # dropping positive multiples after each elimination step changes no
+    # back-substitution bound, so w is the one plain elimination gives
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+        w = sg.find_positive_functional(vectors, dim)
+        assert w == _positive_functional_unpruned(vectors, dim), vectors
+        if w is not None:
+            found += 1
+            assert all(sum(a * x for a, x in zip(w, v)) >= 1 for v in vectors)
+    assert found > 80
