@@ -309,11 +309,6 @@ def _bf_set_test(matrix, set_name: str, cfg: OracleConfig):
     raise DomainError(f"unknown set name: {set_name}")
 
 
-def bf_in_set(matrix, set_name: str, gamma,
-              cfg: OracleConfig = OracleConfig()) -> bool:
-    return _bf_set_test(matrix, set_name, cfg)(gamma)
-
-
 def bf_region(matrix, set_name: str, box, cfg: OracleConfig = OracleConfig()):
     """Integer-grid verdicts for a resonance locus, from first principles."""
     test = _bf_set_test(matrix, set_name, cfg)

@@ -49,6 +49,11 @@ def _vec(v):
 
 
 def _parse_vec(v):
+    """A list of exact rationals, or one comma-separated string of them."""
+    if isinstance(v, str):
+        v = v.split(",")
+    if not isinstance(v, list):
+        raise DomainError(f"expected a list of exact rationals, not {v!r}")
     return tuple(_parse_fr(x) for x in v)
 
 
@@ -122,7 +127,7 @@ def _load_document(path: str) -> dict:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise DomainError("input document must be an object with a 'matrix'")
     m = doc["matrix"]
-    if (not m or not all(isinstance(r, list) for r in m)
+    if (not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m)
             or len({len(r) for r in m}) != 1
             or not all(type(x) is int for r in m for x in r)):  # no bools
         raise DomainError("'matrix' must be a rectangular integer array")
@@ -138,8 +143,6 @@ def _gamma(doc: dict, args, config: Configuration):
     if raw is None:
         raise DomainError("a parameter is required ('gamma' in the document "
                           "or --gamma)")
-    if isinstance(raw, str):
-        raw = raw.split(",")
     v = _parse_vec(raw)
     if len(v) != config.n:
         raise DomainError("parameter length does not match the matrix")
@@ -150,8 +153,6 @@ def _character(doc: dict, args, config: Configuration) -> factors.LocalSystemCla
     raw = getattr(args, "character", None) or doc.get("character")
     if raw is None:
         return factors.trivial_class(config)
-    if isinstance(raw, str):
-        raw = raw.split(",")
     v = _parse_vec(raw)
     if len(v) != config.n:
         raise DomainError("character length does not match the matrix")

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
 from .semigroup import MembershipQuery, member
-from .semigroup import find_positive_functional  # noqa: F401  (perfbench/tracing.py rebinds it)
+# not called here; perfbench/tracing.py binds this name and fails when it is missing
+from .semigroup import find_positive_functional  # noqa: F401
 
 HILBERT_BUDGET = 500_000
 
@@ -45,6 +46,7 @@ class FacetFunctional:
 
     face: Face
     l: tuple  # of Fraction
+    y: tuple  # the same functional on the ZA basis: primitive integers
 
     def value(self, v) -> Fraction:
         return sum(Fraction(a) * Fraction(x) for a, x in zip(self.l, v, strict=True))
@@ -77,6 +79,12 @@ class Configuration:
         """(N, D, C): v ∈ QA iff C.v = 0, and then N[i].v / D[i] are its ZA coordinates."""
         return il.scaled_left_inverse(il.from_columns(self.lattice_basis))
 
+    @cached_property
+    def col_coords(self) -> tuple:
+        """The integer coordinates of the columns over the ZA basis."""
+        N, D, _C = self._za_inverse
+        return tuple(tuple(sum(map(mul, row, c)) // d for row, d in zip(N, D)) for c in self.cols)
+
     def lattice_coords(self, v):
         """Rational coordinates of v over the ZA basis, or None if v ∉ QA."""
         N, D, C = self._za_inverse
@@ -88,29 +96,24 @@ class Configuration:
 
     def column_sum(self):
         """a_A = sum of all columns."""
-        s = tuple(0 for _ in range(self.n))
-        for c in self.cols:
-            s = il.vadd(s, c)
-        return s
+        return tuple(map(sum, zip(*self.cols)))
 
     # -- faces ------------------------------------------------------------------
 
     def facets(self) -> list[FacetFunctional]:
         if "facets" in self._cache:
             return self._cache["facets"]
-        col_coords = [tuple(int(x) for x in self.lattice_coords(c)) for c in self.cols]
         out = []
-        for face_idx, y in _facet_values(col_coords, self.rank):
+        for face_idx, y in _facet_values(self.col_coords, self.rank):
             l = self._extend_functional(y)
             face = Face(indices=face_idx, codim=1, witness=il.clear_denominators(l))
-            out.append(FacetFunctional(face=face, l=l))
+            out.append(FacetFunctional(face=face, l=l, y=y))
         self._cache["facets"] = out
         return out
 
     def _extend_functional(self, y):
         """A rational h on Q^n whose values on the ZA basis are y."""
-        rows = il.freeze([tuple(Fraction(x) for x in b) for b in self.lattice_basis])
-        h = il.rational_solve(rows, tuple(Fraction(v) for v in y))
+        h = il.rational_solve(il.freeze(self.lattice_basis), y)
         assert h is not None
         return h
 
@@ -174,26 +177,6 @@ class Configuration:
         """Basis of QF ∩ ZA (the saturated face lattice inside ZA)."""
         return self.face_data(face.indices).span_lat
 
-    def _intersect_with_lattice(self, sat_basis):
-        """Basis of span(sat_basis) ∩ ZA, computed in ZA coordinates."""
-        if not sat_basis:
-            return []
-        coords = []
-        for v in sat_basis:
-            c = self.lattice_coords(v)
-            if c is None:
-                raise DomainError("face span escapes QA")
-            coords.append(c)
-        # saturated sublattice of Z^r spanning the same Q-span:
-        M = il.from_columns([il.clear_denominators(c) for c in coords], dim=self.rank)
-        ann = il.rational_kernel(il.transpose(M))
-        if not ann:
-            inner = [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
-        else:
-            inner = il.integer_kernel(tuple(ann))
-        B = il.from_columns(self.lattice_basis)
-        return [il.matvec(B, u) for u in inner]
-
     # -- predicates ---------------------------------------------------------------
 
     def is_simplicial_family(self, faces) -> bool:
@@ -232,28 +215,29 @@ class Configuration:
         """
         if "hilbert" in self._cache:
             return self._cache["hilbert"]
-        unit_basis = [] if self.is_pointed() else self.face_span_lattice(self.minimal_face())
         # work in coordinates on the ZA basis
         B = il.from_columns(self.lattice_basis)
-        coords = [tuple(int(x) for x in self.lattice_coords(v)) for v in self.cols]
-        if not unit_basis:
-            out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords))
+        coords = self.col_coords
+        if self.is_pointed():
+            ys = [f.y for f in self.facets()]
+            out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords, ys))
         else:
             # the unit lattice is saturated in ZA, so the quotient by it is
             # free and every class lifts to ZA; facet values depend only on
             # the class
-            units = [tuple(int(x) for x in self.lattice_coords(u)) for u in unit_basis]
-            quot = il.quotient(self.rank, units)
+            units = self.face_data(self.minimal_face().indices)
+            quot = il.quotient(self.rank, units.inner)
             gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords])
             lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
-            out = sorted(lifts) + sorted(unit_basis) + sorted(il.vneg(u) for u in unit_basis)
+            out = sorted(lifts) + sorted(units.span_lat) + sorted(il.vneg(u) for u in units.span_lat)
         self._cache["hilbert"] = out
         return out
 
-    def _hilbert_pointed(self, coords) -> list:
+    def _hilbert_pointed(self, coords, ys=None) -> list:
         """Hilbert basis of cone(coords) ∩ Z^r for a pointed cone of rank r.
 
-        Takes and returns coordinates on a lattice basis.  Candidates: the
+        Takes and returns coordinates on a lattice basis; `ys`, when given,
+        are the cone's primitive facet functionals.  Candidates: the
         generators plus the lattice points of the fundamental parallelepipeds
         of the simplicial cones of one pulling triangulation.  They cover the
         Hilbert basis: a lattice point x of the cone lies in some simplicial
@@ -272,7 +256,10 @@ class Configuration:
         if not coords:
             return []
         r = len(coords[0])
-        facets = _facet_values(coords, r)
+        if ys is None:
+            facets = _facet_values(coords, r)
+        else:
+            facets = [(tuple(j for j, c in enumerate(coords) if not il.dot(y, c)), y) for y in ys]
         w = tuple(sum(y[i] for _zero, y in facets) for i in range(r))
         if any(il.dot(w, c) <= 0 for c in coords):
             raise DomainError("hilbert basis requires a pointed cone")
@@ -314,11 +301,6 @@ class Configuration:
         self._cache["normal"] = (verdict, hole)
         return self._cache["normal"]
 
-    def saturated(self) -> "Configuration":
-        """Â: the configuration augmented with the saturation generators."""
-        extra = [g for g in self.saturation_hilbert_basis() if g not in self.cols]
-        return Configuration(il.from_columns(self.cols + extra, dim=self.n))
-
 
 class FaceData:
     """Lattice data of the columns at `indices`, each field computed on first use.
@@ -342,13 +324,22 @@ class FaceData:
     def query(self, generators) -> MembershipQuery:
         """N.generators + Z.lattice_part; one object per generator tuple.
 
-        Reusing the object reuses its reduction across targets.
+        Reusing the object reuses its reduction across targets.  Its
+        functional h is the sum of the facet witnesses over `indices`, a face
+        F (or (), standing for the minimal face).  Each witness is >= 0 on
+        the cone and 0 on F, so h vanishes on the lattice part; a point of
+        the cone with h = 0 lies on every facet containing F, hence in F,
+        whose span holds the lattice part.  So h is positive on the nonzero
+        images of generators taken from the cone.
         """
         key = tuple(generators)
         q = self._queries.get(key)
         if q is None:
-            q = MembershipQuery(shift=(0,) * self.config.n,
-                                generators=key, lattice_part=self.lattice_part)
+            h = (0,) * self.config.n
+            for f in self.facets_over:
+                h = il.vadd(h, f.face.witness)
+            q = MembershipQuery(shift=(0,) * self.config.n, generators=key,
+                                lattice_part=self.lattice_part, functional=h)
             self._queries[key] = q
         return q
 
@@ -379,28 +370,42 @@ class FaceData:
         along the pivots: one representative per class.  `order` is the least
         k >= 1 with k.v in ZF, the lcm of the denominators of v's exact
         coordinates over the HNF basis, or None when v is not in QF.
+
+        Runs in integers: `canonical` as e.v, e the lcm of v's denominators,
+        and the exact remainder as X / den in lowest terms.
         """
-        canonical = exact = [Fraction(x) for x in v]
-        order = 1
+        e = lcm(*(x.denominator for x in v))
+        canonical = exact = [x.numerator * (e // x.denominator) for x in v]
+        den, order = e, 1
         for r, col in self.hnf:
-            t, c = canonical[r] // col[r], exact[r] / col[r]
-            canonical = [x - t * y for x, y in zip(canonical, col)]
-            exact = [x - c * y for x, y in zip(exact, col)]
-            order = lcm(order, c.denominator)
-        return tuple(canonical), (None if any(exact) else order)
+            t = canonical[r] // (e * col[r])
+            if t:
+                canonical = [x - t * e * y for x, y in zip(canonical, col)]
+            if exact[r]:
+                g = gcd(exact[r], den * col[r])
+                a, q = exact[r] // g, den * col[r] // g  # the coordinate a / q, in lowest terms
+                exact = [q * x - a * den * y for x, y in zip(exact, col)]
+                g = gcd(den * q, *exact)
+                exact, den, order = [x // g for x in exact], den * q // g, lcm(order, q)
+        return tuple(Fraction(x, e) for x in canonical), (None if any(exact) else order)
+
+    @cached_property
+    def inner(self) -> list:
+        """A basis of QF ∩ ZA in coordinates on the ZA basis: the saturated
+        lattice cut out by the annihilator of the columns' coordinates."""
+        config = self.config
+        if not self.cols:
+            return []
+        ann = il.rational_kernel([config.col_coords[j] for j in self.indices])
+        if not ann:
+            return il.columns(il.identity(config.rank))
+        return il.integer_kernel(tuple(ann))
 
     @cached_property
     def span_lat(self) -> list:
         """Basis of QF ∩ ZA, as ambient vectors."""
-        config = self.config
-        if not self.cols:
-            return []
-        if not self.annihilator:
-            candidates = il.columns(il.identity(config.n))
-        else:
-            candidates = il.integer_kernel(self.annihilator)
-        # candidates span QF ∩ Z^n; intersect with ZA
-        return config._intersect_with_lattice(candidates)
+        B = il.from_columns(self.config.lattice_basis)
+        return [il.matvec(B, u) for u in self.inner]
 
     @cached_property
     def a_F(self) -> tuple:
@@ -410,20 +415,20 @@ class FaceData:
     @cached_property
     def deltas(self) -> list:
         """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors."""
-        if not self.span_lat:
+        if not self.inner:
             return [tuple(0 for _ in range(self.config.n))]
+        # the columns' coordinates on `inner`, exact integers
+        N, D, _C = il.scaled_left_inverse(il.from_columns(self.inner))
+        coords = [tuple(sum(map(mul, row, self.config.col_coords[j])) // d
+                        for row, d in zip(N, D)) for j in self.indices]
+        quot = il.quotient(len(self.inner), coords)
         S = il.from_columns(self.span_lat, dim=self.config.n)
-        L, _ = il.left_inverse(S)  # the columns lie in the span of S
-        coords = [tuple(int(x) for x in il.matvec(L, c)) for c in self.cols]
-        quot = il.quotient(len(self.span_lat), coords)
         return [il.matvec(S, t) for t in quot.coset_representatives()]
 
     @cached_property
     def class_quotient(self) -> il.LatticeQuotient:
         """ZA (in coordinates on its basis) modulo QF ∩ ZA."""
-        config = self.config
-        coords = [tuple(int(x) for x in config.lattice_coords(v)) for v in self.span_lat]
-        return il.quotient(config.rank, coords)
+        return il.quotient(self.config.rank, self.inner)
 
     @cached_property
     def facets_over(self) -> list[FacetFunctional]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -187,11 +188,6 @@ def column_lattice_basis(M: Mat) -> list[Vec]:
     return [c for c in columns(H) if not is_zero_vec(c)]
 
 
-def lattice_member(B, v: Vec) -> bool:
-    """True iff v lies in the Z-span of the vectors in B."""
-    return lattice_coordinates(B, v) is not None
-
-
 def lattice_coordinates(B, v: Vec):
     """Integer coefficients expressing v over B, or None."""
     B = list(B)
@@ -199,7 +195,7 @@ def lattice_coordinates(B, v: Vec):
         return [] if is_zero_vec(v) else None
     n = len(B[0])
     if len(v) != n or any(len(b) != n for b in B):
-        raise DimensionMismatchError("lattice_member: ambient dimensions differ")
+        raise DimensionMismatchError("lattice_coordinates: ambient dimensions differ")
     M = from_columns(B)
     H, U = hermite_normal_form(M)
     w = list(v)
@@ -366,21 +362,13 @@ class LatticeQuotient:
         return matvec(self._Uinv, tuple(y))
 
     def torsion_order(self) -> int:
-        order = 1
-        for d in self.torsion:
-            order *= d
-        return order
+        return prod(self.torsion)
 
     def coset_representatives(self) -> list[Vec]:
         """All cosets as ambient representatives; requires free rank 0."""
         if self.free_rank != 0:
             raise DomainError("coset enumeration requires a finite quotient")
-        reps = []
-        from itertools import product
-
-        for tor in product(*(range(d) for d in self.torsion)):
-            reps.append(self.section((), tor))
-        return reps
+        return [self.section((), tor) for tor in product(*(range(d) for d in self.torsion))]
 
 
 def quotient(ambient_rank: int, B) -> LatticeQuotient:
@@ -487,14 +475,8 @@ def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
     n, m = shape(M)
     A, D, pivots = _rref_ints([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], m)
     if len(pivots) != m:
-        raise DimensionMismatchError("left_inverse: columns are linearly dependent")
+        raise DimensionMismatchError("scaled_left_inverse: columns are linearly dependent")
     return [row[m:] for row in A[:m]], D[:m], [row[m:] for row in A[m:]]
-
-
-def left_inverse(M: Mat) -> tuple[Mat, Mat]:
-    """(L, C) for M of full column rank: M.x = b iff C.b = 0 and x = L.b."""
-    N, D, C = scaled_left_inverse(M)
-    return tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(N, D)), freeze(C)
 
 
 def scaled_inverse(M: Mat) -> tuple[list, list[int]]:
@@ -564,13 +546,7 @@ def integral_system_solve(M: Mat, b: Vec):
 def clear_denominators(v) -> Vec:
     """Scale a rational vector to a primitive integer vector (positive gcd)."""
     v = [Fraction(x) for x in v]
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    e = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (e // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)

@@ -9,9 +9,11 @@ certifies termination.
 The reduction (quotient, generator images, functional) depends only on the
 generators and the lattice part, so a query computes it once and reuses it
 for every target; `cones.FaceData.query` keeps one query per face and
-generator set.  The functional is scaled to integers, each generator's
-height under it is precomputed, and the search carries integer heights and
-integer state keys, so it does no rational arithmetic.
+generator set.  A face query brings its functional, the sum of the facet
+witnesses over the face; only a query built by hand leaves it to
+Fourier-Motzkin elimination.  Each generator's integer height is
+precomputed, and the search carries integer heights and integer state keys,
+so it does no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -36,11 +38,16 @@ class MembershipQuery:
     shift: tuple
     generators: tuple
     lattice_part: tuple = ()
+    # an integer h on the ambient space, zero on the lattice part and
+    # positive on every generator outside its span; None: find one by FM
+    functional: tuple | None = None
 
     def __post_init__(self):
         dims = {len(self.shift)}
         dims.update(len(g) for g in self.generators)
         dims.update(len(v) for v in self.lattice_part)
+        if self.functional is not None:
+            dims.add(len(self.functional))
         if len(dims) != 1:
             raise DimensionMismatchError("membership query mixes ambient dimensions")
 
@@ -123,22 +130,32 @@ class _Reduced:
     """The part of a query that every target shares, in integers.
 
     Each generator's free and torsion image in the quotient by the lattice
-    part, and its height under the positive functional scaled to integers by
-    the lcm of its denominators.  A state's height is w.free; a step down by
-    a generator lowers it by that generator's height, and a step to a
-    negative height is pruned.
+    part, and its height under an integer functional w on the free part: a
+    state's height is w.free, a step down by a generator lowers it by that
+    generator's height, and a step to a negative height is pruned.  Given
+    `MembershipQuery.functional` h, w_i = h(section(e_i, 0)); h vanishes on
+    the lattice part, hence on torsion, so w.free(g) = h(g).  Otherwise w is
+    the Fourier-Motzkin functional scaled to integers.  A nonzero free image
+    must have height >= 1.
     """
 
     def __init__(self, q: MembershipQuery):
         quot = il.quotient(q.dim, q.lattice_part)
         self.images = [quot.project(g) for g in q.generators]
-        w = find_positive_functional([f for f, _t in self.images if not il.is_zero_vec(f)],
-                                     quot.free_rank)
-        if w is None:
+        free = [f for f, _t in self.images if not il.is_zero_vec(f)]
+        if q.functional is not None:
+            zero = (0,) * len(quot.torsion)
+            w = tuple(il.dot(q.functional, quot.section(e, zero))
+                      for e in il.identity(quot.free_rank))
+        else:
+            w = find_positive_functional(free, quot.free_rank)
+            if w is not None:
+                scale = lcm(*(x.denominator for x in w))
+                w = tuple(int(x * scale) for x in w)
+        if w is None or any(sum(map(mul, w, f)) <= 0 for f in free):
             raise NonPointedError("cone of generators is not pointed modulo the lattice part")
-        scale = lcm(*(x.denominator for x in w))
         self.quotient = quot
-        self.w = tuple(int(x * scale) for x in w)
+        self.w = w
         self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
         # a nonzero free image has height >= 1, a zero one height 0, so a
         # state of height >= 0 reached from height h differs from the start

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON shape, determinism, fixtures."""
 
+import contextlib
 import copy
 import io
 import json
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzfactors import cli
 
@@ -97,6 +101,75 @@ def test_rank_zero_matrix_is_invalid_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+def _assert_invalid(path, argvs, capsys):
+    for argv in argvs:
+        code = cli.main(argv + [str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+def test_scalar_matrix_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"matrix": 5}))
+    _assert_invalid(path, DOCUMENT_COMMANDS, capsys)
+
+
+def test_scalar_gamma_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[2, 3]], gamma=3))
+    _assert_invalid(path, [["resonance"], ["factors", "dmod"]], capsys)
+
+
+def test_scalar_character_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[2, 3]], character=3))
+    _assert_invalid(path, [["factors", "perverse"]], capsys)
+
+
+# small documents that are often malformed: scalars where lists belong,
+# empty rows and columns, booleans, duplicate columns, malformed parameters
+_entries = st.sampled_from([1, 0, -1, 2, -2])
+_scalars = st.one_of(st.none(), st.booleans(), _entries, st.text(max_size=3))
+_rows = st.one_of(_scalars, st.lists(st.one_of(_entries, _entries, st.booleans()), max_size=3))
+_duplicated = st.lists(st.lists(_entries, min_size=1, max_size=2), min_size=1, max_size=2).map(
+    lambda cols: [list(r) for r in zip(*(cols + cols[:1]))])  # the first column twice
+_matrices = st.one_of(_duplicated, _duplicated, _duplicated, _scalars, st.lists(_rows, max_size=3))
+_rationals = st.one_of(_entries, st.sampled_from(["1/2", "-3/2", "1/0", "x", "", True]))
+_vectors = st.lists(_entries, min_size=1, max_size=2)
+_params = st.one_of(_vectors, _vectors, _vectors, _scalars,
+                    st.lists(_rationals, min_size=1, max_size=2),
+                    st.lists(_rationals, min_size=1, max_size=2).map(lambda v: ",".join(map(str, v))))
+
+
+# the document commands that read their parameters from the document
+_commands = st.sampled_from([["faces"], ["normality"], ["resonance"], ["factors", "dmod"],
+                             ["factors", "perverse"], ["factors", "compare"], ["gap-factors"]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commands, _matrices, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
+def test_cli_fuzz_ends_in_a_documented_exit(argv, matrix, gamma, character):
+    # every document ends in exit 0 with JSON on stdout, or in a typed error
+    doc = {"matrix": matrix}
+    for key, value in (("gamma", gamma), ("character", character)):
+        if value is not None:
+            doc[key] = value
+    out, err, old = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["-", "--json"])
+    finally:
+        sys.stdin = old
+    assert code in (0, 2, 3, 4), (argv, doc)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(("error:", "computation limit"))
 
 
 # the parameter each fixture pins: its resonance/dmod γ, or for the fixtures

@@ -1,14 +1,19 @@
 import random
+import time
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gkzfactors import bruteforce as bf
 from gkzfactors import cones
 from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import ComputationLimitError, DomainError
+from gkzfactors.semigroup import MembershipQuery, member
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -77,8 +82,10 @@ def test_hilbert_basis_and_normality():
 
 
 def test_saturated_configuration_is_normal():
+    # Â: the configuration augmented with the saturation generators
     for config in (A23, A46, AW):
-        sat = config.saturated()
+        extra = [g for g in config.saturation_hilbert_basis() if g not in config.cols]
+        sat = Configuration(il.from_columns(config.cols + extra, dim=config.n))
         assert sat.is_normal()[0] is True
 
 
@@ -239,3 +246,96 @@ def test_face_in_span_matches_rational_solve(rows, v):
             want = (il.rational_solve(il.from_columns(data.cols, dim=config.n), w) is not None
                     if data.cols else il.is_zero_vec(w))
             assert data.in_span(w) == want
+
+
+def test_face_query_functional_matches_fourier_motzkin():
+    # a face query takes its functional from the facet witnesses; the same
+    # query with the Fourier-Motzkin functional prunes other dead states but
+    # reaches every live one in the same order, so verdicts and witnesses agree
+    rng = random.Random(2611)
+    queries = trues = falses = 0
+    while queries < 300:
+        n, N = rng.randint(1, 3), rng.randint(1, 5)
+        try:
+            config = Configuration([[rng.randint(-2, 3) for _ in range(N)] for _ in range(n)])
+        except DomainError:
+            continue
+        faces = config.all_faces()
+        for face in faces:
+            data = config.face_data(face.indices)
+            gen_sets = [config.cols, config.saturation_hilbert_basis()]
+            gen_sets += [config.face_data(g.indices).cols for g in faces
+                         if g.codim < face.codim and set(face.indices) <= set(g.indices)]
+            targets = [tuple(rng.randint(-3, 4) for _ in range(n)) for _ in range(4)]
+            targets.append(tuple(map(sum, zip(*rng.choices(config.cols, k=3)))))
+            for gens in gen_sets:
+                q = data.query(gens)
+                assert q.functional is not None
+                fm = MembershipQuery(shift=q.shift, generators=q.generators,
+                                     lattice_part=q.lattice_part)
+                for target in targets:
+                    got = member(q, target, witness=True)
+                    assert got == member(fm, target, witness=True), (config.matrix, face, gens, target)
+                    trues, falses = trues + got[0], falses + (not got[0])
+                queries += 1
+    assert trues > 300 and falses > 300
+
+
+def _reduce_in_fractions(data, v):
+    """`FaceData.reduce` as the loop over Fractions it replaces."""
+    canonical = exact = [Fraction(x) for x in v]
+    order = 1
+    for r, col in data.hnf:
+        t, c = canonical[r] // col[r], exact[r] / col[r]
+        canonical = [x - t * y for x, y in zip(canonical, col)]
+        exact = [x - c * y for x, y in zip(exact, col)]
+        order = lcm(order, c.denominator)
+    return tuple(canonical), (None if any(exact) else order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs,
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=3, max_size=3),
+       st.integers(0, 4))
+@example([[1, 0, 1], [0, 2, 1]], [Fraction(1, 2), Fraction(-1, 3), Fraction(0)], 2)
+def test_face_reduce_matches_fraction_loop(rows, v, size):
+    # on faces, on a column subset that need not be a face, for a vector
+    # anywhere (often outside QF: order None) and for one inside QF
+    if all(all(x == 0 for x in r) for r in rows):
+        return
+    config = Configuration(rows)
+    index_sets = [f.indices for f in config.all_faces()] + [tuple(range(min(size, config.N)))]
+    for indices in index_sets:
+        data = config.face_data(indices)
+        inside = tuple(sum(v[j % 3] * c[i] for j, c in enumerate(data.cols))
+                       for i in range(config.n))
+        for w in (tuple(v[:config.n]), inside):
+            got = data.reduce(w)
+            assert got == _reduce_in_fractions(data, w), (indices, w)
+            assert all(isinstance(x, Fraction) for x in got[0])
+        assert data.reduce(inside)[1] is not None
+
+
+def test_normality_of_a_5x12_draw_needs_no_fourier_motzkin():
+    # the seeded 5x12 homogeneous draw on which a Fourier-Motzkin functional
+    # for the membership search ran for minutes; its hole is checked by the
+    # meet-in-the-middle oracle, exhaustive at coefficient bound 1 because
+    # the all-ones first row makes the coefficients of a point sum to 1
+    m = [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+         [0, -1, -2, 2, 0, 2, 2, -2, -1, -1, -1, 0],
+         [1, 0, 0, -1, 1, 2, -2, 1, -2, 2, 2, -1],
+         [-2, 2, 2, -1, -1, 1, -1, 1, 2, -2, 1, 1],
+         [2, 1, -1, 1, -2, -2, 1, -2, -2, -1, 2, 2]]
+    config = Configuration(m)
+    start = time.perf_counter()
+    normal, hole = config.is_normal()
+    assert time.perf_counter() - start < 5
+    assert (normal, hole) == (False, (1, -1, 0, 1, -2))
+    assert hole in config.saturation_hilbert_basis()
+    assert not bf.bf_member(MembershipQuery(shift=(0,) * 5, generators=tuple(config.cols)), hole, 1)
+    # the hole lies in the cone: a nonnegative combination of 5 columns
+    # (ZA = Z^5, as the lattice basis is the identity)
+    assert config.lattice_basis == list(il.columns(il.identity(5)))
+    assert any(x is not None and min(x) >= 0
+               for x in (il.rational_solve(il.from_columns(s), hole)
+                         for s in combinations(config.cols, 5)))

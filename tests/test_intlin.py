@@ -75,7 +75,7 @@ def test_hnf_preserves_column_lattice(rows):
     BM = il.column_lattice_basis(M)
     for c in il.columns(H):
         if BM:
-            assert il.lattice_member(BM, c)
+            assert il.lattice_coordinates(BM, c) is not None
         else:
             assert il.is_zero_vec(c)
 
@@ -119,6 +119,12 @@ def test_integral_system_solve():
     assert il.integral_system_solve(M, (1, 0)) is None
 
 
+def _left_inverse(M):
+    """(L, C) from scaled_left_inverse, L in fractions: M.x = b iff C.b = 0, and x = L.b."""
+    N, D, C = il.scaled_left_inverse(M)
+    return tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(N, D)), C
+
+
 @settings(max_examples=60)
 @given(small_matrices, st.lists(st.integers(-5, 5), min_size=3, max_size=3))
 def test_left_inverse_matches_rational_solve(M, b):
@@ -128,7 +134,7 @@ def test_left_inverse_matches_rational_solve(M, b):
     if not basis:
         return
     B = il.from_columns(basis)
-    L, C = il.left_inverse(B)
+    L, C = _left_inverse(B)
     for v in (tuple(b[:len(M)]), basis[0], tuple(sum(c) for c in zip(*basis))):
         want = il.rational_solve(B, v)
         consistent = not any(il.dot(row, v) for row in C)
@@ -136,7 +142,7 @@ def test_left_inverse_matches_rational_solve(M, b):
         if consistent:
             assert il.matvec(L, v) == want
     with pytest.raises(DimensionMismatchError):
-        il.left_inverse(il.from_columns(basis + [basis[0]]))
+        _left_inverse(il.from_columns(basis + [basis[0]]))
 
 
 def test_integral_solver_reuses_one_factorisation():
@@ -241,7 +247,7 @@ def test_scaled_inverse_floors_match_fractions():
                     inverse(M)
             continue
         N, D = il.scaled_inverse(M)
-        Minv, _ = il.left_inverse(M)
+        Minv, _ = _left_inverse(M)
         assert all(d > 0 for d in D)
         for _ in range(5):
             y = tuple(rng.randint(-30, 30) for _ in range(r))
