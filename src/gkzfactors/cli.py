@@ -235,9 +235,7 @@ def cmd_sets(doc, args):
         "set": args.name,
         "box": [[_fr(lo), _fr(hi)] for lo, hi in box],
         "step": _fr(step),
-        "grid": [{"gamma": _vec(cell["gamma"]),
-                  "verdict": (cell["verdict"] if isinstance(cell["verdict"], str)
-                              else _tristate(cell["verdict"])["verdict"])}
+        "grid": [{"gamma": _vec(cell["gamma"]), "verdict": cell["verdict"]}
                  for cell in grid],
     }
 
@@ -320,9 +318,7 @@ def run_fixture(fix: dict) -> list:
         config = _config(doc)
         gamma = _parse_vec(probe["gamma"])
         name = probe["name"]
-        result = getattr(resonance, f"in_{name}")(config, gamma)
-        verdict = (result.verdict if isinstance(result, TriState)
-                   else "true" if result else "false")
+        verdict = resonance.SET_VERDICTS[name](config, gamma)
         if verdict != probe["verdict"]:
             mismatches.append(f"set_probe {name}@{probe['gamma']}: "
                               f"{verdict} != expected {probe['verdict']}")

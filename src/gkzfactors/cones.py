@@ -17,8 +17,6 @@ from operator import mul
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
 from .semigroup import MembershipQuery, member
-# not called here; perfbench/tracing.py binds this name and fails when it is missing
-from .semigroup import find_positive_functional  # noqa: F401
 
 HILBERT_BUDGET = 500_000
 
@@ -161,7 +159,7 @@ class Configuration:
         raise DomainError(f"{idx} is not a face of the configuration")
 
     def minimal_face(self) -> Face:
-        return self.all_faces()[-1] if self.all_faces() else None
+        return self.all_faces()[-1]
 
     def facets_containing(self, face: Face) -> list[FacetFunctional]:
         return self.face_data(face.indices).facets_over
@@ -172,10 +170,6 @@ class Configuration:
         if idx not in self._face_data:
             self._face_data[idx] = FaceData(self, idx)
         return self._face_data[idx]
-
-    def face_span_lattice(self, face: Face) -> list:
-        """Basis of QF ∩ ZA (the saturated face lattice inside ZA)."""
-        return self.face_data(face.indices).span_lat
 
     # -- predicates ---------------------------------------------------------------
 

@@ -156,12 +156,6 @@ def _faces_by_codim(config: Configuration) -> dict:
     return out
 
 
-def _simplicial_hypothesis(config: Configuration, facet_faces) -> bool:
-    if not facet_faces:
-        return True
-    return config.is_simplicial_family(facet_faces)
-
-
 def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
     """Every face whose span contains gamma must contain the common
     intersection of the resonant facets; a violation would contradict the
@@ -193,7 +187,7 @@ def dmod_report(config: Configuration, gamma) -> FiltrationReport:
 
     prof = resonance.classify(config, gamma)
     facet_faces = [config.face(idx) for idx in prof.resonant_facets]
-    simplicial = _simplicial_hypothesis(config, facet_faces)
+    simplicial = config.is_simplicial_family(facet_faces)
     if simplicial:
         _check_minimal_resonant_intersection(config, gamma, facet_faces)
     normal, _ = config.is_normal()
@@ -244,7 +238,7 @@ def perverse_report(config: Configuration, cls: LocalSystemClass) -> FiltrationR
             level.extend(FactorLabel(i, f.indices, c) for c in sols)
         factors.append(tuple(level))
 
-    simplicial = _simplicial_hypothesis(config, solution_facets)
+    simplicial = config.is_simplicial_family(solution_facets)
     notes = []
     if not simplicial:
         for i, level in enumerate(factors):

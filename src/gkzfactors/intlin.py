@@ -348,10 +348,6 @@ class LatticeQuotient:
         return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(self._U[i], v))
                      for i in self._free_rows)
 
-    def is_zero(self, v: Vec) -> bool:
-        free, tor = self.project(v)
-        return is_zero_vec(free) and is_zero_vec(tor)
-
     def section(self, free: Vec, tor: Vec) -> Vec:
         """An ambient representative with the given quotient coordinates."""
         y = [0] * self.ambient_rank
@@ -398,18 +394,6 @@ def quotient(ambient_rank: int, B) -> LatticeQuotient:
         _torsion_rows=torsion_rows,
         _free_rows=free_rows,
     )
-
-
-def integer_inverse(U: Mat) -> Mat:
-    """Exact inverse of a unimodular integer matrix."""
-    n, m = shape(U)
-    if n != m:
-        raise DimensionMismatchError("integer_inverse: matrix not square")
-    N, D = scaled_inverse(U)
-    # N[r] / D[r] is in lowest terms (the row also held D[r].e_r): integral iff D[r] = 1
-    if any(d != 1 for d in D):
-        raise DimensionMismatchError("integer_inverse: matrix not unimodular")
-    return tuple(tuple(row) for row in N)
 
 
 # ---------------------------------------------------------------------------
@@ -513,34 +497,6 @@ def integer_kernel(M: Mat) -> list[Vec]:
     ncols = shape(M)[1]
     zero_cols = [j for j, c in enumerate(columns(H)) if is_zero_vec(c)]
     return [tuple(U[i][j] for i in range(ncols)) for j in zero_cols]
-
-
-def integral_solver(M: Mat):
-    """b -> some integer x with M.x = b, or None; one Smith normal form for every b."""
-    n, m = shape(M)
-    S, U, V = smith_normal_form(M)
-    diag = [S[i][i] if i < min(n, m) else 0 for i in range(n)]
-
-    def solve(b: Vec):
-        if len(b) != n:
-            raise DimensionMismatchError("integral_system_solve: dimension mismatch")
-        c = matvec(U, b)
-        y = [0] * m
-        for i, d in enumerate(diag):
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % d != 0:
-                    return None
-                y[i] = c[i] // d
-        return matvec(V, tuple(y))
-    return solve
-
-
-def integral_system_solve(M: Mat, b: Vec):
-    """Some integer x with M.x = b for integer data, or None."""
-    return integral_solver(M)(b)
 
 
 def clear_denominators(v) -> Vec:

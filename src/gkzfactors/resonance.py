@@ -25,8 +25,6 @@ from . import degrees as dg
 from .cones import Configuration
 from .errors import DomainError, GKZError
 
-SET_NAMES = ("res", "sres", "dres", "wres", "SRes", "DRes")
-
 
 @dataclass(frozen=True)
 class TriState:
@@ -123,12 +121,11 @@ def _dres_certificate(config: Configuration, gamma):
     and there it survives into the k-th power precisely for k above the
     invariant facet-value sum, so the search over (i, face) is complete.
     """
-    family_cache = {}
     for level in range(config.rank):
+        fam = dg.ideal_family(level)
         for face in config.all_faces():
             if face.codim <= level:
                 continue
-            fam = family_cache.setdefault(level, dg.ideal_family(level))
             hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
                                     dg._member_test(config, face))
             if hit is not None:
@@ -175,6 +172,23 @@ def in_wres(config: Configuration, gamma) -> TriState:
     return wres_from(sres, None if sres else in_dres(config, gamma))
 
 
+def _word(verdict: bool) -> str:
+    return "true" if verdict else "false"
+
+
+# set name -> the verdict string of γ; each entry looks its test up by name
+# when called, so a wrapper put on the module's function is seen here too
+SET_VERDICTS = {
+    "res": lambda config, gamma: _word(in_res(config, gamma)),
+    "sres": lambda config, gamma: _word(in_sres(config, gamma)),
+    "dres": lambda config, gamma: in_dres(config, gamma).verdict,
+    "wres": lambda config, gamma: in_wres(config, gamma).verdict,
+    "SRes": lambda config, gamma: _word(in_SRes(config, gamma)),
+    "DRes": lambda config, gamma: _word(in_DRes(config, gamma)),
+}
+SET_NAMES = tuple(SET_VERDICTS)
+
+
 def _grid_points(box, step: Fraction):
     axes = []
     for lo, hi in box:
@@ -206,17 +220,6 @@ def region_scan(config: Configuration, set_name: str, box, step) -> list[dict]:
         if not config.in_span(gamma):
             out.append({"gamma": gamma, "verdict": "outside"})
             continue
-        if set_name == "res":
-            verdict = "true" if in_res(config, gamma) else "false"
-        elif set_name == "SRes":
-            verdict = "true" if in_SRes(config, gamma) else "false"
-        elif set_name == "DRes":
-            verdict = "true" if in_DRes(config, gamma) else "false"
-        elif set_name == "sres":
-            verdict = "true" if in_sres(config, gamma) else "false"
-        elif set_name == "dres":
-            verdict = in_dres(config, gamma).verdict
-        else:
-            verdict = in_wres(config, gamma).verdict
+        verdict = SET_VERDICTS[set_name](config, gamma)
         out.append({"gamma": gamma, "verdict": verdict})
     return out

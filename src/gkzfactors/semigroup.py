@@ -6,23 +6,21 @@ breadth-first search from the target down by the generators, bounded by a
 strictly positive functional on the pointed quotient cone.  Pointedness
 certifies termination.
 
-The reduction (quotient, generator images, functional) depends only on the
-generators and the lattice part, so a query computes it once and reuses it
-for every target; `cones.FaceData.query` keeps one query per face and
-generator set.  A face query brings its functional, the sum of the facet
-witnesses over the face; only a query built by hand leaves it to
-Fourier-Motzkin elimination.  Each generator's integer height is
-precomputed, and the search carries integer heights and integer state keys,
-so it does no rational arithmetic.
+The reduction (quotient, generator images, heights) depends only on the
+generators, the lattice part and the functional, so a query computes it once
+and reuses it for every target; `cones.FaceData.query` keeps one query per
+face and generator set.  Every query brings its functional: a face query
+takes the sum of the facet witnesses over the face.  Each generator's
+integer height is precomputed, and the search carries integer heights and
+integer state keys, so it does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import prod
 from operator import mul
 
 from . import intlin as il
@@ -37,17 +35,16 @@ class MembershipQuery:
 
     shift: tuple
     generators: tuple
-    lattice_part: tuple = ()
+    lattice_part: tuple
     # an integer h on the ambient space, zero on the lattice part and
-    # positive on every generator outside its span; None: find one by FM
-    functional: tuple | None = None
+    # positive on every generator outside its span
+    functional: tuple
 
     def __post_init__(self):
         dims = {len(self.shift)}
         dims.update(len(g) for g in self.generators)
         dims.update(len(v) for v in self.lattice_part)
-        if self.functional is not None:
-            dims.add(len(self.functional))
+        dims.add(len(self.functional))
         if len(dims) != 1:
             raise DimensionMismatchError("membership query mixes ambient dimensions")
 
@@ -61,102 +58,28 @@ class MembershipQuery:
         return _Reduced(self)
 
 
-def find_positive_functional(vectors, dim: int):
-    """Rational w with w.v >= 1 for every v in vectors, or None.
-
-    Fourier-Motzkin elimination with witness back-substitution; exact.  After
-    each elimination step a constraint that is a positive multiple of one
-    already kept is dropped (both are scaled to coprime integers to compare).
-    This leaves w unchanged: a multiple gives the same back-substitution bound
-    (c - sum coeffs_j.w_j) / coeffs_var, and the products it would form are
-    multiples of those of the kept one, so each later step sees the same
-    constraints up to multiples and each lo, hi (a max, a min) is the same.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return tuple(Fraction(0) for _ in range(dim))
-    # constraints: sum_j w_j * v[j] >= 1, stored as (coeffs, const): coeffs.w >= const
-    cons = [([Fraction(x) for x in v], Fraction(1)) for v in vectors]
-    stack = []
-    for var in range(dim - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, c in cons:
-            a = coeffs[var]
-            if a > 0:
-                pos.append((coeffs, c))
-            elif a < 0:
-                neg.append((coeffs, c))
-            else:
-                rest.append((coeffs, c))
-        stack.append((var, pos, neg))
-        new = rest
-        for pc, pconst in pos:
-            for nc, nconst in neg:
-                a, b = pc[var], -nc[var]
-                coeffs = [b * x + a * y for x, y in zip(pc, nc)]
-                coeffs[var] = Fraction(0)
-                new.append((coeffs, b * pconst + a * nconst))
-        kept: dict = {}
-        for coeffs, c in new:
-            e = lcm(c.denominator, *(x.denominator for x in coeffs))
-            ints = [int(x * e) for x in (*coeffs, c)]
-            g = gcd(*ints) or 1
-            kept.setdefault(tuple(x // g for x in ints), (coeffs, c))
-        cons = list(kept.values())
-    for coeffs, c in cons:
-        if c > 0:  # 0 >= c > 0: infeasible
-            return None
-    w = [Fraction(0)] * dim
-    for var, pos, neg in reversed(stack):
-        lo, hi = None, None
-        for coeffs, c in pos:
-            bound = (c - sum(coeffs[j] * w[j] for j in range(dim) if j != var)) / coeffs[var]
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, c in neg:
-            bound = (c - sum(coeffs[j] * w[j] for j in range(dim) if j != var)) / coeffs[var]
-            hi = bound if hi is None or bound < hi else hi
-        if lo is None and hi is None:
-            w[var] = Fraction(0)
-        elif lo is None:
-            w[var] = hi - 1
-        elif hi is None:
-            w[var] = lo
-        else:
-            w[var] = (lo + hi) / 2
-    return tuple(w)
-
-
 class _Reduced:
     """The part of a query that every target shares, in integers.
 
     Each generator's free and torsion image in the quotient by the lattice
     part, and its height under an integer functional w on the free part: a
     state's height is w.free, a step down by a generator lowers it by that
-    generator's height, and a step to a negative height is pruned.  Given
-    `MembershipQuery.functional` h, w_i = h(section(e_i, 0)); h vanishes on
-    the lattice part, hence on torsion, so w.free(g) = h(g).  Otherwise w is
-    the Fourier-Motzkin functional scaled to integers.  A nonzero free image
-    must have height >= 1.
+    generator's height, and a step to a negative height is pruned.  With h
+    the query's functional, w_i = h(section(e_i, 0)); h vanishes on the
+    lattice part, hence on torsion, so w.free(g) = h(g).  A nonzero free
+    image must have height >= 1, or the query is not pointed.
     """
 
     def __init__(self, q: MembershipQuery):
         quot = il.quotient(q.dim, q.lattice_part)
         self.images = [quot.project(g) for g in q.generators]
-        free = [f for f, _t in self.images if not il.is_zero_vec(f)]
-        if q.functional is not None:
-            zero = (0,) * len(quot.torsion)
-            w = tuple(il.dot(q.functional, quot.section(e, zero))
-                      for e in il.identity(quot.free_rank))
-        else:
-            w = find_positive_functional(free, quot.free_rank)
-            if w is not None:
-                scale = lcm(*(x.denominator for x in w))
-                w = tuple(int(x * scale) for x in w)
-        if w is None or any(sum(map(mul, w, f)) <= 0 for f in free):
+        zero = (0,) * len(quot.torsion)
+        self.w = tuple(il.dot(q.functional, quot.section(e, zero))
+                       for e in il.identity(quot.free_rank))
+        self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
+        if any(h <= 0 for (f, _t), h in zip(self.images, self.heights) if not il.is_zero_vec(f)):
             raise NonPointedError("cone of generators is not pointed modulo the lattice part")
         self.quotient = quot
-        self.w = w
-        self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
         # a nonzero free image has height >= 1, a zero one height 0, so a
         # state of height >= 0 reached from height h differs from the start
         # by at most h * max |f_i| / h_f in free coordinate i

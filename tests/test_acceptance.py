@@ -9,12 +9,14 @@ import random
 import time
 from fractions import Fraction
 
+from fourier_motzkin import fm_query
+
 from gkzfactors import bruteforce as bf
 from gkzfactors import factors as fa
 from gkzfactors import resonance as rs
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import NonPointedError
-from gkzfactors.semigroup import MembershipQuery, member
+from gkzfactors.semigroup import member
 
 LINE = [[2, 3]]
 WEDGE = [[1, 1, 0], [0, 1, 2]]
@@ -129,17 +131,19 @@ def test_criterion_5_oracle_equivalence():
     t0 = time.perf_counter()
 
     # membership: production decision vs exhaustive search, >= 500 queries
+    # within 20 draws per query (a draw that is not pointed is skipped)
     rng = random.Random(97531)
     R = 8
     queries = 0
-    while queries < 500:
+    for _draw in range(20 * 500):
+        if queries >= 500:
+            break
         n = rng.randint(1, 3)
         gens = tuple(tuple(rng.randint(0, 3) for _ in range(n))
                      for _ in range(rng.randint(1, 4)))
         lats = ((tuple(rng.randint(-2, 2) for _ in range(n)),)
                 if rng.random() < 0.25 else ())
-        q = MembershipQuery(shift=tuple(rng.randint(0, 2) for _ in range(n)),
-                            generators=gens, lattice_part=lats)
+        q = fm_query(tuple(rng.randint(0, 2) for _ in range(n)), gens, lats)
         target = tuple(rng.randint(-3, 8) for _ in range(n))
         try:
             got, witness = member(q, target, witness=True)
@@ -152,6 +156,7 @@ def test_criterion_5_oracle_equivalence():
         else:
             assert not bf.bf_member(q, target, R), (q, target)
         queries += 1
+    assert queries >= 500
 
     # resonance regions: production scans agree with the definitional oracle
     config = Configuration(LINE)

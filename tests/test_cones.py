@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fourier_motzkin import fm_query
+
 from gkzfactors import bruteforce as bf
 from gkzfactors import cones
 from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import ComputationLimitError, DomainError
-from gkzfactors.semigroup import MembershipQuery, member
+from gkzfactors.semigroup import member
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -190,7 +192,7 @@ def test_hilbert_budget_counts_one_triangulation(monkeypatch):
 
 def test_face_span_lattice_saturated():
     # QF ∩ ZA for the doubled column is generated by the primitive vector
-    basis = A46.face_span_lattice(A46.face((1,)))
+    basis = A46.face_data((1,)).span_lat
     assert sorted(tuple(abs(x) for x in b) for b in basis) == [(0, 1)]
 
 
@@ -270,9 +272,7 @@ def test_face_query_functional_matches_fourier_motzkin():
             targets.append(tuple(map(sum, zip(*rng.choices(config.cols, k=3)))))
             for gens in gen_sets:
                 q = data.query(gens)
-                assert q.functional is not None
-                fm = MembershipQuery(shift=q.shift, generators=q.generators,
-                                     lattice_part=q.lattice_part)
+                fm = fm_query(q.shift, q.generators, q.lattice_part)
                 for target in targets:
                     got = member(q, target, witness=True)
                     assert got == member(fm, target, witness=True), (config.matrix, face, gens, target)
@@ -332,7 +332,7 @@ def test_normality_of_a_5x12_draw_needs_no_fourier_motzkin():
     assert time.perf_counter() - start < 5
     assert (normal, hole) == (False, (1, -1, 0, 1, -2))
     assert hole in config.saturation_hilbert_basis()
-    assert not bf.bf_member(MembershipQuery(shift=(0,) * 5, generators=tuple(config.cols)), hole, 1)
+    assert not bf.bf_member(config.face_data(()).query(config.cols), hole, 1)
     # the hole lies in the cone: a nonnegative combination of 5 columns
     # (ZA = Z^5, as the lattice basis is the identity)
     assert config.lattice_basis == list(il.columns(il.identity(5)))

@@ -131,8 +131,12 @@ def walk_inputs(draw):
 def test_box_walk_matches_solvable_tuples(data):
     M, bounds = data
     k, d = len(M), len(M[0])
-    solvable = [v for v in product(*(range(b) for b in bounds))
-                if il.integral_system_solve(il.freeze(M), v) is not None]
+
+    def integral(v):  # M has full column rank: a rational solution is the only one
+        x = il.rational_solve(il.freeze(M), v)
+        return x is not None and all(c.denominator == 1 for c in x)
+
+    solvable = [v for v in product(*(range(b) for b in bounds)) if integral(v)]
     # carrying the identity yields the point's coordinates c after v = M.c
     points = list(dg.box_walk(M, bounds, il.identity(d)))
     assert [p[:k] for p in points] == solvable

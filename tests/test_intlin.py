@@ -56,7 +56,6 @@ def test_snf_identity_and_divisibility(rows):
     assert il.smith_normal_form(M) == (S, U, V)
     assert il.matmul(il.matmul(U, M), V) == S
     assert il.matmul(U, Uinv) == il.identity(len(M))
-    assert il.integer_inverse(U) == Uinv
     diag = [S[i][i] for i in range(min(il.shape(S)))]
     for x, y in zip(diag, diag[1:]):
         if x and y:
@@ -87,7 +86,7 @@ def test_quotient_kills_generators(rows):
     n = il.shape(M)[0]
     q = il.quotient(n, il.columns(M))
     for c in il.columns(M):
-        assert q.is_zero(c)
+        assert q.project(c) == ((0,) * q.free_rank, (0,) * len(q.torsion))
 
 
 def test_lattice_coordinates_roundtrip():
@@ -111,12 +110,6 @@ def test_rational_solve_and_kernel():
     assert len(ker) == 1
     # primitive integer vectors: scaled to (-2, -2, 2, 0) the first has content 2
     assert il.rational_kernel(((2, 0, 2, 1), (0, 2, 2, 1))) == [(-1, -1, 1, 0), (-1, -1, 0, 2)]
-
-
-def test_integral_system_solve():
-    M = ((2, 0), (0, 3))
-    assert il.integral_system_solve(M, (4, 9)) == (2, 3)
-    assert il.integral_system_solve(M, (1, 0)) is None
 
 
 def _left_inverse(M):
@@ -143,14 +136,6 @@ def test_left_inverse_matches_rational_solve(M, b):
             assert il.matvec(L, v) == want
     with pytest.raises(DimensionMismatchError):
         _left_inverse(il.from_columns(basis + [basis[0]]))
-
-
-def test_integral_solver_reuses_one_factorisation():
-    solve = il.integral_solver(((2, 0), (0, 3)))
-    assert solve((4, 9)) == (2, 3)
-    assert solve((1, 0)) is None
-    with pytest.raises(DimensionMismatchError):
-        solve((1, 0, 0))
 
 
 def test_dimension_mismatch():
@@ -242,9 +227,8 @@ def test_scaled_inverse_floors_match_fractions():
         r = rng.randint(1, 4)
         M = il.freeze([[rng.randint(-4, 4) for _ in range(r)] for _ in range(r)])
         if il.rational_rank(M) != r:
-            for inverse in (il.scaled_inverse, il.integer_inverse):
-                with pytest.raises(DimensionMismatchError):
-                    inverse(M)
+            with pytest.raises(DimensionMismatchError):
+                il.scaled_inverse(M)
             continue
         N, D = il.scaled_inverse(M)
         Minv, _ = _left_inverse(M)
