@@ -134,10 +134,6 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _config(doc: dict) -> Configuration:
-    return Configuration(doc["matrix"])
-
-
 def _gamma(doc: dict, args, config: Configuration):
     raw = getattr(args, "gamma", None) or doc.get("gamma")
     if raw is None:
@@ -163,8 +159,7 @@ def _character(doc: dict, args, config: Configuration) -> factors.LocalSystemCla
 # command payloads
 # ---------------------------------------------------------------------------
 
-def cmd_faces(doc, args):
-    config = _config(doc)
+def cmd_faces(config, doc, args):
     return {
         "matrix": doc["matrix"],
         "rank": config.rank,
@@ -176,8 +171,7 @@ def cmd_faces(doc, args):
     }
 
 
-def cmd_normality(doc, args):
-    config = _config(doc)
+def cmd_normality(config, doc, args):
     normal, hole = config.is_normal()
     return {
         "matrix": doc["matrix"],
@@ -187,8 +181,7 @@ def cmd_normality(doc, args):
     }
 
 
-def cmd_resonance(doc, args):
-    config = _config(doc)
+def cmd_resonance(config, doc, args):
     gamma = _gamma(doc, args, config)
     prof = resonance.classify(config, gamma)
     sres = resonance.in_sres(config, gamma)
@@ -221,8 +214,7 @@ def _parse_box(spec: str):
     return box
 
 
-def cmd_sets(doc, args):
-    config = _config(doc)
+def cmd_sets(config, doc, args):
     if args.name not in resonance.SET_NAMES:
         raise DomainError(f"unknown set name: {args.name}")
     box = _parse_box(args.box)
@@ -240,8 +232,7 @@ def cmd_sets(doc, args):
     }
 
 
-def cmd_factors(doc, args):
-    config = _config(doc)
+def cmd_factors(config, doc, args):
     if args.table == "dmod":
         return _filtration(factors.dmod_report(config, _gamma(doc, args, config)))
     if args.table == "perverse":
@@ -258,8 +249,7 @@ def cmd_factors(doc, args):
     }
 
 
-def cmd_gap_factors(doc, args):
-    config = _config(doc)
+def cmd_gap_factors(config, doc, args):
     return {
         "matrix": doc["matrix"],
         "advisory": True,
@@ -299,23 +289,28 @@ def _diff(expected, actual, path=""):
 
 
 def run_fixture(fix: dict) -> list:
-    """Evaluate one golden fixture; returns a list of mismatch strings."""
+    """Evaluate one golden fixture; returns a list of mismatch strings.
+
+    The fixture's matrix gets one `Configuration`, built here: every command
+    and every set probe of the fixture runs on it, as each command run by
+    `main` runs on the one configuration built for its document.
+    """
     doc = {"matrix": fix["matrix"]}
+    config = Configuration(doc["matrix"])
     expect = fix["expect"]
     ns = argparse.Namespace(gamma=None, character=None)
     mismatches = []
 
     if "faces" in expect:
-        mismatches += _diff(expect["faces"], cmd_faces(doc, ns), "faces")
+        mismatches += _diff(expect["faces"], cmd_faces(config, doc, ns), "faces")
     if "normality" in expect:
-        mismatches += _diff(expect["normality"], cmd_normality(doc, ns),
+        mismatches += _diff(expect["normality"], cmd_normality(config, doc, ns),
                             "normality")
     if "resonance" in expect:
         sub = dict(expect["resonance"])
         ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None)
-        mismatches += _diff(sub, cmd_resonance(doc, ns2), "resonance")
+        mismatches += _diff(sub, cmd_resonance(config, doc, ns2), "resonance")
     for probe in expect.get("set_probes", []):
-        config = _config(doc)
         gamma = _parse_vec(probe["gamma"])
         name = probe["name"]
         verdict = resonance.SET_VERDICTS[name](config, gamma)
@@ -325,7 +320,7 @@ def run_fixture(fix: dict) -> list:
     for spec in expect.get("sets", []):
         ns2 = argparse.Namespace(name=spec["name"], box=spec["box"],
                                  step=spec.get("step", "1"))
-        payload = cmd_sets(doc, ns2)
+        payload = cmd_sets(config, doc, ns2)
         truth = [c["gamma"] for c in payload["grid"] if c["verdict"] == "true"]
         mismatches += _diff(spec["true_points"], truth,
                             f"sets/{spec['name']}")
@@ -333,19 +328,19 @@ def run_fixture(fix: dict) -> list:
         sub = dict(expect["dmod"])
         ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None,
                                  table="dmod")
-        mismatches += _diff(sub, cmd_factors(doc, ns2), "dmod")
+        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "dmod")
     if "perverse" in expect:
         sub = dict(expect["perverse"])
         ns2 = argparse.Namespace(gamma=None, character=sub.pop("character", None),
                                  table="perverse")
-        mismatches += _diff(sub, cmd_factors(doc, ns2), "perverse")
+        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "perverse")
     if "compare" in expect:
         sub = dict(expect["compare"])
         ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None,
                                  table="compare")
-        mismatches += _diff(sub, cmd_factors(doc, ns2), "compare")
+        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "compare")
     if "gap_factors" in expect:
-        mismatches += _diff(expect["gap_factors"], cmd_gap_factors(doc, ns),
+        mismatches += _diff(expect["gap_factors"], cmd_gap_factors(config, doc, ns),
                             "gap_factors")
     return mismatches
 
@@ -459,7 +454,7 @@ def main(argv=None) -> int:
             payload = cmd_verify(args)
         else:
             doc = _load_document(args.input)
-            payload = _COMMANDS[args.command](doc, args)
+            payload = _COMMANDS[args.command](Configuration(doc["matrix"]), doc, args)
     except ComputationLimitError as exc:
         print(f"computation limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT

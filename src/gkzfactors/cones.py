@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from . import intlin as il
@@ -19,6 +19,7 @@ from .errors import ComputationLimitError, DomainError
 from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
+FACET_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -436,10 +437,16 @@ def _facet_values(coords, r: int) -> list:
 
     Returns (zero, y) pairs sorted by zero: y is the facet's primitive integer
     functional, nonnegative on every vector, and zero lists the indices j with
-    y.coords[j] = 0.
+    y.coords[j] = 0.  The (r-1)-subsets of the distinct vectors, one kernel
+    each, may not exceed FACET_BUDGET; they are counted before any kernel.
     """
+    distinct = sorted(set(coords))
+    count = comb(len(distinct), r - 1)
+    if count > FACET_BUDGET:
+        raise ComputationLimitError("facet subset enumeration exceeded budget",
+                                    stage="cones.facets", used=count, limit=FACET_BUDGET)
     seen: dict = {}
-    combos = [()] if r == 1 else combinations(sorted(set(coords)), r - 1)
+    combos = [()] if r == 1 else combinations(distinct, r - 1)
     for combo in combos:
         # a functional vanishing on the combo, unique up to scale
         ker = il.rational_kernel(il.freeze(combo)) if combo else [(1,)]

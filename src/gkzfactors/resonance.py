@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import degrees as dg
+from . import intlin as il
 from .cones import Configuration
 from .errors import DomainError, GKZError
 
@@ -74,14 +75,12 @@ def in_res(config: Configuration, gamma) -> bool:
 
 def in_SRes(config: Configuration, gamma) -> bool:
     _require_in_span(config, gamma)
-    return any(f.value(gamma).denominator == 1 and f.value(gamma) < 0
-               for f in config.facets())
+    return any(v.denominator == 1 and v < 0 for v in (f.value(gamma) for f in config.facets()))
 
 
 def in_DRes(config: Configuration, gamma) -> bool:
     _require_in_span(config, gamma)
-    return any(f.value(gamma).denominator == 1 and f.value(gamma) > 0
-               for f in config.facets())
+    return any(v.denominator == 1 and v > 0 for v in (f.value(gamma) for f in config.facets()))
 
 
 def _largest_below(q: Fraction) -> int:
@@ -93,23 +92,43 @@ def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
-    bound, and a_A has positive value on every facet, so only finitely many
-    shifts can work per face.
+    bound (k*+1)·l_G(a_A), and a_A has positive value on every facet, so only
+    finitely many shifts can work per face.
+
+    Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
+    `FaceData.deltas` δ, where z is `degrees.class_representative`:
+    z(v) = B·section(free(coords(v)), 0), B the ℤA basis.  Each of coords,
+    free and section(·, 0) is linear, so z is linear where it is defined.
+    Since a_A ∈ ℤA, free(coords(a_A)) is integral, so free(coords(γ + m·a_A))
+    is integral iff free(coords(γ)) is: z(γ + m·a_A) is None iff z(γ) is,
+    and otherwise z(γ + m·a_A) = z(γ) + m·z(a_A).  So one representative per
+    face gives the same candidates, in the same order, at every shift.
     """
     _require_in_span(config, gamma)
-    bounds = dg.facet_bounds(config)
+    k_star = dg.conductor_multiplier(config)
     a_A = config.column_sum()
+    steps = {f.face.indices: f.value(a_A) for f in config.facets()}
+    values = {f.face.indices: f.value(gamma) for f in config.facets()}
     family = dg.module_family()
     for face in config.all_faces():
         if face.codim == 0:
             continue
         m_max = 0
         for f in config.facets_containing(face):
-            q = (bounds[f.face.indices] - f.value(gamma)) / f.value(a_A)
+            step = steps[f.face.indices]
+            q = (int((k_star + 1) * step) - values[f.face.indices]) / step
             m_max = max(m_max, _largest_below(q))
+        if m_max == 0:
+            continue
+        z = dg.class_representative(config, face.indices, gamma)
+        if z is None:
+            continue
+        z_a = dg.class_representative(config, face.indices, a_A)
+        deltas, inside = config.face_data(face.indices).deltas, dg._member_test(config, face)
         for m in range(1, m_max + 1):
-            shifted = tuple(Fraction(g) + m * Fraction(c) for g, c in zip(gamma, a_A))
-            if dg.good_class_exists(family, config, face, shifted):
+            base = il.vadd(z, il.vscale(m, z_a))
+            if dg._first_passing(family, config, face, (il.vadd(base, d) for d in deltas),
+                                 inside) is not None:
                 return True
     return False
 
@@ -120,13 +139,18 @@ def _dres_certificate(config: Configuration, gamma):
     A class is witnessed at level i only along faces of codimension above i,
     and there it survives into the k-th power precisely for k above the
     invariant facet-value sum, so the search over (i, face) is complete.
+    The candidates of a face do not depend on the level, so each face's are
+    built once, on first use.
     """
+    candidates: dict = {}
     for level in range(config.rank):
         fam = dg.ideal_family(level)
         for face in config.all_faces():
             if face.codim <= level:
                 continue
-            hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
+            if face.indices not in candidates:
+                candidates[face.indices] = dg.class_candidates(config, face, gamma)
+            hit = dg._first_passing(fam, config, face, candidates[face.indices],
                                     dg._member_test(config, face))
             if hit is not None:
                 total = sum(f.value(hit) for f in config.facets_containing(face))

@@ -147,12 +147,28 @@ _params = st.one_of(_vectors, _vectors, _vectors, _scalars,
 # the document commands that read their parameters from the document
 _commands = st.sampled_from([["faces"], ["normality"], ["resonance"], ["factors", "dmod"],
                              ["factors", "perverse"], ["factors", "compare"], ["gap-factors"]])
+# non-pointed on purpose: the first column next to its negative, for every
+# command (sets gets a box of the matrix's dimension)
+_nonpointed = st.lists(st.lists(_entries, min_size=1, max_size=3), min_size=1, max_size=2).map(
+    lambda cols: [list(r) for r in zip(*(cols + [[-x for x in cols[0]]]))])
+_with_sets = st.one_of(_commands, st.sampled_from(["sres", "dres", "wres"]).map(
+    lambda name: ["sets", name]))
+# entries up to 10^18 for the cone commands
+_huge_entries = st.one_of(_entries, st.integers(-10 ** 18, 10 ** 18))
+_huge = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(_huge_entries, min_size=n, max_size=n), min_size=1, max_size=3)).map(
+    lambda cols: [list(r) for r in zip(*cols)])
+_documents = st.one_of(st.tuples(_commands, _matrices), st.tuples(_with_sets, _nonpointed),
+                       st.tuples(st.sampled_from([["faces"], ["normality"]]), _huge))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_commands, _matrices, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
-def test_cli_fuzz_ends_in_a_documented_exit(argv, matrix, gamma, character):
+@settings(max_examples=200, deadline=None)
+@given(_documents, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
+def test_cli_fuzz_ends_in_a_documented_exit(command, gamma, character):
     # every document ends in exit 0 with JSON on stdout, or in a typed error
+    argv, matrix = command
+    if argv[0] == "sets":
+        argv = argv + ["--box=" + ",".join(["-1:1"] * len(matrix))]
     doc = {"matrix": matrix}
     for key, value in (("gamma", gamma), ("character", character)):
         if value is not None:
@@ -279,6 +295,28 @@ def test_verify_filter(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [f["name"] for f in payload["fixtures"]] == ["coprime-pair"]
+
+
+def test_run_fixture_builds_one_configuration(tmp_path, capsys, monkeypatch):
+    # one Configuration per fixture, and one per document command
+    built = []
+    init = cli.Configuration.__init__
+
+    def counted(self, matrix):
+        built.append(matrix)
+        init(self, matrix)
+    monkeypatch.setattr(cli.Configuration, "__init__", counted)
+    for path in cli._fixture_files():
+        built.clear()
+        assert cli.run_fixture(json.loads(path.read_text())) == []
+        assert len(built) == 1, path.name
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[2, 3]]))
+    for argv in DOCUMENT_COMMANDS:
+        built.clear()
+        code = cli.main(argv + [str(path), "--json"])
+        capsys.readouterr()
+        assert code == 0 and len(built) == 1, argv
 
 
 def test_corrupted_fixture_detected():

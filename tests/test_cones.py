@@ -190,6 +190,20 @@ def test_hilbert_budget_counts_one_triangulation(monkeypatch):
     assert Configuration(m).saturation_hilbert_basis()
 
 
+def test_facet_budget_counts_subsets_before_any_kernel(monkeypatch):
+    # rank 3 and four distinct columns: C(4, 2) = 6 kernels
+    calls = []
+    kernel = il.rational_kernel
+    monkeypatch.setattr(il, "rational_kernel", lambda *a: calls.append(a) or kernel(*a))
+    monkeypatch.setattr(cones, "FACET_BUDGET", 5)
+    with pytest.raises(ComputationLimitError) as err:
+        Configuration(A54.matrix).facets()
+    assert (err.value.stage, err.value.used, err.value.limit) == ("cones.facets", 6, 5)
+    assert calls == []
+    monkeypatch.setattr(cones, "FACET_BUDGET", 6)
+    assert len(Configuration(A54.matrix).facets()) == 4
+
+
 def test_face_span_lattice_saturated():
     # QF ∩ ZA for the doubled column is generated by the primitive vector
     basis = A46.face_data((1,)).span_lat

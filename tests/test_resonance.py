@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzfactors.cones import Configuration
+from gkzfactors import degrees as dg
 from gkzfactors import resonance as rs
-from gkzfactors.errors import DomainError
+from gkzfactors import semigroup as sg
+from gkzfactors.cones import Configuration
+from gkzfactors.errors import ComputationLimitError, DomainError
 
 A23 = Configuration([[2, 3]])
 AW = Configuration([[1, 1, 0], [0, 1, 2]])
@@ -158,3 +161,93 @@ def test_implication_chain_random(rows, gamma_raw, denom):
         assert sres == (not prof.is_semi)
         assert dres.is_true == rs.in_DRes(config, gamma)
         assert (wres.verdict == "true") == (not prof.is_weak)
+
+
+# the per-shift and per-level formulations that in_sres and _dres_certificate
+# replaced: a class search at every shift, candidates rebuilt at every level
+def _per_shift_sres(config, gamma):
+    rs._require_in_span(config, gamma)
+    bounds = dg.facet_bounds(config)
+    a_A = config.column_sum()
+    family = dg.module_family()
+    for face in config.all_faces():
+        if face.codim == 0:
+            continue
+        m_max = 0
+        for f in config.facets_containing(face):
+            q = (bounds[f.face.indices] - f.value(gamma)) / f.value(a_A)
+            m_max = max(m_max, rs._largest_below(q))
+        for m in range(1, m_max + 1):
+            shifted = tuple(Fraction(g) + m * Fraction(c) for g, c in zip(gamma, a_A))
+            if dg.good_class_exists(family, config, face, shifted):
+                return True
+    return False
+
+
+def _per_level_dres_certificate(config, gamma):
+    for level in range(config.rank):
+        fam = dg.ideal_family(level)
+        for face in config.all_faces():
+            if face.codim <= level:
+                continue
+            hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
+                                    dg._member_test(config, face))
+            if hit is not None:
+                total = sum(f.value(hit) for f in config.facets_containing(face))
+                return level, face, max(2, int(total) + 1)
+    return None
+
+
+def _span_draws(seed, count):
+    """Seeded (matrix, γ): 1-3 rows, at most 5 columns, entries in [-3, 3],
+    γ a combination of the columns with denominators at most 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+        yield m, tuple(sum(c * r[j] for j, c in enumerate(coeffs)) for r in m)
+
+
+def _sets(config, gamma):
+    """(sres, dres, wres) as plain values, or the limit error's record."""
+    try:
+        dres, wres = rs.in_dres(config, gamma), rs.in_wres(config, gamma)
+        return rs.in_sres(config, gamma), (dres.verdict, dres.bounds), (wres.verdict, wres.bounds)
+    except ComputationLimitError as exc:
+        return "limit", exc.stage, exc.used, exc.limit
+
+
+def test_sres_dres_match_per_shift_search(monkeypatch):
+    # a small membership budget turns the draws whose conductor search is
+    # long (k* >= 20) into a quick limit error, which both sides must share
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 20_000)
+    compared = 0
+    for m, gamma in _span_draws(1, 150):
+        if not any(any(r) for r in m):
+            continue
+        got = _sets(Configuration(m), gamma)
+        with monkeypatch.context() as patch:
+            patch.setattr(rs, "in_sres", _per_shift_sres)
+            patch.setattr(rs, "_dres_certificate", _per_level_dres_certificate)
+            want = _sets(Configuration(m), gamma)
+        assert got == want, (m, gamma)
+        compared += len(got) == 3
+    assert compared >= 140
+
+
+def test_class_representative_is_linear():
+    for m, gamma in _span_draws(2, 60):
+        if not any(any(r) for r in m):
+            continue
+        config = Configuration(m)
+        a_A = config.column_sum()
+        for face in config.all_faces():
+            z = dg.class_representative(config, face.indices, gamma)
+            z_a = dg.class_representative(config, face.indices, a_A)
+            assert z_a is not None
+            for k in (1, 2, 5):
+                shifted = tuple(g + k * c for g, c in zip(gamma, a_A))
+                z_k = dg.class_representative(config, face.indices, shifted)
+                assert z_k == (None if z is None else
+                               tuple(x + k * y for x, y in zip(z, z_a))), (m, gamma, face)

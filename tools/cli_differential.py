@@ -2,9 +2,10 @@
 
 Runs every document command on seeded random integer matrices (1-3 rows)
 against two source roots, each invocation in its own subprocess under a time
-cap, and compares stdout, stderr and exit code byte for byte.  Prints the
-per-command counts of identical results, mismatches and timeouts, then lists
-every mismatch and timeout.  Standard library only.
+cap, and compares stdout, stderr and exit code byte for byte; then does the
+same once for ``verify --fixtures --json``.  Prints the per-command counts of
+identical results, mismatches and timeouts, then lists every mismatch and
+timeout.  Standard library only.
 
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --draws 120 --cap 5
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --commands gap-factors
@@ -38,6 +39,7 @@ def command_lines(rows: int) -> dict:
         "normality": ["normality"],
         "resonance": ["resonance"],
         "sets": ["sets", "sres", f"--box={box}"],
+        "sets-dres": ["sets", "dres", f"--box={box}"],
         "dmod": ["factors", "dmod"],
         "perverse": ["factors", "perverse"],
         "compare": ["factors", "compare"],
@@ -90,8 +92,23 @@ def main(argv=None) -> int:
         p.error(f"unknown commands: {sorted(unknown)}")
 
     rng = random.Random(args.seed)
-    counts = {name: {"identical": 0, "differ": 0, "timeout": 0} for name in wanted}
+    counts = {name: {"identical": 0, "differ": 0, "timeout": 0}
+              for name in wanted + ["verify"]}
     findings = []
+
+    def compare(name: str, argv_: list, what: str) -> None:
+        old, new = run(args.old, argv_, args.cap), run(args.new, argv_, args.cap)
+        if old is None or new is None:
+            kind = "timeout"
+        elif old == new:
+            kind = "identical"
+        else:
+            kind = "differ"
+        counts[name][kind] += 1
+        if kind != "identical":
+            detail = f" ({differing(old, new)} differ)" if kind == "differ" else ""
+            findings.append(f"{kind}: {what} old {describe(old)}, new {describe(new)}{detail}")
+
     with tempfile.TemporaryDirectory() as tmp:
         doc_path = Path(tmp) / "doc.json"
         for i in range(args.draws):
@@ -99,19 +116,10 @@ def main(argv=None) -> int:
             doc_path.write_text(json.dumps(doc))
             lines = command_lines(len(doc["matrix"]))
             for name in wanted:
-                argv_ = lines[name] + [str(doc_path), "--json"]
-                old, new = run(args.old, argv_, args.cap), run(args.new, argv_, args.cap)
-                if old is None or new is None:
-                    kind = "timeout"
-                elif old == new:
-                    kind = "identical"
-                else:
-                    kind = "differ"
-                counts[name][kind] += 1
-                if kind != "identical":
-                    what = f" ({differing(old, new)} differ)" if kind == "differ" else ""
-                    findings.append(f"{kind}: draw {i} {name} {doc['matrix']} "
-                                    f"old {describe(old)}, new {describe(new)}{what}")
+                compare(name, lines[name] + [str(doc_path), "--json"],
+                        f"draw {i} {name} {doc['matrix']}")
+    # the bundled fixtures, each replayed on one configuration per tree
+    compare("verify", ["verify", "--fixtures", "--json"], "verify --fixtures")
 
     print(f"{'command':<12} {'identical':>9} {'differ':>7} {'timeout':>8}")
     for name, c in counts.items():
