@@ -92,8 +92,8 @@ def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
-    bound (k*+1)·l_G(a_A), and a_A has positive value on every facet, so only
-    finitely many shifts can work per face.
+    bound, and a_A has positive value on every facet, so only finitely many
+    shifts can work per face.
 
     Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
     `FaceData.deltas` δ, where z is `degrees.class_representative`:
@@ -101,33 +101,32 @@ def in_sres(config: Configuration, gamma) -> bool:
     free and section(·, 0) is linear, so z is linear where it is defined.
     Since a_A ∈ ℤA, free(coords(a_A)) is integral, so free(coords(γ + m·a_A))
     is integral iff free(coords(γ)) is: z(γ + m·a_A) is None iff z(γ) is,
-    and otherwise z(γ + m·a_A) = z(γ) + m·z(a_A).  So one representative per
-    face gives the same candidates, in the same order, at every shift.
+    and otherwise z(γ + m·a_A) = z(γ) + m·z(a_A).  So the face's
+    `class_candidates` of γ, each shifted by m·z(a_A), are the same vectors
+    in the same order at every shift.
     """
     _require_in_span(config, gamma)
-    k_star = dg.conductor_multiplier(config)
+    bounds = dg.facet_bounds(config)
     a_A = config.column_sum()
-    steps = {f.face.indices: f.value(a_A) for f in config.facets()}
-    values = {f.face.indices: f.value(gamma) for f in config.facets()}
+    values = {f.face.indices: (f.value(gamma), f.value(a_A)) for f in config.facets()}
     family = dg.module_family()
     for face in config.all_faces():
         if face.codim == 0:
             continue
         m_max = 0
         for f in config.facets_containing(face):
-            step = steps[f.face.indices]
-            q = (int((k_star + 1) * step) - values[f.face.indices]) / step
-            m_max = max(m_max, _largest_below(q))
+            value, step = values[f.face.indices]
+            m_max = max(m_max, _largest_below((bounds[f.face.indices] - value) / step))
         if m_max == 0:
             continue
-        z = dg.class_representative(config, face.indices, gamma)
-        if z is None:
+        candidates = dg.class_candidates(config, face, gamma)
+        if not candidates:
             continue
         z_a = dg.class_representative(config, face.indices, a_A)
-        deltas, inside = config.face_data(face.indices).deltas, dg._member_test(config, face)
+        inside = dg._member_test(config, face)
         for m in range(1, m_max + 1):
-            base = il.vadd(z, il.vscale(m, z_a))
-            if dg._first_passing(family, config, face, (il.vadd(base, d) for d in deltas),
+            shift = il.vscale(m, z_a)
+            if dg._first_passing(family, config, face, (il.vadd(c, shift) for c in candidates),
                                  inside) is not None:
                 return True
     return False

@@ -158,15 +158,12 @@ _huge_entries = st.one_of(_entries, st.integers(-10 ** 18, 10 ** 18))
 _huge = st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(_huge_entries, min_size=n, max_size=n), min_size=1, max_size=3)).map(
     lambda cols: [list(r) for r in zip(*cols)])
-_documents = st.one_of(st.tuples(_commands, _matrices), st.tuples(_with_sets, _nonpointed),
-                       st.tuples(st.sampled_from([["faces"], ["normality"]]), _huge))
+_stressed = st.one_of(st.tuples(_with_sets, _nonpointed),
+                      st.tuples(st.sampled_from([["faces"], ["normality"]]), _huge))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_documents, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
-def test_cli_fuzz_ends_in_a_documented_exit(command, gamma, character):
-    # every document ends in exit 0 with JSON on stdout, or in a typed error
-    argv, matrix = command
+def _assert_documented_exit(argv, matrix, gamma, character):
+    # the document ends in exit 0 with JSON on stdout, or in a typed error
     if argv[0] == "sets":
         argv = argv + ["--box=" + ",".join(["-1:1"] * len(matrix))]
     doc = {"matrix": matrix}
@@ -186,6 +183,18 @@ def test_cli_fuzz_ends_in_a_documented_exit(command, gamma, character):
         json.loads(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(("error:", "computation limit"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commands, _matrices, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
+def test_cli_fuzz_ends_in_a_documented_exit(argv, matrix, gamma, character):
+    _assert_documented_exit(argv, matrix, gamma, character)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stressed, st.one_of(_params, st.just(None)), st.one_of(_params, st.just(None)))
+def test_cli_fuzz_nonpointed_and_huge_documents(command, gamma, character):
+    _assert_documented_exit(*command, gamma, character)
 
 
 # the parameter each fixture pins: its resonance/dmod γ, or for the fixtures
