@@ -298,18 +298,20 @@ def run_fixture(fix: dict) -> list:
     doc = {"matrix": fix["matrix"]}
     config = Configuration(doc["matrix"])
     expect = fix["expect"]
-    ns = argparse.Namespace(gamma=None, character=None)
     mismatches = []
 
-    if "faces" in expect:
-        mismatches += _diff(expect["faces"], cmd_faces(config, doc, ns), "faces")
-    if "normality" in expect:
-        mismatches += _diff(expect["normality"], cmd_normality(config, doc, ns),
-                            "normality")
-    if "resonance" in expect:
-        sub = dict(expect["resonance"])
-        ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None)
-        mismatches += _diff(sub, cmd_resonance(config, doc, ns2), "resonance")
+    def check(key, cmd, table=None):
+        """Compare one command's payload with the expectation under `key`,
+        whose "gamma" and "character" entries are the command's inputs."""
+        if key in expect:
+            sub = dict(expect[key])
+            ns = argparse.Namespace(gamma=sub.pop("gamma", None),
+                                    character=sub.pop("character", None), table=table)
+            mismatches.extend(_diff(sub, cmd(config, doc, ns), key))
+
+    check("faces", cmd_faces)
+    check("normality", cmd_normality)
+    check("resonance", cmd_resonance)
     for probe in expect.get("set_probes", []):
         gamma = _parse_vec(probe["gamma"])
         name = probe["name"]
@@ -318,30 +320,16 @@ def run_fixture(fix: dict) -> list:
             mismatches.append(f"set_probe {name}@{probe['gamma']}: "
                               f"{verdict} != expected {probe['verdict']}")
     for spec in expect.get("sets", []):
-        ns2 = argparse.Namespace(name=spec["name"], box=spec["box"],
-                                 step=spec.get("step", "1"))
-        payload = cmd_sets(config, doc, ns2)
+        ns = argparse.Namespace(name=spec["name"], box=spec["box"],
+                                step=spec.get("step", "1"))
+        payload = cmd_sets(config, doc, ns)
         truth = [c["gamma"] for c in payload["grid"] if c["verdict"] == "true"]
         mismatches += _diff(spec["true_points"], truth,
                             f"sets/{spec['name']}")
-    if "dmod" in expect:
-        sub = dict(expect["dmod"])
-        ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None,
-                                 table="dmod")
-        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "dmod")
-    if "perverse" in expect:
-        sub = dict(expect["perverse"])
-        ns2 = argparse.Namespace(gamma=None, character=sub.pop("character", None),
-                                 table="perverse")
-        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "perverse")
-    if "compare" in expect:
-        sub = dict(expect["compare"])
-        ns2 = argparse.Namespace(gamma=sub.pop("gamma"), character=None,
-                                 table="compare")
-        mismatches += _diff(sub, cmd_factors(config, doc, ns2), "compare")
-    if "gap_factors" in expect:
-        mismatches += _diff(expect["gap_factors"], cmd_gap_factors(config, doc, ns),
-                            "gap_factors")
+    check("dmod", cmd_factors, "dmod")
+    check("perverse", cmd_factors, "perverse")
+    check("compare", cmd_factors, "compare")
+    check("gap_factors", cmd_gap_factors)
     return mismatches
 
 

@@ -11,19 +11,23 @@ The degree sets handled here are attached to a configuration A:
 A class γ (mod ℚF) is *good* for a degree set D and a face F when some lattice
 point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
-lattice part (ℕA − ℕF = ℕA + ℤF and friends); the gap family's saturation side
-is a sign test on facet values.  `qdeg_components` checks the size of the
-conductor's facet-value box against the budget (exit 3 before any work),
-walks the lattice points of the box along a Hermite normal form
-(`box_walk`), skips the gap classes the conductor already puts in ℕA + ℤF,
-and decides membership from one closure per face and generator set.
+lattice part (ℕA − ℕF = ℕA + ℤF and friends); the saturation side is a
+sign test on facet values.  There are two engines, one per job.  The per-γ
+test (`good_class_exists`, `first_passing`, which `resonance` calls) asks
+`semigroup.member`.  `qdeg_components`, for the module and gap families,
+checks the size of the conductor's facet-value box against the budget
+(exit 3 before any work), walks the lattice points of the box along a
+Hermite normal form (`box_walk`), skips the gap classes the conductor
+already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a lookup in
+one closure per face; only the witness of each reported class runs a
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add, ge, lt
+from operator import add, ge, lt, sub
 
 from . import intlin as il
 from .cones import Configuration, Face
@@ -62,9 +66,8 @@ def gap_family() -> DegreeFamily:
 
 @dataclass(frozen=True)
 class QDegComponent:
-    base: tuple          # lattice point b with b + ℕF inside the degree set
+    base: tuple  # lattice point b with b + ℕF inside the degree set
     face: Face
-    class_coords: tuple  # coordinates of b in ℤA/(ℚF ∩ ℤA)
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +100,20 @@ def class_candidates(config: Configuration, face: Face, gamma) -> list:
 # good classes
 # ---------------------------------------------------------------------------
 
-def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x, inside) -> bool:
-    """Is the ℤF-class of the lattice point x good?  `inside(gens, y)` decides
-    y ∈ ℕ·gens + ℤF (+ the minimal face).  For y ∈ ℤA, y ∈ sat + ℤF iff
-    l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a positive multiple of
-    l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ sat for large m;
-    (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
+def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x) -> bool:
+    """Is the ℤF-class of the lattice point x good?  Each y ∈ ℕ·gens + ℤF
+    (+ the minimal face) is asked of `semigroup.member`.  For y ∈ ℤA,
+    y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a
+    positive multiple of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ sat
+    for large m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
     """
-    over = config.face_data(face.indices).facets_over
+    data = config.face_data(face.indices)
+
+    def inside(gens, y):
+        return member(data.query(gens), y)
 
     def nonneg(y):
-        return all(il.dot(f.face.witness, y) >= 0 for f in over)
+        return all(il.dot(f.face.witness, y) >= 0 for f in data.facets_over)
     if family.kind == "gap":
         return nonneg(x) and not inside(config.cols, x)
     if not inside(config.cols, x):
@@ -119,22 +125,15 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x, in
                    if g.codim > family.level and set(face.indices) <= set(g.indices))
 
 
-def _member_test(config: Configuration, face: Face):
-    """`inside` for `_passes_exact`, by membership search."""
-    data = config.face_data(face.indices)
-    return lambda gens, y: member(data.query(gens), y)
-
-
-def _first_passing(family: DegreeFamily, config: Configuration, face: Face, candidates, inside):
+def first_passing(family: DegreeFamily, config: Configuration, face: Face, candidates):
     """The first ℤF-class representative among `candidates` that passes."""
-    return next((x for x in candidates if _passes_exact(family, config, face, x, inside)), None)
+    return next((x for x in candidates if _passes_exact(family, config, face, x)), None)
 
 
 def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
                       gamma) -> bool:
     """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
-    return _first_passing(family, config, face, class_candidates(config, face, gamma),
-                          _member_test(config, face)) is not None
+    return first_passing(family, config, face, class_candidates(config, face, gamma)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -209,70 +208,47 @@ def facet_bounds(config: Configuration) -> dict:
 
 def _witness_base(family: DegreeFamily, config: Configuration, face: Face, x):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
-    data = config.face_data(face.indices)
-    q = data.query(config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
+    q = config.face_data(face.indices).query(
+        config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
     ok, info = member(q, x, witness=True)
     if not ok:
         raise DomainError("witness requested for a class that is not good")
     b = tuple(x)
     for coeff, g in zip(info["lattice"], q.lattice_part, strict=True):
         b = il.vsub(b, il.vscale(coeff, g))
-    if family.kind != "ideal":
-        return b
-    # push along the face so b + ℕF clears the strata not containing F
-    a_F = data.a_F
-    m_needed = 0
-    for g in config.all_faces():
-        if g.codim <= family.level or set(face.indices) <= set(g.indices):
-            continue
-        for f in config.facets_containing(g):
-            if f.value(a_F) > 0:
-                v_b, v_step = f.value(b), f.value(a_F)
-                if v_b <= 0:
-                    m_needed = max(m_needed, int(-v_b // v_step) + 1)
-                break
-        else:
-            raise DomainError("stratum without a separating facet")
-    return il.vadd(b, il.vscale(m_needed, a_F))
+    return b
 
 
 def _closure(config: Configuration, face: Face, bounds: dict):
     """(mod_zf, closure) for y ∈ ℤA with 0 <= l_G(y) < bounds[G], G ⊇ F:
-    y ∈ ℕ·gens + ℤF iff its key lies in closure(gens).
+    y ∈ ℕA + ℤF iff its key lies in closure.
 
     The key of y is its facet values over F and its torsion part in
     mod_zf, ℤⁿ modulo ℤF; it fixes y modulo ℤF, since equal facet
-    values put the difference in ℚF, where the free part vanishes.  Each
-    generator set gets, on first use, the keys of (ℕ·gens + ℤF)/ℤF whose
-    facet values lie in the box, by forward closure from 0.  It holds every
-    member y of the box: removing one column at a time from y = Σnⱼaⱼ + f
-    never raises a facet value over F and keeps it >= 0, so every prefix
-    lies in the box.  It is finite: a column outside F raises some l_G
-    (G ⊇ F) by at least 1.
+    values put the difference in ℚF, where the free part vanishes.  The
+    closure is the set of keys of (ℕA + ℤF)/ℤF whose facet values lie in
+    the box, built by forward closure from 0.  It holds every member y of
+    the box: removing one column at a time from y = Σnⱼaⱼ + f never raises a
+    facet value over F and keeps it >= 0, so every prefix lies in the box.
+    It is finite: a column outside F raises some l_G (G ⊇ F) by at least 1.
     """
     data = config.face_data(face.indices)
     over, top = data.facets_over, [bounds[f.face.indices] for f in data.facets_over]
     mod_zf = il.quotient(config.n, data.lattice_part)
     torsion = mod_zf.torsion
-    closures = {}  # id of a generator list kept by config -> keys
-
-    def closure(gens):
-        if id(gens) not in closures:
-            steps = [([int(f.value(g)) for f in over], mod_zf.project(g)[1]) for g in gens]
-            start = ((0,) * len(over), (0,) * len(torsion))
-            seen, todo = {start}, [start]
-            while todo:
-                vals, tor = todo.pop()
-                for dv, t in steps:
-                    nv = tuple(map(add, vals, dv))
-                    if all(map(lt, nv, top)):
-                        key = (nv, tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
-                        if key not in seen:
-                            seen.add(key)
-                            todo.append(key)
-            closures[id(gens)] = seen
-        return closures[id(gens)]
-    return mod_zf, closure
+    steps = [([int(f.value(g)) for f in over], mod_zf.project(g)[1]) for g in config.cols]
+    start = ((0,) * len(over), (0,) * len(torsion))
+    seen, todo = {start}, [start]
+    while todo:
+        vals, tor = todo.pop()
+        for dv, t in steps:
+            nv = tuple(map(add, vals, dv))
+            if all(map(lt, nv, top)):
+                key = (nv, tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
+                if key not in seen:
+                    seen.add(key)
+                    todo.append(key)
+    return mod_zf, seen
 
 
 def box_walk(M, bounds, carry):
@@ -316,7 +292,7 @@ def box_walk(M, bounds, carry):
 
 
 def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegComponent]:
-    """All witnessed classes (b, F), reported per face.
+    """All witnessed classes (b, F) of the module or gap family, reported per face.
 
     The classes at a face F are the points f of the free group ℤA/(ℚF ∩ ℤA)
     (`FaceData.class_quotient`); b is their section into ℤA, the point
@@ -324,18 +300,31 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     integer map M of f, so `box_walk` visits each class whose facet values
     lie in the conductor's box once, in the order of those values, carrying
     b, the annihilator values that test b against the components of larger
-    faces (classes inside one are dropped, other overlaps are kept) and, for
-    the gap family, b's closure key.  The points walked are at most the
-    tuples of the box, whose count is checked against QDEG_BUDGET first.
+    faces (classes inside one are dropped, other overlaps are kept) and b's
+    closure key.  The points walked are at most the tuples of the box, whose
+    count is checked against QDEG_BUDGET first.  Each representative
+    x = b + δ (δ ∈ ℚF ∩ ℤA) has b's facet values over F, so it lies in the
+    box and `_closure` decides x ∈ ℕA + ℤF by its key.
 
-    Gap family: b + δ (δ ∈ ℚF ∩ ℤA) lies in sat + ℤF, its facet values being
-    >= 0 (see `_passes_exact`), so only ℕA + ℤF is asked, by closure key.  A
-    class with l_G(b) >= k*·l_G(a_A) for every G ⊇ F is skipped: then
-    y = b − k*·a_A has l_G(y) >= 0 for G ⊇ F, so y ∈ sat + ℤF and
+    Gap family: x lies in sat + ℤF, its facet values being >= 0 (see
+    `_passes_exact`), so only x ∉ ℕA + ℤF is asked.  A class with
+    l_G(b) >= k*·l_G(a_A) for every G ⊇ F is skipped: then y = b − k*·a_A
+    has l_G(y) >= 0 for G ⊇ F, so y ∈ sat + ℤF and
     b ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`); no
     representative b + δ passes.
+
+    Module family: x passes iff x ∈ ℕA + ℤF and not (x − a_A ∈ sat + ℤF and
+    x − a_A ∈ ℕA + ℤF).  The first part of the bracket is l_G(x − a_A) >= 0
+    for every G ⊇ F; then those values lie below l_G(x) < bounds[G], so
+    x − a_A is in the box and its key (facet values minus l_G(a_A), torsion
+    part minus a_A's) is looked up exactly.
+
+    The ideal families are decided per γ only (`good_class_exists`).
     """
-    if family.kind == "gap" and config.is_normal()[0]:
+    if family.kind == "ideal":
+        raise DomainError("components are enumerated for the module and gap families only")
+    gap = family.kind == "gap"
+    if gap and config.is_normal()[0]:
         return []  # sat = ℕA, so no class passes
     bounds = facet_bounds(config)
     faces = config.all_faces()  # sorted by codimension: larger faces first
@@ -352,13 +341,11 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         data = config.face_data(face.indices)
         over, quot = data.facets_over, data.class_quotient
         mod_zf, closure = _closure(config, face, bounds)
-
-        def inside(gens, y):
-            return (tuple(int(f.value(y)) for f in over), mod_zf.project(y)[1]) in closure(gens)
+        torsion = mod_zf.torsion
         # box_walk yields v, the k facet values, then rows linear in b: b
         # itself; the annihilator of each larger face with components (b is
-        # in a component's class iff the values match its base's); for the
-        # gap family, b's torsion part modulo ℤF before reduction
+        # in a component's class iff the values match its base's); b's
+        # torsion part modulo ℤF before reduction
         covers: dict = {}  # annihilator -> its values on component bases
         for comp in comps:
             if set(face.indices) < set(comp.face.indices):
@@ -368,11 +355,21 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         for ann, vals in covers.items():
             spans.append((k + len(linear), k + len(linear) + len(ann), vals))
             linear += ann
-        if family.kind == "gap":
-            tor, torsion = k + len(linear), mod_zf.torsion
-            linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
-            offsets = [mod_zf.project(d)[1] for d in data.deltas]
-            skip = [k_star * int(f.value(a_A)) for f in over]
+        tor = k + len(linear)
+        linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
+        offsets = [mod_zf.project(d)[1] for d in data.deltas]
+        a_vals, a_tor = [int(f.value(a_A)) for f in over], mod_zf.project(a_A)[1]
+        skip = [k_star * a for a in a_vals]
+
+        def key(vals, t):
+            return vals, tuple(x % m for x, m in zip(t, torsion))
+
+        def passes(v, t):  # the class with facet values v and torsion part t
+            if gap:
+                return key(v, t) not in closure
+            return key(v, t) in closure and not (
+                all(map(ge, v, a_vals))
+                and key(tuple(map(sub, v, a_vals)), map(sub, t, a_tor)) in closure)
         # b over a basis of the classes, and the facet values of that basis
         G = il.matmul(B, il.from_columns([quot.section(e, ()) for e in il.identity(quot.free_rank)],
                                          dim=config.rank))
@@ -380,20 +377,12 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         for p in box_walk(M, [bounds[f.face.indices] for f in over], il.matmul(linear, G)):
             if any(p[s:e] in vals for s, e, vals in spans):
                 continue
-            base = p[k:k + n]
-            if family.kind != "gap":
-                hit = _first_passing(family, config, face,
-                                     (il.vadd(base, d) for d in data.deltas), inside)
-            elif all(map(ge, p[:k], skip)):
+            v, base = p[:k], p[k:k + n]
+            if gap and all(map(ge, v, skip)):
                 continue
-            else:
-                seen, v, key_tor = closure(config.cols), p[:k], p[tor:]
-                hit = next((il.vadd(base, d) for d, t in zip(data.deltas, offsets)
-                            if (v, tuple((a + b) % m for a, b, m in zip(key_tor, t, torsion)))
-                            not in seen), None)
-            if hit is None:
-                continue
-            b = _witness_base(family, config, face, hit)
-            cls = quot.free_values(tuple(int(c) for c in config.lattice_coords(b)))
-            comps.append(QDegComponent(base=b, face=face, class_coords=tuple(int(c) for c in cls)))
+            hit = next((il.vadd(base, d) for d, t in zip(data.deltas, offsets)
+                        if passes(v, tuple(map(add, p[tor:], t)))), None)
+            if hit is not None:
+                comps.append(QDegComponent(base=_witness_base(family, config, face, hit),
+                                           face=face))
     return comps

@@ -17,7 +17,7 @@ non-normal configuration, but it is not a certified classification.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -38,27 +38,19 @@ CERT_SEMISIMPLE = "semisimple-certified"
 # character classes on face tori
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LocalSystemClass:
-    """A rank-one character class on the torus of a face, taken modulo ZF."""
+    """A rank-one character class on the torus of a face, taken modulo ZF;
+    two classes are equal when their faces and canonical vectors are."""
 
     face_indices: tuple
-    representative: tuple  # rational ambient vector
+    representative: tuple = field(compare=False)  # rational ambient vector
     canonical: tuple       # representative reduced into the ZF fundamental domain
-    order: object          # least k >= 1 with k*rep in ZF, or "infinite"
+    order: object = field(compare=False)  # least k >= 1 with k*rep in ZF, or "infinite"
 
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def key(self):
-        return (self.face_indices, self.canonical)
-
-    def __eq__(self, other):
-        return isinstance(other, LocalSystemClass) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         tag = "trivial" if self.is_trivial else f"order {self.order}"
@@ -149,13 +141,6 @@ class FiltrationReport:
     notes: tuple = ()
 
 
-def _faces_by_codim(config: Configuration) -> dict:
-    out = {}
-    for f in config.all_faces():
-        out.setdefault(f.codim, []).append(f)
-    return out
-
-
 def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
     """Every face whose span contains gamma must contain the common
     intersection of the resonant facets; a violation would contradict the
@@ -176,14 +161,11 @@ def dmod_report(config: Configuration, gamma) -> FiltrationReport:
     """Factor table of the filtration by boundary supports, with hypothesis flags."""
     gamma = tuple(Fraction(x) for x in gamma)
     resonance._require_in_span(config, gamma)
-    by_codim = _faces_by_codim(config)
-    factors = []
-    for i in range(config.rank + 1):
-        level = []
-        for f in sorted(by_codim.get(i, []), key=lambda f: f.indices):
-            if config.face_data(f.indices).in_span(gamma):
-                level.append(FactorLabel(i, f.indices, class_of(config, f, gamma)))
-        factors.append(tuple(level))
+    levels = [[] for _ in range(config.rank + 1)]
+    for f in config.all_faces():  # sorted by (codim, indices)
+        if config.face_data(f.indices).in_span(gamma):
+            levels[f.codim].append(FactorLabel(f.codim, f.indices, class_of(config, f, gamma)))
+    factors = tuple(map(tuple, levels))
 
     prof = resonance.classify(config, gamma)
     facet_faces = [config.face(idx) for idx in prof.resonant_facets]
@@ -214,7 +196,7 @@ def dmod_report(config: Configuration, gamma) -> FiltrationReport:
     if simplicial:
         cert = CERT_SEMISIMPLE if flags["normal_and_weak_nonresonant"] else CERT_ISO
     return FiltrationReport(kind="dmod", matrix=config.matrix, parameter=gamma,
-                            factors=tuple(factors), flags=flags,
+                            factors=factors, flags=flags,
                             certification=cert, notes=tuple(notes))
 
 
@@ -223,20 +205,17 @@ def perverse_report(config: Configuration, cls: LocalSystemClass) -> FiltrationR
     if tuple(cls.face_indices) != tuple(range(config.N)):
         raise DomainError("the class must live on the full column set")
     normal, _ = config.is_normal()
-    by_codim = _faces_by_codim(config)
-    factors = []
+    levels = [[] for _ in range(config.rank + 1)]
     solution_facets = []
-    for i in range(config.rank + 1):
-        level = []
-        for f in sorted(by_codim.get(i, []), key=lambda f: f.indices):
-            sols = pullback_solutions(config, f, cls)
-            if normal and len(sols) > 1:
-                raise GKZError("a normal configuration produced a torsion "
-                               "face quotient")
-            if i == 1 and sols:
-                solution_facets.append(f)
-            level.extend(FactorLabel(i, f.indices, c) for c in sols)
-        factors.append(tuple(level))
+    for f in config.all_faces():  # sorted by (codim, indices)
+        sols = pullback_solutions(config, f, cls)
+        if normal and len(sols) > 1:
+            raise GKZError("a normal configuration produced a torsion "
+                           "face quotient")
+        if f.codim == 1 and sols:
+            solution_facets.append(f)
+        levels[f.codim].extend(FactorLabel(f.codim, f.indices, c) for c in sols)
+    factors = tuple(map(tuple, levels))
 
     simplicial = config.is_simplicial_family(solution_facets)
     notes = []
@@ -254,7 +233,7 @@ def perverse_report(config: Configuration, cls: LocalSystemClass) -> FiltrationR
     }
     cert = CERT_ISO if simplicial else CERT_EPI
     return FiltrationReport(kind="perverse", matrix=config.matrix, parameter=cls,
-                            factors=tuple(factors), flags=flags,
+                            factors=factors, flags=flags,
                             certification=cert, notes=tuple(notes))
 
 

@@ -216,13 +216,9 @@ def lattice_coordinates(B, v: Vec):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
-    """Returns (S, U, V) with S = U.M.V diagonal, entries >= 0 dividing in sequence."""
-    return _snf(M)[:3]
-
-
-def _snf(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
-    """`smith_normal_form` plus U's inverse, kept by the inverse column operations."""
+def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """Returns (S, U, V, U⁻¹) with S = U.M.V diagonal, entries >= 0 dividing in
+    sequence; U's inverse is kept by the inverse column operations."""
     n, m = shape(M)
     S = [list(row) for row in M]
     U = [list(row) for row in identity(n)]
@@ -379,7 +375,7 @@ def quotient(ambient_rank: int, B) -> LatticeQuotient:
         B_mat = from_columns(B)
     if ambient_rank == 0:
         return LatticeQuotient(0, 0, (), (), (), (), ())
-    S, U, _V, Uinv = _snf(B_mat)
+    S, U, _V, Uinv = smith_normal_form(B_mat)
     n, m = shape(S)
     diag = [S[i][i] for i in range(min(n, m))] + [0] * max(0, n - min(n, m))
     torsion_rows = tuple(i for i, d in enumerate(diag) if d not in (0, 1))

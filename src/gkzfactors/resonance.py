@@ -123,11 +123,10 @@ def in_sres(config: Configuration, gamma) -> bool:
         if not candidates:
             continue
         z_a = dg.class_representative(config, face.indices, a_A)
-        inside = dg._member_test(config, face)
         for m in range(1, m_max + 1):
             shift = il.vscale(m, z_a)
-            if dg._first_passing(family, config, face, (il.vadd(c, shift) for c in candidates),
-                                 inside) is not None:
+            if dg.first_passing(family, config, face,
+                                (il.vadd(c, shift) for c in candidates)) is not None:
                 return True
     return False
 
@@ -149,8 +148,7 @@ def _dres_certificate(config: Configuration, gamma):
                 continue
             if face.indices not in candidates:
                 candidates[face.indices] = dg.class_candidates(config, face, gamma)
-            hit = dg._first_passing(fam, config, face, candidates[face.indices],
-                                    dg._member_test(config, face))
+            hit = dg.first_passing(fam, config, face, candidates[face.indices])
             if hit is not None:
                 total = sum(f.value(hit) for f in config.facets_containing(face))
                 return level, face, max(2, int(total) + 1)

@@ -1,12 +1,14 @@
+import json
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzfactors.cones import Configuration
-from gkzfactors import cones
+from gkzfactors import cli, cones
 from gkzfactors import degrees as dg
 from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
@@ -49,6 +51,39 @@ def test_module_components_nonnormal_wedge():
         ((1, 0), (1,)), ((1, 1), (0,)), ((2, 0), (1,))]
 
 
+def _agreement_inputs():
+    """The ten curves [[1,1,1,1],[0,a,b,c]], c <= 5, the fixture matrices and
+    the valid ones of 60 seeded draws of 1-3 rows, at most 5 columns, entries
+    in [-3, 3]."""
+    yield from ([[1, 1, 1, 1], [0, a, b, c]] for a, b, c in combinations(range(1, 6), 3))
+    yield from (json.loads(path.read_text())["matrix"] for path in cli._fixture_files())
+    rng = random.Random(14)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 5)
+        yield [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_component_closure_agrees_with_search():
+    # qdeg_components decides classes by closure key; the per-γ test asks
+    # the membership search, so each reported base must pass it as well
+    checked = 0
+    for matrix in _agreement_inputs():
+        try:
+            config = Configuration(matrix)
+        except DomainError:  # a zero matrix
+            continue
+        for family in (dg.module_family(), dg.gap_family()):
+            try:
+                found = dg.qdeg_components(family, config)
+            except ComputationLimitError:
+                continue
+            for comp in found:
+                assert dg.first_passing(family, config, comp.face, [comp.base]) == comp.base, \
+                    (matrix, family.kind, comp)
+                checked += 1
+    assert checked > 400
+
+
 def test_good_class_module_family():
     # x = 1 is a gap degree of the coprime pair at the apex face
     face = A23.face(())
@@ -75,6 +110,8 @@ def test_family_validation():
         dg.ideal_family(-1)
     with pytest.raises(DomainError):
         dg.DegreeFamily("ideal_power_quotient", level=0)
+    with pytest.raises(DomainError):
+        dg.qdeg_components(dg.ideal_family(0), A23)
 
 
 def test_class_representative_modulo_face_span():

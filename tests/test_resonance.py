@@ -190,8 +190,7 @@ def _per_level_dres_certificate(config, gamma):
         for face in config.all_faces():
             if face.codim <= level:
                 continue
-            hit = dg._first_passing(fam, config, face, dg.class_candidates(config, face, gamma),
-                                    dg._member_test(config, face))
+            hit = dg.first_passing(fam, config, face, dg.class_candidates(config, face, gamma))
             if hit is not None:
                 total = sum(f.value(hit) for f in config.facets_containing(face))
                 return level, face, max(2, int(total) + 1)

@@ -3,7 +3,9 @@
 Runs every document command on seeded random integer matrices (1-3 rows)
 against two source roots, each invocation in its own subprocess under a time
 cap, and compares stdout, stderr and exit code byte for byte; then does the
-same once for ``verify --fixtures --json``.  Prints the per-command counts of
+same once for ``verify --fixtures --json`` and once, under its own cap of
+SUITE_CAP seconds, for ``verify --suite --instances 12 --json``, the one
+command that enumerates module components.  Prints the per-command counts of
 identical results, mismatches and timeouts, then lists every mismatch and
 timeout.  Standard library only.
 
@@ -29,6 +31,7 @@ from pathlib import Path
 RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
           "from gkzfactors.cli import main; sys.exit(main(sys.argv[1:]))")
 MAX_COLS, ENTRY = 5, 3  # columns per drawn matrix, largest |matrix entry|
+SUITE_CAP = 60.0  # seconds for the one seeded property-suite run
 
 
 def command_lines(rows: int) -> dict:
@@ -93,11 +96,11 @@ def main(argv=None) -> int:
 
     rng = random.Random(args.seed)
     counts = {name: {"identical": 0, "differ": 0, "timeout": 0}
-              for name in wanted + ["verify"]}
+              for name in wanted + ["verify", "verify-suite"]}
     findings = []
 
-    def compare(name: str, argv_: list, what: str) -> None:
-        old, new = run(args.old, argv_, args.cap), run(args.new, argv_, args.cap)
+    def compare(name: str, argv_: list, what: str, cap: float = args.cap) -> None:
+        old, new = run(args.old, argv_, cap), run(args.new, argv_, cap)
         if old is None or new is None:
             kind = "timeout"
         elif old == new:
@@ -120,6 +123,8 @@ def main(argv=None) -> int:
                         f"draw {i} {name} {doc['matrix']}")
     # the bundled fixtures, each replayed on one configuration per tree
     compare("verify", ["verify", "--fixtures", "--json"], "verify --fixtures")
+    compare("verify-suite", ["verify", "--suite", "--instances", "12", "--json"],
+            "verify --suite --instances 12", SUITE_CAP)
 
     print(f"{'command':<12} {'identical':>9} {'differ':>7} {'timeout':>8}")
     for name, c in counts.items():
