@@ -20,6 +20,7 @@ from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
 FACET_BUDGET = 100_000
+FACE_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -117,24 +118,24 @@ class Configuration:
         return h
 
     def all_faces(self) -> list[Face]:
-        """Every face, sorted by (codim, indices); closed under intersection."""
+        """Every face, sorted by (codim, indices): each face found is intersected
+        once with every facet, and the faces found may not exceed FACE_BUDGET."""
         if "faces" in self._cache:
             return self._cache["faces"]
-        facets = self.facets()
-        index_sets = {tuple(range(self.N))}
-        frontier = [set(f.face.indices) for f in facets]
-        for s in frontier:
-            index_sets.add(tuple(sorted(s)))
-        changed = True
-        while changed:
-            changed = False
-            current = list(index_sets)
-            for a in current:
-                for f in frontier:
-                    inter = tuple(sorted(set(a) & f))
-                    if inter not in index_sets:
-                        index_sets.add(inter)
-                        changed = True
+        facet_sets = [set(f.face.indices) for f in self.facets()]
+        todo = [tuple(range(self.N))]
+        index_sets = set(todo)
+        while todo:
+            a = todo.pop()
+            for f in facet_sets:
+                inter = tuple(sorted(f.intersection(a)))
+                if inter not in index_sets:
+                    index_sets.add(inter)
+                    todo.append(inter)
+                    if len(index_sets) > FACE_BUDGET:
+                        raise ComputationLimitError("face enumeration exceeded budget",
+                                                    stage="cones.all_faces",
+                                                    used=len(index_sets), limit=FACE_BUDGET)
         faces = [self._make_face(idx) for idx in index_sets]
         faces.sort(key=lambda f: (f.codim, f.indices))
         self._cache["faces"] = faces
@@ -147,9 +148,8 @@ class Configuration:
         for f in self.facets():
             if set(idx) <= set(f.face.indices):
                 h = tuple(a + b for a, b in zip(h, f.l))
-        sub = [self.cols[j] for j in idx]
-        r_f = il.rational_rank(il.from_columns(sub, dim=self.n)) if sub else 0
-        return Face(indices=idx, codim=self.rank - r_f, witness=il.clear_denominators(h))
+        return Face(indices=idx, codim=len(self.face_data(idx).ann),
+                    witness=il.clear_denominators(h))
 
     def face(self, indices) -> Face:
         """The face with the given column indices (must exist)."""
@@ -301,7 +301,15 @@ class FaceData:
     """Lattice data of the columns at `indices`, each field computed on first use.
 
     `indices` is usually a face, but any column-index set works (pullbacks
-    take subcones); then "F" below means the cone of those columns.
+    take subcones); then "F" below means the cone of those columns.  Each
+    consumer builds only what it reads: `all_faces` the codimension, len(`ann`);
+    membership queries `facets_over` and `lattice_part`; `in_span` (dmod
+    tables, gap components) `annihilator`; classes (`reduce`) `hnf`; pullbacks
+    `ann` and `deltas`, and `representative` only for a class outside QF;
+    class candidates `representative` and `deltas`, and `in_sres` also
+    `column_sum_representative`.  In turn `representative` needs
+    `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
+    `span_lat` only when a pivot of `hnf` exceeds 1.
     """
 
     def __init__(self, config: Configuration, indices: tuple):
@@ -385,16 +393,23 @@ class FaceData:
         return tuple(Fraction(x, e) for x in canonical), (None if any(exact) else order)
 
     @cached_property
-    def inner(self) -> list:
-        """A basis of QF ∩ ZA in coordinates on the ZA basis: the saturated
-        lattice cut out by the annihilator of the columns' coordinates."""
+    def ann(self) -> tuple:
+        """Primitive integer rows w with u ∈ QF iff w.u = 0, for u in
+        coordinates on the ZA basis; there are codim F of them."""
         config = self.config
         if not self.cols:
+            return il.identity(config.rank)
+        return tuple(il.rational_kernel([config.col_coords[j] for j in self.indices]))
+
+    @cached_property
+    def inner(self) -> list:
+        """A basis of QF ∩ ZA in coordinates on the ZA basis: the saturated
+        lattice cut out by `ann`."""
+        if not self.cols:
             return []
-        ann = il.rational_kernel([config.col_coords[j] for j in self.indices])
-        if not ann:
-            return il.columns(il.identity(config.rank))
-        return il.integer_kernel(tuple(ann))
+        if not self.ann:
+            return il.columns(il.identity(self.config.rank))
+        return il.integer_kernel(self.ann)
 
     @cached_property
     def span_lat(self) -> list:
@@ -403,14 +418,15 @@ class FaceData:
         return [il.matvec(B, u) for u in self.inner]
 
     @cached_property
-    def a_F(self) -> tuple:
-        """The sum of the columns."""
-        return tuple(sum(c) for c in zip(*self.cols)) if self.cols else (0,) * self.config.n
-
-    @cached_property
     def deltas(self) -> list:
-        """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors."""
-        if not self.inner:
+        """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors.
+
+        If every pivot of `hnf` is 1, ZF is saturated in Z^n: solving v = sum
+        c_i h_i for an integer v in QF down the pivot rows, each c_i is v's
+        entry there minus an integer combination of the earlier c_j.  So
+        QF ∩ ZA = ZF and 0 is the only coset.
+        """
+        if all(col[r] == 1 for r, col in self.hnf) or not self.inner:
             return [tuple(0 for _ in range(self.config.n))]
         # the columns' coordinates on `inner`, exact integers
         N, D, _C = il.scaled_left_inverse(il.from_columns(self.inner))
@@ -424,6 +440,24 @@ class FaceData:
     def class_quotient(self) -> il.LatticeQuotient:
         """ZA (in coordinates on its basis) modulo QF ∩ ZA."""
         return il.quotient(self.config.rank, self.inner)
+
+    def representative(self, gamma):
+        """An integer point z(γ) of ZA congruent to γ modulo QF, or None."""
+        config = self.config
+        coords = config.lattice_coords(gamma)
+        if coords is None:
+            return None
+        quot = self.class_quotient
+        free = quot.free_values(coords)
+        if any(v.denominator != 1 for v in free):
+            return None
+        z = quot.section(tuple(int(v) for v in free), tuple(0 for _ in quot.torsion))
+        return il.matvec(il.from_columns(config.lattice_basis, dim=config.n), z)
+
+    @cached_property
+    def column_sum_representative(self):
+        """z(a_A), which `resonance.in_sres` shifts by at every call."""
+        return self.representative(self.config.column_sum())
 
     @cached_property
     def facets_over(self) -> list[FacetFunctional]:

@@ -76,16 +76,8 @@ class QDegComponent:
 
 def class_representative(config: Configuration, indices: tuple, gamma):
     """An integer point of ℤA congruent to γ modulo ℚF, or None; F is the
-    cone of the columns at `indices`."""
-    coords = config.lattice_coords(gamma)
-    if coords is None:
-        return None
-    quot = config.face_data(indices).class_quotient
-    free = quot.free_values(coords)
-    if any(v.denominator != 1 for v in free):
-        return None
-    z = quot.section(tuple(int(v) for v in free), tuple(0 for _ in quot.torsion))
-    return il.matvec(il.from_columns(config.lattice_basis, dim=config.n), z)
+    cone of the columns at `indices` (`FaceData.representative`)."""
+    return config.face_data(indices).representative(gamma)
 
 
 def class_candidates(config: Configuration, face: Face, gamma) -> list:

@@ -102,15 +102,21 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
     if not set(indices) <= set(range(ambient.N)):
         raise DomainError("face indices out of range")
 
-    if not ambient.in_span(cls.representative):
+    coords = ambient.lattice_coords(cls.representative)
+    if coords is None:
         raise DomainError("class representative lies outside the column span")
-    # one z in ZA with rep + z in QF: a representative of -rep modulo QF
-    z = class_representative(ambient, indices, il.vneg(cls.representative))
-    if z is None:
-        return []
-    base = il.vadd(cls.representative, z)
-    out = [_make_class(ambient, indices, il.vadd(base, d))
-           for d in ambient.face_data(indices).deltas]
+    data = ambient.face_data(indices)
+    if any(il.dot(w, coords) for w in data.ann):
+        # one z in ZA with rep + z in QF: a representative of -rep modulo QF
+        z = class_representative(ambient, indices, il.vneg(cls.representative))
+        if z is None:
+            return []
+        base = il.vadd(cls.representative, z)
+    else:
+        # rep ∈ QF, where class_representative gives z = 0: the free rows of
+        # class_quotient vanish on Q.inner and section is linear
+        base = cls.representative
+    out = [_make_class(ambient, indices, il.vadd(base, d)) for d in data.deltas]
     out.sort(key=lambda c: c.canonical)
     return out
 

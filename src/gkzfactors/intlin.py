@@ -216,27 +216,36 @@ def lattice_coordinates(B, v: Vec):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+def smith_normal_form(M: Mat, track_v: bool = True) -> tuple[Mat, Mat, Mat | None, Mat]:
     """Returns (S, U, V, U⁻¹) with S = U.M.V diagonal, entries >= 0 dividing in
-    sequence; U's inverse is kept by the inverse column operations."""
+    sequence; U's inverse is kept, transposed, by the inverse operations.  V is
+    None unless `track_v`; S, U and U⁻¹ do not depend on it."""
     n, m = shape(M)
     S = [list(row) for row in M]
     U = [list(row) for row in identity(n)]
-    V = [list(row) for row in identity(m)]
-    Uinv = [list(row) for row in identity(n)]
+    V = [list(row) for row in identity(m)] if track_v else None
+    W = [list(row) for row in identity(n)]  # the transpose of U⁻¹
+    col_mats = (S, V) if track_v else (S,)
 
     def rowop(i, k, a, b, c, d):
-        for T, width in ((S, m), (U, n)):
-            for j in range(width):
-                x, y = T[i][j], T[k][j]
-                T[i][j], T[k][j] = a * x + b * y, c * x + d * y
+        # (row_i, row_k) <- (a*row_i + b*row_k, c*row_i + d*row_k) in S and U,
+        # and the inverse operation on the columns of U⁻¹, the rows of W
+        if (a, b, d) == (1, 0, 1):  # row_k += c*row_i, and row_i -= c*row_k in W
+            for T, src, dst, f in ((S, i, k, c), (U, i, k, c), (W, k, i, -c)):
+                row = T[dst]
+                for j, x in enumerate(T[src]):
+                    if x:
+                        row[j] += f * x
+            return
         e = a * d - b * c  # +-1: every block used here is unimodular
-        for row in Uinv:
-            x, y = row[i], row[k]
-            row[i], row[k] = e * (d * x - c * y), e * (a * y - b * x)
+        for T, (p, q, r, s) in ((S, (a, b, c, d)), (U, (a, b, c, d)),
+                                (W, (e * d, -e * c, -e * b, e * a))):
+            ri, rk = T[i], T[k]
+            for j, (x, y) in enumerate(zip(ri, rk)):
+                ri[j], rk[j] = p * x + q * y, r * x + s * y
 
     def colop(j, k, a, b, c, d):
-        for T in (S, V):
+        for T in col_mats:
             for row in T:
                 x, y = row[j], row[k]
                 row[j], row[k] = a * x + b * y, c * x + d * y
@@ -256,7 +265,8 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
             break
         i, j = found
         if i != t:
-            rowop(t, i, 0, 1, 1, 0)
+            for T in (S, U, W):
+                T[t], T[i] = T[i], T[t]
         if j != t:
             colop(t, j, 0, 1, 1, 0)
         while True:
@@ -284,11 +294,8 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
             if all(S[i][t] == 0 for i in range(t + 1, n)):
                 break
         if S[t][t] < 0:
-            for j in range(m):
-                S[t][j] = -S[t][j]
-            for j in range(n):
-                U[t][j] = -U[t][j]
-                Uinv[j][t] = -Uinv[j][t]
+            for T in (S, U, W):
+                T[t] = [-x for x in T[t]]
         t += 1
     # enforce divisibility chain: the matrix is diagonal, so replace each
     # offending pair diag(a, b) by diag(gcd, lcm) using operations confined
@@ -306,7 +313,7 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat, Mat]:
                 colop(i, i + 1, s_, t_, -(b // g), a // g)  # block [[g,0],[t_*b, lcm]]
                 q = (t_ * b) // g
                 rowop(i, i + 1, 1, 0, -q, 1)  # clear the stray entry: diag(g, lcm)
-    return freeze(S), freeze(U), freeze(V), freeze(Uinv)
+    return freeze(S), freeze(U), freeze(V) if track_v else None, transpose(W)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +382,7 @@ def quotient(ambient_rank: int, B) -> LatticeQuotient:
         B_mat = from_columns(B)
     if ambient_rank == 0:
         return LatticeQuotient(0, 0, (), (), (), (), ())
-    S, U, _V, Uinv = smith_normal_form(B_mat)
+    S, U, _V, Uinv = smith_normal_form(B_mat, track_v=False)
     n, m = shape(S)
     diag = [S[i][i] for i in range(min(n, m))] + [0] * max(0, n - min(n, m))
     torsion_rows = tuple(i for i, d in enumerate(diag) if d not in (0, 1))

@@ -122,7 +122,7 @@ def in_sres(config: Configuration, gamma) -> bool:
         candidates = dg.class_candidates(config, face, gamma)
         if not candidates:
             continue
-        z_a = dg.class_representative(config, face.indices, a_A)
+        z_a = config.face_data(face.indices).column_sum_representative
         for m in range(1, m_max + 1):
             shift = il.vscale(m, z_a)
             if dg.first_passing(family, config, face,

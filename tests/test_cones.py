@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from fourier_motzkin import fm_query
 
 from gkzfactors import bruteforce as bf
-from gkzfactors import cones
+from gkzfactors import cli, cones
+from gkzfactors import degrees as dg
+from gkzfactors import factors as fa
 from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import ComputationLimitError, DomainError
@@ -204,6 +207,23 @@ def test_facet_budget_counts_subsets_before_any_kernel(monkeypatch):
     assert len(Configuration(A54.matrix).facets()) == 4
 
 
+def test_face_budget_counts_faces_found(monkeypatch, tmp_path, capsys):
+    # the 4x4 identity has 2^4 = 16 faces: the full set, 4 facets, ...
+    m = [[int(i == j) for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(cones, "FACE_BUDGET", 15)
+    with pytest.raises(ComputationLimitError) as err:
+        Configuration(m).all_faces()
+    assert (err.value.stage, err.value.used, err.value.limit) == ("cones.all_faces", 16, 15)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"matrix": m}))
+    assert cli.main(["faces", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stage cones.all_faces, used 16, limit 15" in captured.err
+    monkeypatch.setattr(cones, "FACE_BUDGET", 16)
+    assert len(Configuration(m).all_faces()) == 16
+
+
 def test_face_span_lattice_saturated():
     # QF ∩ ZA for the doubled column is generated by the primitive vector
     basis = A46.face_data((1,)).span_lat
@@ -353,3 +373,88 @@ def test_normality_of_a_5x12_draw_needs_no_fourier_motzkin():
     assert any(x is not None and min(x) >= 0
                for x in (il.rational_solve(il.from_columns(s), hole)
                          for s in combinations(config.cols, 5)))
+
+
+def _full_codim(config, indices):
+    """The codimension from the rank of the face's columns."""
+    sub = [config.cols[j] for j in indices]
+    return config.rank - (il.rational_rank(il.from_columns(sub, dim=config.n)) if sub else 0)
+
+
+def _full_deltas(config, indices):
+    """(QF ∩ ZA) / ZF from `inner`, a left inverse and a Smith form, always."""
+    ann = il.rational_kernel([config.col_coords[j] for j in indices]) if indices else None
+    if not indices:
+        inner = []
+    else:
+        inner = il.integer_kernel(tuple(ann)) if ann else il.columns(il.identity(config.rank))
+    if not inner:
+        return [tuple(0 for _ in range(config.n))]
+    N, D, _C = il.scaled_left_inverse(il.from_columns(inner))
+    coords = [tuple(il.dot(row, config.col_coords[j]) // d for row, d in zip(N, D))
+              for j in indices]
+    quot = il.quotient(len(inner), coords)
+    B = il.from_columns(config.lattice_basis)
+    S = il.from_columns([il.matvec(B, u) for u in inner], dim=config.n)
+    return [il.matvec(S, t) for t in quot.coset_representatives()]
+
+
+def _full_pullback(config, indices, cls):
+    """`factors.pullback_solutions` with z always from `class_representative`."""
+    z = dg.class_representative(config, indices, il.vneg(cls.representative))
+    if z is None:
+        return []
+    base = il.vadd(cls.representative, z)
+    out = [fa._make_class(config, indices, il.vadd(base, d))
+           for d in _full_deltas(config, indices)]
+    return sorted(out, key=lambda c: c.canonical)
+
+
+def _shortcut_draws(seed: int, count: int) -> list:
+    """Seeded small matrices, with rank-deficient and non-pointed ones mixed in."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, N = rng.randint(1, 3), rng.randint(2, 5)
+        m = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(n)]
+        kind = len(out) % 3
+        if kind == 1:  # a row that is the sum of the others: n > rank
+            m.append([sum(col) for col in zip(*m)])
+        elif kind == 2:  # a column and its negative: not pointed
+            m = [row + [-row[0]] for row in m]
+        if any(any(row) for row in m):
+            out.append(m)
+    return out
+
+
+def test_face_record_shortcuts_match_full_computation():
+    # the codimension from `ann`, `deltas` skipped on unit HNF pivots, and
+    # z = 0 in pullbacks for a class already in QF all agree with the full
+    # computation; every branch of both shortcuts is taken
+    fixtures = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
+    rng = random.Random(15)
+    seen = {"unit pivots": 0, "other pivots": 0, "torsion": 0, "in QF": 0, "outside QF": 0}
+    for m in fixtures + _shortcut_draws(15, 45):
+        config = Configuration(m)
+        full = tuple(range(config.N))
+        classes = [fa.trivial_class(config)]
+        for _ in range(3):  # rational and integer combinations of the columns
+            den = rng.randint(1, 3)
+            coeffs = [Fraction(rng.randint(-3, 3), den) for _ in config.cols]
+            classes.append(fa._make_class(config, full, tuple(
+                sum(q * c[i] for q, c in zip(coeffs, config.cols)) for i in range(config.n))))
+        for face in config.all_faces():
+            data = config.face_data(face.indices)
+            assert face.codim == _full_codim(config, face.indices), (m, face)
+            assert data.deltas == _full_deltas(config, face.indices), (m, face)
+            unit = all(col[r] == 1 for r, col in data.hnf)
+            seen["unit pivots" if unit else "other pivots"] += 1
+            seen["torsion"] += len(data.deltas) > 1
+            for cls in classes:
+                coords = config.lattice_coords(cls.representative)
+                seen["outside QF" if any(il.dot(w, coords) for w in data.ann) else "in QF"] += 1
+                got = fa.pullback_solutions(config, face, cls)
+                want = _full_pullback(config, face.indices, cls)
+                assert [(c.representative, c.canonical, c.order) for c in got] == \
+                    [(c.representative, c.canonical, c.order) for c in want], (m, face, cls)
+    assert all(seen.values()), seen

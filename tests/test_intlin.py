@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_smith import reference_smith
+
 from gkzfactors import intlin as il
 from gkzfactors.errors import DimensionMismatchError
 
@@ -236,3 +238,24 @@ def test_scaled_inverse_floors_match_fractions():
             floor = tuple(il.dot(row, y) // d for row, d in zip(N, D))
             assert floor == tuple(x.numerator // x.denominator for x in il.matvec(Minv, y))
         checked += 1
+
+
+def test_quotient_matches_reference_smith():
+    # the Smith form with V tracked is the old routine's, and the one without
+    # V that `quotient` runs keeps the same U, U⁻¹ and torsion
+    rng = random.Random(15)
+    nontrivial = 0
+    for _ in range(2400):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        bound, density = rng.choice((1, 2, 4, 9)), rng.choice((0.3, 0.7, 1.0))
+        M = tuple(tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+                        for _ in range(m)) for _ in range(n))
+        S, U, V, Uinv = reference_smith(M)
+        assert il.smith_normal_form(M) == (S, U, V, Uinv), M
+        assert il.smith_normal_form(M, track_v=False) == (S, U, None, Uinv), M
+        q = il.quotient(n, il.columns(M))
+        diag = [S[i][i] for i in range(min(n, m))] + [0] * max(0, n - m)
+        assert (q._U, q._Uinv) == (U, Uinv), M
+        assert q.torsion == tuple(d for d in diag if d not in (0, 1)), M
+        nontrivial += bool(q.torsion)
+    assert nontrivial > 300

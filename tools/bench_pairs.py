@@ -5,7 +5,12 @@ workload and seed, alternating which root goes first from pair to pair so
 that slow drift of a shared host falls on both sides alike.  Keeps each run's
 result line and machine record, and writes, per workload and seed, the
 median and quartiles of every end-to-end metric on each side, the ratio of
-the medians, and how many pairs the new tree won.  Standard library only.
+the medians, how many pairs the new tree won, and two verdicts per metric:
+``within_bound`` (the new median is worse than the old one by at most the
+metric's ``bound`` in ``BENCHMARK.json``, as a share of the old median) and
+``gain_holds`` (the new tree won at least 9 pairs in 10, and its median is
+better than the old one by more than the old runs' quartile spread).
+Standard library only.
 
     python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
         --seeds 1,2 --pairs 10 --seconds 25 --out BENCH.json
@@ -43,8 +48,8 @@ def spread(values: list) -> dict:
 
 
 def summarise(pairs: list, end_to_end: list) -> dict:
-    """Per metric: each side's spread, the ratio new/old of the medians, and
-    the pairs in which the new run was better."""
+    """Per metric: each side's spread, the ratio new/old of the medians, the
+    pairs in which the new run was better, and the two verdicts."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -52,10 +57,14 @@ def summarise(pairs: list, end_to_end: list) -> dict:
         new = [p["new"]["metrics"][name]["value"] for p in pairs]
         old_s, new_s = spread(old), spread(new)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+        gain = (new_s["median"] - old_s["median"]) * (1 if higher else -1)
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "old": old_s, "new": new_s,
                      "ratio": new_s["median"] / old_s["median"] if old_s["median"] else None,
-                     "new_wins": wins, "pairs": len(pairs)}
+                     "new_wins": wins, "pairs": len(pairs),
+                     "within_bound": gain >= -metric["bound"] * abs(old_s["median"]),
+                     "gain_holds": 10 * wins >= 9 * len(pairs)
+                     and gain > old_s["q3"] - old_s["q1"]}
     return out
 
 
