@@ -8,10 +8,9 @@ The public surface: `Configuration` (cone/face/lattice combinatorics),
 oracles), and the `gkzfactors` command-line tool in `cli`.
 """
 
-from .cones import Configuration, Face, FaceData, FacetFunctional
-from .degrees import (DegreeFamily, QDegComponent, gap_family,
-                      good_class_exists, ideal_family, module_family,
-                      qdeg_components)
+from .cones import Configuration, FaceData, FacetFunctional
+from .degrees import (DegreeFamily, QDegComponent, gap_family, ideal_family,
+                      module_family, qdeg_components)
 from .errors import (ComputationLimitError, DimensionMismatchError,
                      DomainError, GKZError, NonPointedError)
 from .factors import (ComparisonReport, FactorLabel, FiltrationReport,

@@ -501,7 +501,7 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
                 comps = []
             for comp in comps:
                 report.checks += 1
-                over = config.facets_containing(comp.face)
+                over = comp.face.facets_over
                 diff = il.vsub(tuple(comp.base), tuple(a_A))
                 if not any(f.value(diff) < 0 for f in over):
                     report.fail("component-negative-facet-witness", seed,

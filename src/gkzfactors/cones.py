@@ -24,32 +24,28 @@ FACE_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face of the cone, recorded as the set of column indices it contains."""
-
-    indices: tuple[int, ...]
-    codim: int
-    witness: tuple  # integer h with h(A) ⊆ N and ker(h) ∩ A = this face
-
-    def leq(self, other: "Face") -> bool:
-        return set(self.indices) <= set(other.indices)
-
-
-@dataclass(frozen=True)
 class FacetFunctional:
     """Codimension-one face together with its primitive supporting functional.
 
-    ``l`` is stored as a rational vector on the ambient Z^n; its pairing with
-    the column lattice is integral, surjective onto Z, nonnegative on columns
-    and zero exactly on the face.
+    The functional is l = witness / scale on the ambient Z^n; its pairing
+    with the column lattice is integral, surjective onto Z, nonnegative on
+    columns and zero exactly on the face.  `witness` is primitive, and
+    `scale` is a positive integer because `y` is primitive.
     """
 
-    face: Face
-    l: tuple  # of Fraction
+    face: "FaceData"
+    witness: tuple  # primitive integers: a positive multiple of l
+    scale: int
     y: tuple  # the same functional on the ZA basis: primitive integers
 
+    @property
+    def l(self) -> tuple:
+        return tuple(Fraction(w, self.scale) for w in self.witness)
+
     def value(self, v) -> Fraction:
-        return sum(Fraction(a) * Fraction(x) for a, x in zip(self.l, v, strict=True))
+        e = lcm(*(x.denominator for x in v))
+        u = [x.numerator * (e // x.denominator) for x in v]  # e.v, in integers
+        return Fraction(sum(map(mul, self.witness, u)), self.scale * e)
 
 
 class Configuration:
@@ -103,21 +99,18 @@ class Configuration:
     def facets(self) -> list[FacetFunctional]:
         if "facets" in self._cache:
             return self._cache["facets"]
+        B = il.freeze(self.lattice_basis)
         out = []
         for face_idx, y in _facet_values(self.col_coords, self.rank):
-            l = self._extend_functional(y)
-            face = Face(indices=face_idx, codim=1, witness=il.clear_denominators(l))
-            out.append(FacetFunctional(face=face, l=l, y=y))
+            l = il.rational_solve(B, y)  # a rational h on Q^n whose values on the ZA basis are y
+            witness = il.clear_denominators(l)
+            scale = next(w // x for w, x in zip(witness, l) if x)  # witness = scale.l
+            out.append(FacetFunctional(face=self.face_data(face_idx), witness=witness,
+                                       scale=scale, y=y))
         self._cache["facets"] = out
         return out
 
-    def _extend_functional(self, y):
-        """A rational h on Q^n whose values on the ZA basis are y."""
-        h = il.rational_solve(il.freeze(self.lattice_basis), y)
-        assert h is not None
-        return h
-
-    def all_faces(self) -> list[Face]:
+    def all_faces(self) -> list["FaceData"]:
         """Every face, sorted by (codim, indices): each face found is intersected
         once with every facet, and the faces found may not exceed FACE_BUDGET."""
         if "faces" in self._cache:
@@ -136,22 +129,12 @@ class Configuration:
                         raise ComputationLimitError("face enumeration exceeded budget",
                                                     stage="cones.all_faces",
                                                     used=len(index_sets), limit=FACE_BUDGET)
-        faces = [self._make_face(idx) for idx in index_sets]
+        faces = [self.face_data(idx) for idx in index_sets]
         faces.sort(key=lambda f: (f.codim, f.indices))
         self._cache["faces"] = faces
         return faces
 
-    def _make_face(self, idx: tuple) -> Face:
-        if idx == tuple(range(self.N)):
-            return Face(indices=idx, codim=0, witness=tuple(0 for _ in range(self.n)))
-        h = tuple(Fraction(0) for _ in range(self.n))
-        for f in self.facets():
-            if set(idx) <= set(f.face.indices):
-                h = tuple(a + b for a, b in zip(h, f.l))
-        return Face(indices=idx, codim=len(self.face_data(idx).ann),
-                    witness=il.clear_denominators(h))
-
-    def face(self, indices) -> Face:
+    def face(self, indices) -> "FaceData":
         """The face with the given column indices (must exist)."""
         idx = tuple(sorted(indices))
         for f in self.all_faces():
@@ -159,11 +142,8 @@ class Configuration:
                 return f
         raise DomainError(f"{idx} is not a face of the configuration")
 
-    def minimal_face(self) -> Face:
+    def minimal_face(self) -> "FaceData":
         return self.all_faces()[-1]
-
-    def facets_containing(self, face: Face) -> list[FacetFunctional]:
-        return self.face_data(face.indices).facets_over
 
     def face_data(self, indices) -> "FaceData":
         """The cached lattice record of a column-index set (a face or not)."""
@@ -220,7 +200,7 @@ class Configuration:
             # the unit lattice is saturated in ZA, so the quotient by it is
             # free and every class lifts to ZA; facet values depend only on
             # the class
-            units = self.face_data(self.minimal_face().indices)
+            units = self.minimal_face()
             quot = il.quotient(self.rank, units.inner)
             gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords])
             lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
@@ -300,13 +280,16 @@ class Configuration:
 class FaceData:
     """Lattice data of the columns at `indices`, each field computed on first use.
 
-    `indices` is usually a face, but any column-index set works (pullbacks
-    take subcones); then "F" below means the cone of those columns.  Each
-    consumer builds only what it reads: `all_faces` the codimension, len(`ann`);
-    membership queries `facets_over` and `lattice_part`; `in_span` (dmod
-    tables, gap components) `annihilator`; classes (`reduce`) `hnf`; pullbacks
-    `ann` and `deltas`, and `representative` only for a class outside QF;
-    class candidates `representative` and `deltas`, and `in_sres` also
+    The one face object: `all_faces`, `face`, `minimal_face` and
+    `FacetFunctional.face` hand out these records.  `indices` is usually a
+    face, but any column-index set works (pullbacks take subcones); then "F"
+    below means the cone of those columns.  Each consumer builds only what
+    it reads: `all_faces` `codim`, which is len(`ann`); membership queries
+    `facets_over` and `lattice_part`; `in_span` (dmod tables, gap
+    components) `annihilator`, derived from `ann`; classes (`reduce`) `hnf`;
+    pullbacks `deltas`, and `ann` and `representative` only for a class
+    other than the trivial one, the latter only outside QF; class
+    candidates `representative` and `deltas`, and `in_sres` also
     `column_sum_representative`.  In turn `representative` needs
     `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
     `span_lat` only when a pivot of `hnf` exceeds 1.
@@ -317,6 +300,13 @@ class FaceData:
         self.indices = indices
         self.cols = tuple(config.cols[j] for j in indices)
         self._queries: dict = {}
+
+    def __repr__(self):
+        return f"FaceData(indices={self.indices})"
+
+    @cached_property
+    def codim(self) -> int:
+        return len(self.ann)
 
     @cached_property
     def lattice_part(self) -> tuple:
@@ -340,7 +330,7 @@ class FaceData:
         if q is None:
             h = (0,) * self.config.n
             for f in self.facets_over:
-                h = il.vadd(h, f.face.witness)
+                h = il.vadd(h, f.witness)
             q = MembershipQuery(shift=(0,) * self.config.n, generators=key,
                                 lattice_part=self.lattice_part, functional=h)
             self._queries[key] = q
@@ -348,10 +338,14 @@ class FaceData:
 
     @cached_property
     def annihilator(self) -> tuple:
-        """Primitive integer rows w with v ∈ QF iff w.v = 0 for every row."""
-        if not self.cols:
-            return il.identity(self.config.n)
-        return tuple(il.rational_kernel(self.cols))  # the w with w.c = 0 for each column c
+        """Integer rows w with v ∈ QF iff w.v = 0 for every row: the rows of
+        `ann` carried to the ambient space through the ZA coordinates N.v / D
+        of `Configuration._za_inverse`, then its rows C, which cut out QA."""
+        N, D, C = self.config._za_inverse
+        e = lcm(*D)
+        T = il.transpose([il.vscale(e // d, row) for row, d in zip(N, D)])
+        rows = tuple(il.clear_denominators(il.matvec(T, a)) for a in self.ann)
+        return rows + tuple(map(tuple, C))
 
     def in_span(self, v) -> bool:
         """v ∈ QF for a rational vector v."""

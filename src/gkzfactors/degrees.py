@@ -13,14 +13,14 @@ point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
 lattice part (ℕA − ℕF = ℕA + ℤF and friends); the saturation side is a
 sign test on facet values.  There are two engines, one per job.  The per-γ
-test (`good_class_exists`, `first_passing`, which `resonance` calls) asks
-`semigroup.member`.  `qdeg_components`, for the module and gap families,
-checks the size of the conductor's facet-value box against the budget
-(exit 3 before any work), walks the lattice points of the box along a
-Hermite normal form (`box_walk`), skips the gap classes the conductor
+test (`first_passing` over `class_candidates`, which `resonance` calls)
+asks `semigroup.member`.  `qdeg_components`, for the module and gap
+families, checks the size of the conductor's facet-value box against the
+budget (exit 3 before any work), walks the lattice points of the box along
+a Hermite normal form (`box_walk`), skips the gap classes the conductor
 already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a lookup in
 one closure per face; only the witness of each reported class runs a
-search.
+search.  A face is its `cones.FaceData` record throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import prod
 from operator import add, ge, lt, sub
 
 from . import intlin as il
-from .cones import Configuration, Face
+from .cones import Configuration, FaceData
 from .errors import ComputationLimitError, DomainError
 from .semigroup import member
 
@@ -67,45 +67,37 @@ def gap_family() -> DegreeFamily:
 @dataclass(frozen=True)
 class QDegComponent:
     base: tuple  # lattice point b with b + ℕF inside the degree set
-    face: Face
+    face: FaceData
 
 
 # ---------------------------------------------------------------------------
 # per-face plumbing
 # ---------------------------------------------------------------------------
 
-def class_representative(config: Configuration, indices: tuple, gamma):
-    """An integer point of ℤA congruent to γ modulo ℚF, or None; F is the
-    cone of the columns at `indices` (`FaceData.representative`)."""
-    return config.face_data(indices).representative(gamma)
-
-
-def class_candidates(config: Configuration, face: Face, gamma) -> list:
+def class_candidates(config: Configuration, face: FaceData, gamma) -> list:
     """One lattice representative per ℤF-class inside γ + ℚF, or []."""
-    base = class_representative(config, face.indices, gamma)
+    base = face.representative(gamma)
     if base is None:
         return []
-    return [il.vadd(base, d) for d in config.face_data(face.indices).deltas]
+    return [il.vadd(base, d) for d in face.deltas]
 
 
 # ---------------------------------------------------------------------------
 # good classes
 # ---------------------------------------------------------------------------
 
-def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x) -> bool:
+def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
     """Is the ℤF-class of the lattice point x good?  Each y ∈ ℕ·gens + ℤF
     (+ the minimal face) is asked of `semigroup.member`.  For y ∈ ℤA,
-    y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F (Face.witness is a
-    positive multiple of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so y + m·a_F ∈ sat
-    for large m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
+    y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F (FacetFunctional.witness
+    is a positive multiple of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so
+    y + m·a_F ∈ sat for large m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
     """
-    data = config.face_data(face.indices)
-
     def inside(gens, y):
-        return member(data.query(gens), y)
+        return member(face.query(gens), y)
 
     def nonneg(y):
-        return all(il.dot(f.face.witness, y) >= 0 for f in data.facets_over)
+        return all(il.dot(f.witness, y) >= 0 for f in face.facets_over)
     if family.kind == "gap":
         return nonneg(x) and not inside(config.cols, x)
     if not inside(config.cols, x):
@@ -113,19 +105,14 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: Face, x) ->
     if family.kind == "module":
         y = il.vsub(x, config.column_sum())
         return not (nonneg(y) and inside(config.cols, y))
-    return not any(inside(config.face_data(g.indices).cols, x) for g in config.all_faces()
+    return not any(inside(g.cols, x) for g in config.all_faces()
                    if g.codim > family.level and set(face.indices) <= set(g.indices))
 
 
-def first_passing(family: DegreeFamily, config: Configuration, face: Face, candidates):
-    """The first ℤF-class representative among `candidates` that passes."""
+def first_passing(family: DegreeFamily, config: Configuration, face: FaceData, candidates):
+    """The first ℤF-class representative among `candidates` that passes: some
+    b ≡ γ (mod ℚF) has b + ℕF ⊆ D iff one of γ's `class_candidates` does."""
     return next((x for x in candidates if _passes_exact(family, config, face, x)), None)
-
-
-def good_class_exists(family: DegreeFamily, config: Configuration, face: Face,
-                      gamma) -> bool:
-    """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
-    return first_passing(family, config, face, class_candidates(config, face, gamma)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +185,9 @@ def facet_bounds(config: Configuration) -> dict:
 # component extraction
 # ---------------------------------------------------------------------------
 
-def _witness_base(family: DegreeFamily, config: Configuration, face: Face, x):
+def _witness_base(family: DegreeFamily, config: Configuration, face: FaceData, x):
     """A concrete b ≡ x (mod ℤF) with b + ℕF inside the degree set."""
-    q = config.face_data(face.indices).query(
+    q = face.query(
         config.saturation_hilbert_basis() if family.kind == "gap" else config.cols)
     ok, info = member(q, x, witness=True)
     if not ok:
@@ -211,7 +198,7 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: Face, x):
     return b
 
 
-def _closure(config: Configuration, face: Face, bounds: dict):
+def _closure(config: Configuration, face: FaceData, bounds: dict):
     """(mod_zf, closure) for y ∈ ℤA with 0 <= l_G(y) < bounds[G], G ⊇ F:
     y ∈ ℕA + ℤF iff its key lies in closure.
 
@@ -224,9 +211,8 @@ def _closure(config: Configuration, face: Face, bounds: dict):
     facet value over F and keeps it >= 0, so every prefix lies in the box.
     It is finite: a column outside F raises some l_G (G ⊇ F) by at least 1.
     """
-    data = config.face_data(face.indices)
-    over, top = data.facets_over, [bounds[f.face.indices] for f in data.facets_over]
-    mod_zf = il.quotient(config.n, data.lattice_part)
+    over, top = face.facets_over, [bounds[f.face.indices] for f in face.facets_over]
+    mod_zf = il.quotient(config.n, face.lattice_part)
     torsion = mod_zf.torsion
     steps = [([int(f.value(g)) for f in over], mod_zf.project(g)[1]) for g in config.cols]
     start = ((0,) * len(over), (0,) * len(torsion))
@@ -288,7 +274,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
 
     The classes at a face F are the points f of the free group ℤA/(ℚF ∩ ℤA)
     (`FaceData.class_quotient`); b is their section into ℤA, the point
-    `class_representative` gives.  The facet values over F are an injective
+    `FaceData.representative` gives.  The facet values over F are an injective
     integer map M of f, so `box_walk` visits each class whose facet values
     lie in the conductor's box once, in the order of those values, carrying
     b, the annihilator values that test b against the components of larger
@@ -311,7 +297,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     x − a_A is in the box and its key (facet values minus l_G(a_A), torsion
     part minus a_A's) is looked up exactly.
 
-    The ideal families are decided per γ only (`good_class_exists`).
+    The ideal families are decided per γ only (`first_passing`).
     """
     if family.kind == "ideal":
         raise DomainError("components are enumerated for the module and gap families only")
@@ -320,8 +306,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         return []  # sat = ℕA, so no class passes
     bounds = facet_bounds(config)
     faces = config.all_faces()  # sorted by codimension: larger faces first
-    work = sum(prod(bounds[f.face.indices] for f in config.facets_containing(face))
-               for face in faces)
+    work = sum(prod(bounds[f.face.indices] for f in face.facets_over) for face in faces)
     if work > QDEG_BUDGET:
         raise ComputationLimitError("component enumeration exceeded budget",
                                     stage="degrees.qdeg_components", used=work,
@@ -330,8 +315,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     k_star, a_A, n = conductor_multiplier(config), config.column_sum(), config.n
     comps: list[QDegComponent] = []
     for face in faces:
-        data = config.face_data(face.indices)
-        over, quot = data.facets_over, data.class_quotient
+        over, quot = face.facets_over, face.class_quotient
         mod_zf, closure = _closure(config, face, bounds)
         torsion = mod_zf.torsion
         # box_walk yields v, the k facet values, then rows linear in b: b
@@ -341,7 +325,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         covers: dict = {}  # annihilator -> its values on component bases
         for comp in comps:
             if set(face.indices) < set(comp.face.indices):
-                ann = config.face_data(comp.face.indices).annihilator
+                ann = comp.face.annihilator
                 covers.setdefault(ann, set()).add(tuple(il.dot(w, comp.base) for w in ann))
         linear, k, spans = list(il.identity(n)), len(over), []
         for ann, vals in covers.items():
@@ -349,7 +333,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
             linear += ann
         tor = k + len(linear)
         linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
-        offsets = [mod_zf.project(d)[1] for d in data.deltas]
+        offsets = [mod_zf.project(d)[1] for d in face.deltas]
         a_vals, a_tor = [int(f.value(a_A)) for f in over], mod_zf.project(a_A)[1]
         skip = [k_star * a for a in a_vals]
 
@@ -372,7 +356,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
             v, base = p[:k], p[k:k + n]
             if gap and all(map(ge, v, skip)):
                 continue
-            hit = next((il.vadd(base, d) for d, t in zip(data.deltas, offsets)
+            hit = next((il.vadd(base, d) for d, t in zip(face.deltas, offsets)
                         if passes(v, tuple(map(add, p[tor:], t)))), None)
             if hit is not None:
                 comps.append(QDegComponent(base=_witness_base(family, config, face, hit),

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import comb
 
 from . import intlin as il
-from .cones import Configuration, Face
-from .degrees import class_representative, gap_family, qdeg_components
+from .cones import Configuration, FaceData
+from .degrees import gap_family, qdeg_components
 from .errors import DomainError, GKZError
 from . import resonance
 
@@ -73,7 +73,7 @@ def _make_class(config: Configuration, indices, rep, require_span=True) -> Local
 
 def class_of(config: Configuration, face, gamma) -> LocalSystemClass:
     """Character class of a parameter on the torus of a face (parameter in QF)."""
-    indices = face.indices if isinstance(face, Face) else tuple(face)
+    indices = face.indices if isinstance(face, FaceData) else tuple(face)
     return _make_class(config, indices, gamma, require_span=True)
 
 
@@ -98,25 +98,26 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
     """
     if tuple(cls.face_indices) != tuple(range(ambient.N)):
         raise DomainError("the pulled-back class must live on the full column set")
-    indices = face.indices if isinstance(face, Face) else tuple(face)
-    if not set(indices) <= set(range(ambient.N)):
-        raise DomainError("face indices out of range")
+    if not isinstance(face, FaceData):
+        if not set(face) <= set(range(ambient.N)):
+            raise DomainError("face indices out of range")
+        face = ambient.face_data(tuple(face))
 
-    coords = ambient.lattice_coords(cls.representative)
-    if coords is None:
-        raise DomainError("class representative lies outside the column span")
-    data = ambient.face_data(indices)
-    if any(il.dot(w, coords) for w in data.ann):
-        # one z in ZA with rep + z in QF: a representative of -rep modulo QF
-        z = class_representative(ambient, indices, il.vneg(cls.representative))
-        if z is None:
-            return []
-        base = il.vadd(cls.representative, z)
-    else:
-        # rep ∈ QF, where class_representative gives z = 0: the free rows of
-        # class_quotient vanish on Q.inner and section is linear
-        base = cls.representative
-    out = [_make_class(ambient, indices, il.vadd(base, d)) for d in data.deltas]
+    # for rep ∈ QF, as for the trivial class (rep = 0), the base is rep
+    # itself: there `FaceData.representative` gives z = 0, since the free
+    # rows of class_quotient vanish on Q.inner and section is linear
+    base = cls.representative
+    if any(base):
+        coords = ambient.lattice_coords(base)
+        if coords is None:
+            raise DomainError("class representative lies outside the column span")
+        if any(il.dot(w, coords) for w in face.ann):
+            # one z in ZA with rep + z in QF: a representative of -rep modulo QF
+            z = face.representative(il.vneg(base))
+            if z is None:
+                return []
+            base = il.vadd(base, z)
+    out = [_make_class(ambient, face.indices, il.vadd(base, d)) for d in face.deltas]
     out.sort(key=lambda c: c.canonical)
     return out
 
@@ -156,9 +157,8 @@ def _check_minimal_resonant_intersection(config, gamma, facet_faces) -> None:
     common = set(range(config.N))
     for f in facet_faces:
         common &= set(f.indices)
-    f0 = config.face(tuple(sorted(common)))
     for f in config.all_faces():
-        if config.face_data(f.indices).in_span(gamma) and not f0.leq(f):
+        if f.in_span(gamma) and not common <= set(f.indices):
             raise GKZError("a face carrying the parameter misses the minimal "
                            "resonant intersection")
 
@@ -169,7 +169,7 @@ def dmod_report(config: Configuration, gamma) -> FiltrationReport:
     resonance._require_in_span(config, gamma)
     levels = [[] for _ in range(config.rank + 1)]
     for f in config.all_faces():  # sorted by (codim, indices)
-        if config.face_data(f.indices).in_span(gamma):
+        if f.in_span(gamma):
             levels[f.codim].append(FactorLabel(f.codim, f.indices, class_of(config, f, gamma)))
     factors = tuple(map(tuple, levels))
 

@@ -20,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from . import degrees as dg
 from . import intlin as il
 from .cones import Configuration
-from .errors import DomainError, GKZError
+from .errors import ComputationLimitError, DomainError, GKZError
+
+GRID_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def in_sres(config: Configuration, gamma) -> bool:
     shifts can work per face.
 
     Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
-    `FaceData.deltas` δ, where z is `degrees.class_representative`:
+    `FaceData.deltas` δ, where z is `FaceData.representative`:
     z(v) = B·section(free(coords(v)), 0), B the ℤA basis.  Each of coords,
     free and section(·, 0) is linear, so z is linear where it is defined.
     Since a_A ∈ ℤA, free(coords(a_A)) is integral, so free(coords(γ + m·a_A))
@@ -114,7 +117,7 @@ def in_sres(config: Configuration, gamma) -> bool:
         if face.codim == 0:
             continue
         m_max = 0
-        for f in config.facets_containing(face):
+        for f in face.facets_over:
             value, step = values[f.face.indices]
             m_max = max(m_max, _largest_below((bounds[f.face.indices] - value) / step))
         if m_max == 0:
@@ -122,7 +125,7 @@ def in_sres(config: Configuration, gamma) -> bool:
         candidates = dg.class_candidates(config, face, gamma)
         if not candidates:
             continue
-        z_a = config.face_data(face.indices).column_sum_representative
+        z_a = face.column_sum_representative
         for m in range(1, m_max + 1):
             shift = il.vscale(m, z_a)
             if dg.first_passing(family, config, face,
@@ -150,7 +153,7 @@ def _dres_certificate(config: Configuration, gamma):
                 candidates[face.indices] = dg.class_candidates(config, face, gamma)
             hit = dg.first_passing(fam, config, face, candidates[face.indices])
             if hit is not None:
-                total = sum(f.value(hit) for f in config.facets_containing(face))
+                total = sum(f.value(hit) for f in face.facets_over)
                 return level, face, max(2, int(total) + 1)
     return None
 
@@ -210,24 +213,13 @@ SET_VERDICTS = {
 SET_NAMES = tuple(SET_VERDICTS)
 
 
-def _grid_points(box, step: Fraction):
-    axes = []
-    for lo, hi in box:
-        lo, hi = Fraction(lo), Fraction(hi)
-        axis = []
-        v = lo
-        while v <= hi:
-            axis.append(v)
-            v += step
-        axes.append(axis)
-    return product(*axes)
-
-
 def region_scan(config: Configuration, set_name: str, box, step) -> list[dict]:
     """Verdicts of a named parameter set over a rational grid.
 
-    ``box`` is one (lo, hi) pair per ambient coordinate; points outside the
-    column span get the verdict "outside".
+    ``box`` is one (lo, hi) pair per ambient coordinate, and the axis of
+    (lo, hi) holds lo + k·step for 0 <= k <= (hi − lo)/step; points outside
+    the column span get the verdict "outside".  The grid's points are
+    counted before any is built, and may not exceed GRID_BUDGET.
     """
     if set_name not in SET_NAMES:
         raise DomainError(f"unknown set {set_name!r}; choose from {SET_NAMES}")
@@ -236,8 +228,16 @@ def region_scan(config: Configuration, set_name: str, box, step) -> list[dict]:
     step = Fraction(step)
     if step <= 0:
         raise DomainError("scan step must be positive")
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    sizes = [max(0, (hi - lo) // step + 1) for lo, hi in box]
+    count = prod(sizes)
+    if count > GRID_BUDGET:
+        raise ComputationLimitError("region scan grid exceeded budget",
+                                    stage="resonance.region_scan", used=count,
+                                    limit=GRID_BUDGET)
+    axes = [[lo + k * step for k in range(size)] for (lo, _hi), size in zip(box, sizes)]
     out = []
-    for gamma in _grid_points(box, step):
+    for gamma in product(*axes):
         if not config.in_span(gamma):
             out.append({"gamma": gamma, "verdict": "outside"})
             continue

@@ -228,7 +228,7 @@ def test_golden_faces_and_normality_output(capsys):
 
 def test_golden_gap_factors_deep_search(tmp_path, capsys):
     # 11 gap labels on two faces, and 4 labels on one face of a 3x5
-    # configuration whose facet values are not those of Face.witness
+    # configuration whose facet values are not those of FacetFunctional.witness
     for matrix, name in (([[2, 2, 3, 3], [0, 0, 3, 2]], "gap-2x4"),
                          ([[1, 1, 1, 1, 1], [3, -1, 1, 3, 1], [1, 3, -1, 0, 2]], "gap-3x5")):
         path = tmp_path / "doc.json"

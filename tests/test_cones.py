@@ -400,8 +400,8 @@ def _full_deltas(config, indices):
 
 
 def _full_pullback(config, indices, cls):
-    """`factors.pullback_solutions` with z always from `class_representative`."""
-    z = dg.class_representative(config, indices, il.vneg(cls.representative))
+    """`factors.pullback_solutions` with z always from `FaceData.representative`."""
+    z = config.face_data(indices).representative(il.vneg(cls.representative))
     if z is None:
         return []
     base = il.vadd(cls.representative, z)
@@ -457,4 +457,40 @@ def test_face_record_shortcuts_match_full_computation():
                 want = _full_pullback(config, face.indices, cls)
                 assert [(c.representative, c.canonical, c.order) for c in got] == \
                     [(c.representative, c.canonical, c.order) for c in want], (m, face, cls)
+    assert all(seen.values()), seen
+
+
+def test_face_record_matches_old_face_and_functional():
+    # the records handed out as faces, and the integer facet functionals,
+    # against the formulas they replaced: l as the rational_solve extension
+    # of y, its cleared denominators as the witness, value as a Fraction sum,
+    # the annihilator as a kernel of the ambient columns, codim from the rank
+    fixtures = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
+    rng = random.Random(16)
+    seen = {"n > rank": 0, "not pointed": 0, "in span": 0, "outside": 0}
+
+    def rational(n):
+        return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+    for m in fixtures + _shortcut_draws(16, 45):
+        config = Configuration(m)
+        seen["n > rank"] += config.n > config.rank
+        seen["not pointed"] += not config.is_pointed()
+        faces = config.all_faces()
+        for f in config.facets():
+            l = il.rational_solve(il.freeze(config.lattice_basis), f.y)
+            assert f.l == l and f.witness == il.clear_denominators(l), (m, f.face)
+            assert any(f.face is g for g in faces)
+            for v in list(config.cols) + [rational(config.n) for _ in range(4)]:
+                want = sum(Fraction(a) * Fraction(x) for a, x in zip(l, v, strict=True))
+                assert f.value(v) == want, (m, f.face, v)
+        for face in faces:
+            assert face.codim == _full_codim(config, face.indices), (m, face)
+            rows = tuple(il.rational_kernel(face.cols)) if face.cols else il.identity(config.n)
+            combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in face.cols]
+            inside = tuple(sum((q * c[i] for q, c in zip(combo, face.cols)), Fraction(0))
+                           for i in range(config.n))
+            for v in [inside, config.column_sum()] + [rational(config.n) for _ in range(3)]:
+                want = not any(il.dot(w, v) for w in rows)
+                assert face.in_span(v) == want, (m, face, v)
+                seen["in span" if want else "outside"] += 1
     assert all(seen.values()), seen

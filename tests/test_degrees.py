@@ -20,6 +20,12 @@ AW = Configuration([[1, 1, 0], [0, 1, 2]])
 A54 = Configuration([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]])
 
 
+def good_class_exists(family, config, face, gamma):
+    """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
+    candidates = dg.class_candidates(config, face, gamma)
+    return dg.first_passing(family, config, face, candidates) is not None
+
+
 def comps(family, config):
     return sorted((c.base, c.face.indices)
                   for c in dg.qdeg_components(family, config))
@@ -87,22 +93,22 @@ def test_component_closure_agrees_with_search():
 def test_good_class_module_family():
     # x = 1 is a gap degree of the coprime pair at the apex face
     face = A23.face(())
-    assert dg.good_class_exists(dg.gap_family(), A23, face, (1,))
-    assert not dg.good_class_exists(dg.gap_family(), A23, face, (2,))
+    assert good_class_exists(dg.gap_family(), A23, face, (1,))
+    assert not good_class_exists(dg.gap_family(), A23, face, (2,))
     # classes shift by the face lattice only: along the doubled column the
     # translation group is 2Z, so parity matters
     f3 = A46.face((1,))
-    assert dg.good_class_exists(dg.module_family(), A46, f3, (0, 0))
-    assert dg.good_class_exists(dg.module_family(), A46, f3, (2, 5))
-    assert not dg.good_class_exists(dg.module_family(), A46, f3, (3, 0))
+    assert good_class_exists(dg.module_family(), A46, f3, (0, 0))
+    assert good_class_exists(dg.module_family(), A46, f3, (2, 5))
+    assert not good_class_exists(dg.module_family(), A46, f3, (3, 0))
 
 
 def test_ideal_family_levels():
     fam0 = dg.ideal_family(0)
     apex = A23.face(())
     # level-0 boundary ideal of the coprime pair: positive degrees of NA
-    assert dg.good_class_exists(fam0, A23, apex, (2,))
-    assert not dg.good_class_exists(fam0, A23, apex, (0,))
+    assert good_class_exists(fam0, A23, apex, (2,))
+    assert not good_class_exists(fam0, A23, apex, (0,))
 
 
 def test_family_validation():
@@ -116,10 +122,10 @@ def test_family_validation():
 
 def test_class_representative_modulo_face_span():
     f3 = A46.face((1,))
-    r1 = dg.class_representative(A46, f3.indices, (0, 0))
-    r2 = dg.class_representative(A46, f3.indices, (0, 7))  # same class modulo QF
+    r1 = f3.representative((0, 0))
+    r2 = f3.representative((0, 7))  # same class modulo QF
     assert r1 == r2
-    r3 = dg.class_representative(A46, f3.indices, (1, 0))  # different free coordinate
+    r3 = f3.representative((1, 0))  # different free coordinate
     assert r1 != r3
     # the doubled column leaves a parity choice inside the span: two
     # ZF-classes per span class

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkzfactors import cli
 from gkzfactors import degrees as dg
 from gkzfactors import resonance as rs
 from gkzfactors import semigroup as sg
@@ -15,6 +17,12 @@ A23 = Configuration([[2, 3]])
 AW = Configuration([[1, 1, 0], [0, 1, 2]])
 A54 = Configuration([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
+
+
+def good_class_exists(family, config, face, gamma):
+    """Does some b ≡ γ (mod ℚF) satisfy b + ℕF ⊆ D?"""
+    candidates = dg.class_candidates(config, face, gamma)
+    return dg.first_passing(family, config, face, candidates) is not None
 
 
 def test_classify_examples():
@@ -112,6 +120,31 @@ def test_region_scan():
         rs.region_scan(A23, "nonsense", [(0, 1)], 1)
 
 
+def test_region_scan_grid_budget(monkeypatch):
+    # 5 x 3 points, counted before any verdict: a verdict call fails the test
+    box, step = [(0, 2), (Fraction(-1, 2), Fraction(1, 2))], Fraction(1, 2)
+    monkeypatch.setattr(rs, "GRID_BUDGET", 14)
+    monkeypatch.setitem(rs.SET_VERDICTS, "sres", lambda *a: pytest.fail("verdict computed"))
+    with pytest.raises(ComputationLimitError) as err:
+        rs.region_scan(A46, "sres", box, step)
+    assert (err.value.stage, err.value.used, err.value.limit) == ("resonance.region_scan", 15, 14)
+    monkeypatch.setattr(rs, "GRID_BUDGET", 15)
+    assert len(rs.region_scan(A46, "res", box, step)) == 15
+
+
+def test_sets_grid_over_budget_exits_at_once(tmp_path, capsys):
+    # 200 001^2 points: without the count this scan runs until it is killed
+    path = tmp_path / "doc.json"
+    path.write_text('{"matrix": [[1, 0, 1], [0, 2, 1]]}')
+    start = time.perf_counter()
+    code = cli.main(["sets", "SRes", str(path), "--box=-1000:1000,-1000:1000", "--step", "1/100"])
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"stage resonance.region_scan, used {200_001 ** 2}, limit {rs.GRID_BUDGET}" \
+        in captured.err
+
+
 def test_region_scan_outside_span():
     config = Configuration([[1, 2], [0, 0]])
     grid = rs.region_scan(config, "res", [(0, 1), (0, 1)], 1)
@@ -174,12 +207,12 @@ def _per_shift_sres(config, gamma):
         if face.codim == 0:
             continue
         m_max = 0
-        for f in config.facets_containing(face):
+        for f in face.facets_over:
             q = (bounds[f.face.indices] - f.value(gamma)) / f.value(a_A)
             m_max = max(m_max, rs._largest_below(q))
         for m in range(1, m_max + 1):
             shifted = tuple(Fraction(g) + m * Fraction(c) for g, c in zip(gamma, a_A))
-            if dg.good_class_exists(family, config, face, shifted):
+            if good_class_exists(family, config, face, shifted):
                 return True
     return False
 
@@ -192,7 +225,7 @@ def _per_level_dres_certificate(config, gamma):
                 continue
             hit = dg.first_passing(fam, config, face, dg.class_candidates(config, face, gamma))
             if hit is not None:
-                total = sum(f.value(hit) for f in config.facets_containing(face))
+                total = sum(f.value(hit) for f in face.facets_over)
                 return level, face, max(2, int(total) + 1)
     return None
 
@@ -242,11 +275,11 @@ def test_class_representative_is_linear():
         config = Configuration(m)
         a_A = config.column_sum()
         for face in config.all_faces():
-            z = dg.class_representative(config, face.indices, gamma)
-            z_a = dg.class_representative(config, face.indices, a_A)
+            z = face.representative(gamma)
+            z_a = face.representative(a_A)
             assert z_a is not None
             for k in (1, 2, 5):
                 shifted = tuple(g + k * c for g, c in zip(gamma, a_A))
-                z_k = dg.class_representative(config, face.indices, shifted)
+                z_k = face.representative(shifted)
                 assert z_k == (None if z is None else
                                tuple(x + k * y for x, y in zip(z, z_a))), (m, gamma, face)
