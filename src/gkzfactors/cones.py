@@ -16,7 +16,7 @@ from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
-from .semigroup import MembershipQuery, member
+from .semigroup import MembershipQuery, _Reduced, member
 
 HILBERT_BUDGET = 500_000
 FACET_BUDGET = 100_000
@@ -285,7 +285,8 @@ class FaceData:
     face, but any column-index set works (pullbacks take subcones); then "F"
     below means the cone of those columns.  Each consumer builds only what
     it reads: `all_faces` `codim`, which is len(`ann`); membership queries
-    `facets_over` and `lattice_part`; `in_span` (dmod tables, gap
+    and closure tables `facets_over`, `lattice_part` and its
+    `lattice_quotient`; `in_span` (dmod tables, gap
     components) `annihilator`, derived from `ann`; classes (`reduce`) `hnf`;
     pullbacks `deltas`, and `ann` and `representative` only for a class
     other than the trivial one, the latter only outside QF; class
@@ -314,10 +315,17 @@ class FaceData:
         config = self.config
         return self.cols + tuple(config.cols[j] for j in config.minimal_face().indices)
 
+    @cached_property
+    def lattice_quotient(self) -> il.LatticeQuotient:
+        """Z^n modulo Z.lattice_part: one Smith form, shared by the face's
+        queries and its closure table (`degrees._ClosureTable`)."""
+        return il.quotient(self.config.n, self.lattice_part)
+
     def query(self, generators) -> MembershipQuery:
         """N.generators + Z.lattice_part; one object per generator tuple.
 
-        Reusing the object reuses its reduction across targets.  Its
+        Reusing the object reuses its reduction across targets, which is
+        built at once over `lattice_quotient`.  Its
         functional h is the sum of the facet witnesses over `indices`, a face
         F (or (), standing for the minimal face).  Each witness is >= 0 on
         the cone and 0 on F, so h vanishes on the lattice part; a point of
@@ -333,6 +341,7 @@ class FaceData:
                 h = il.vadd(h, f.witness)
             q = MembershipQuery(shift=(0,) * self.config.n, generators=key,
                                 lattice_part=self.lattice_part, functional=h)
+            vars(q)["reduced"] = _Reduced(q, self.lattice_quotient)
             self._queries[key] = q
         return q
 

@@ -20,14 +20,21 @@ budget (exit 3 before any work), walks the lattice points of the box along
 a Hermite normal form (`box_walk`), skips the gap classes the conductor
 already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a lookup in
 one closure per face; only the witness of each reported class runs a
-search.  A face is its `cones.FaceData` record throughout.
+search.  The closure is a set of single-integer keys (`_ClosureTable`):
+the torsion index modulo ℤF in the low bits, and above it one bit field per
+facet value over F, biased so that leaving the box sets the field's guard
+bit.  Each field is wide enough for the box and for any one column's facet
+value, so a step never carries into the next field, and columns have facet
+values >= 0 over F, so the box is left only upwards: one `& guard` test
+decides it exactly.  A class test is an add and a set lookup.  A face is
+its `cones.FaceData` record throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add, ge, lt, sub
+from operator import add
 
 from . import intlin as il
 from .cones import Configuration, FaceData
@@ -145,7 +152,13 @@ def conductor_multiplier(config: Configuration) -> int:
 
 
 def _conductor_search(config: Configuration) -> int:
-    """Σ k_h of `conductor_multiplier`, by membership search."""
+    """Σ k_h of `conductor_multiplier`, by membership search.
+
+    a_A ∈ ℕA, so k·a_A + r·h ∈ ℕA implies (k + 1)·a_A + r·h ∈ ℕA: the least
+    k that serves r is found by scanning upwards from the least k that
+    serves every r' < r, and k_h is where the scan ends after r = m_h − 1.
+    Each k is tried once per r, and k_h must stay below SEARCH_CAP.
+    """
     a_A = config.column_sum()
     base = config.face_data(()).query(config.cols)
     k_star = 0
@@ -159,17 +172,14 @@ def _conductor_search(config: Configuration) -> int:
             raise ComputationLimitError("no multiple of a saturation generator found in the semigroup",
                                         stage="degrees.conductor_multiplier",
                                         used=SEARCH_CAP - 1, limit=SEARCH_CAP - 1)
-        k_h = None
-        for k in range(0, SEARCH_CAP):
-            shift = il.vscale(k, a_A)
-            if all(member(base, il.vadd(shift, il.vscale(r, h)))
-                   for r in range(m_h)):
-                k_h = k
-                break
-        if k_h is None:
-            raise ComputationLimitError("conductor search exceeded its cap",
-                                        stage="degrees.conductor_multiplier",
-                                        used=SEARCH_CAP, limit=SEARCH_CAP)
+        k_h = 0
+        for r in range(m_h):
+            while not member(base, il.vadd(il.vscale(k_h, a_A), il.vscale(r, h))):
+                k_h += 1
+                if k_h == SEARCH_CAP:
+                    raise ComputationLimitError("conductor search exceeded its cap",
+                                                stage="degrees.conductor_multiplier",
+                                                used=SEARCH_CAP, limit=SEARCH_CAP)
         k_star += k_h
     return k_star
 
@@ -198,35 +208,94 @@ def _witness_base(family: DegreeFamily, config: Configuration, face: FaceData, x
     return b
 
 
-def _closure(config: Configuration, face: FaceData, bounds: dict):
-    """(mod_zf, closure) for y ∈ ℤA with 0 <= l_G(y) < bounds[G], G ⊇ F:
-    y ∈ ℕA + ℤF iff its key lies in closure.
+class _ClosureTable:
+    """The points y ∈ ℕA + ℤF with 0 <= l_G(y) < top_G = bounds[G] for every
+    facet G ⊇ F, as the set `keys` of their integer keys, built by forward
+    closure from 0 over the columns: y ∈ ℕA + ℤF iff its key is in `keys`.
 
-    The key of y is its facet values over F and its torsion part in
-    mod_zf, ℤⁿ modulo ℤF; it fixes y modulo ℤF, since equal facet
-    values put the difference in ℚF, where the free part vanishes.  The
-    closure is the set of keys of (ℕA + ℤF)/ℤF whose facet values lie in
-    the box, built by forward closure from 0.  It holds every member y of
-    the box: removing one column at a time from y = Σnⱼaⱼ + f never raises a
-    facet value over F and keeps it >= 0, so every prefix lies in the box.
-    It is finite: a column outside F raises some l_G (G ⊇ F) by at least 1.
+    The closure holds every member y of the box: removing one column at a
+    time from y = Σnⱼaⱼ + f never raises a facet value over F and keeps it
+    >= 0, so every prefix lies in the box.  It is finite: a column outside F
+    raises some l_G (G ⊇ F) by at least 1.
+
+    The key of y fixes y modulo ℤF: its facet values over F and its torsion
+    part in ℤⁿ/ℤF (`FaceData.lattice_quotient`); equal facet values put a
+    difference in ℚF, where the free part vanishes.  It is one integer.
+    The torsion part, as a mixed-radix index t < order, sits in the low
+    `tbits` bits.  Above it each facet value v_G has a field of w_G + 1 bits
+    at `shift[G]`, holding v_G + 2^w_G − top_G: that is < 2^w_G inside the
+    box, and its top bit, the field's guard bit, is set once v_G >= top_G.
+    The width has 2^w_G >= top_G and 2^w_G >= l_G(a) for every column a.
+    Each column has l_G(a) >= 0, so a step from a point of the box raises
+    each field by at most 2^w_G, to below 2^(w_G + 1): no field carries into
+    the next, every exit from the box is upwards, and one test
+    `key & guard` tells whether a point left it.  `keys` is a sparse set,
+    so its memory follows the classes it holds, not the size of the box.
     """
-    over, top = face.facets_over, [bounds[f.face.indices] for f in face.facets_over]
-    mod_zf = il.quotient(config.n, face.lattice_part)
-    torsion = mod_zf.torsion
-    steps = [([int(f.value(g)) for f in over], mod_zf.project(g)[1]) for g in config.cols]
-    start = ((0,) * len(over), (0,) * len(torsion))
-    seen, todo = {start}, [start]
-    while todo:
-        vals, tor = todo.pop()
-        for dv, t in steps:
-            nv = tuple(map(add, vals, dv))
-            if all(map(lt, nv, top)):
-                key = (nv, tuple((a + b) % d for a, b, d in zip(tor, t, torsion)))
-                if key not in seen:
-                    seen.add(key)
-                    todo.append(key)
-    return mod_zf, seen
+
+    def __init__(self, config: Configuration, face: FaceData, bounds: dict):
+        over, quot = face.facets_over, face.lattice_quotient
+        top = [bounds[f.face.indices] for f in over]
+        self.torsion = quot.torsion
+        self.places = [prod(self.torsion[:j]) for j in range(len(self.torsion))]
+        self.order = prod(self.torsion)
+        self.tbits = (self.order - 1).bit_length()
+        values = [[il.dot(f.witness, g) // f.scale for f in over] for g in config.cols]
+        self.shift, self.top = [], top
+        self.bias = self.guard = 0
+        off = self.tbits
+        for i, t in enumerate(top):
+            w = (max([t] + [v[i] for v in values]) - 1).bit_length()
+            self.shift.append(off)
+            self.bias += ((1 << w) - t) << off
+            self.guard |= 1 << (off + w)
+            off += w + 1
+        # per column: its packed facet values and its torsion part (a
+        # column of F steps by nothing)
+        zero = (0, (0,) * len(self.torsion))
+        self.steps = sorted({(self.pack(v), quot.project(g)[1])
+                             for v, g in zip(values, config.cols)} - {zero})
+        self.keys = self._walk()
+
+    def pack(self, values) -> int:
+        """Σ values[G] << shift[G], without the bias."""
+        return sum(v << s for v, s in zip(values, self.shift))
+
+    def index(self, tor) -> int:
+        """The mixed-radix index of a torsion part, reduced first."""
+        return sum(x % d * p for x, d, p in zip(tor, self.torsion, self.places))
+
+    def tor_add(self, t: int, tor) -> int:
+        """The index of (the part with index t) + tor."""
+        return self.index(t // p % d + x for x, d, p in zip(tor, self.torsion, self.places))
+
+    def key(self, values, tor) -> int:
+        """The key of the point with these facet values and torsion part."""
+        return self.pack(values) + self.bias + self.index(tor)
+
+    def at_least(self, low) -> int:
+        """c with (k + c) & guard == guard iff v_G >= low[G] for every G, for
+        the key k of a point of the box with facet values v, when
+        0 <= low[G] <= top[G]: field G of k + c holds v_G − low_G + 2^w_G,
+        in [0, 2^(w_G + 1)), and c has no torsion bits."""
+        return self.pack(t - x for t, x in zip(self.top, low))
+
+    def _walk(self) -> set:
+        guard, mask = self.guard, (1 << self.tbits) - 1
+        table: dict = {}  # torsion index -> key increments of the columns
+        seen, todo = {self.bias}, [self.bias]
+        while todo:
+            s = todo.pop()
+            t = s & mask
+            moves = table.get(t)
+            if moves is None:
+                moves = table[t] = [d + self.tor_add(t, u) - t for d, u in self.steps]
+            for d in moves:
+                ns = s + d
+                if not ns & guard and ns not in seen:
+                    seen.add(ns)
+                    todo.append(ns)
+        return seen
 
 
 def box_walk(M, bounds, carry):
@@ -277,25 +346,29 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     `FaceData.representative` gives.  The facet values over F are an injective
     integer map M of f, so `box_walk` visits each class whose facet values
     lie in the conductor's box once, in the order of those values, carrying
-    b, the annihilator values that test b against the components of larger
-    faces (classes inside one are dropped, other overlaps are kept) and b's
-    closure key.  The points walked are at most the tuples of the box, whose
-    count is checked against QDEG_BUDGET first.  Each representative
+    b's packed facet values (one linear row: Σ l_G(b) << shift[G]), b, the
+    annihilator values that test b against the components of larger faces
+    (classes inside one are dropped, other overlaps are kept) and b's
+    torsion part.  The points walked are at most the tuples of the box,
+    whose count is checked against QDEG_BUDGET first.  Each representative
     x = b + δ (δ ∈ ℚF ∩ ℤA) has b's facet values over F, so it lies in the
-    box and `_closure` decides x ∈ ℕA + ℤF by its key.
+    box, and its key is b's packed values plus the table's bias plus the
+    torsion index of b + δ: `_ClosureTable` decides x ∈ ℕA + ℤF by one
+    lookup.  On a face without torsion that index is 0 and δ = 0 only.
 
     Gap family: x lies in sat + ℤF, its facet values being >= 0 (see
     `_passes_exact`), so only x ∉ ℕA + ℤF is asked.  A class with
     l_G(b) >= k*·l_G(a_A) for every G ⊇ F is skipped: then y = b − k*·a_A
     has l_G(y) >= 0 for G ⊇ F, so y ∈ sat + ℤF and
     b ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`); no
-    representative b + δ passes.
+    representative b + δ passes.  The test is one add and a guard mask
+    (`_ClosureTable.at_least`).
 
     Module family: x passes iff x ∈ ℕA + ℤF and not (x − a_A ∈ sat + ℤF and
     x − a_A ∈ ℕA + ℤF).  The first part of the bracket is l_G(x − a_A) >= 0
     for every G ⊇ F; then those values lie below l_G(x) < bounds[G], so
-    x − a_A is in the box and its key (facet values minus l_G(a_A), torsion
-    part minus a_A's) is looked up exactly.
+    x − a_A is in the box and its key (x's key less the packed l_G(a_A),
+    torsion part minus a_A's) is looked up exactly.
 
     The ideal families are decided per γ only (`first_passing`).
     """
@@ -316,12 +389,13 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     comps: list[QDegComponent] = []
     for face in faces:
         over, quot = face.facets_over, face.class_quotient
-        mod_zf, closure = _closure(config, face, bounds)
-        torsion = mod_zf.torsion
-        # box_walk yields v, the k facet values, then rows linear in b: b
-        # itself; the annihilator of each larger face with components (b is
-        # in a component's class iff the values match its base's); b's
-        # torsion part modulo ℤF before reduction
+        table = _ClosureTable(config, face, bounds)
+        keys, guard, mod_zf = table.keys, table.guard, face.lattice_quotient
+        # box_walk yields v, the k facet values, then rows linear in b: b's
+        # packed facet values (`_ClosureTable.pack`); b itself; the
+        # annihilator of each larger face with components (b is in a
+        # component's class iff the values match its base's); b's torsion
+        # part modulo ℤF before reduction
         covers: dict = {}  # annihilator -> its values on component bases
         for comp in comps:
             if set(face.indices) < set(comp.face.indices):
@@ -329,36 +403,45 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
                 covers.setdefault(ann, set()).add(tuple(il.dot(w, comp.base) for w in ann))
         linear, k, spans = list(il.identity(n)), len(over), []
         for ann, vals in covers.items():
-            spans.append((k + len(linear), k + len(linear) + len(ann), vals))
+            spans.append((k + 1 + len(linear), k + 1 + len(linear) + len(ann), vals))
             linear += ann
-        tor = k + len(linear)
+        tor = k + 1 + len(linear)
         linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
+        a_vals = [il.dot(f.witness, a_A) // f.scale for f in over]
+        a_key, a_tor = table.pack(a_vals), [-x for x in mod_zf.project(a_A)[1]]
+        a_ge, skip_ge = table.at_least(a_vals), table.at_least([k_star * a for a in a_vals])
         offsets = [mod_zf.project(d)[1] for d in face.deltas]
-        a_vals, a_tor = [int(f.value(a_A)) for f in over], mod_zf.project(a_A)[1]
-        skip = [k_star * a for a in a_vals]
+        twisted, reps = table.order > 1, {}
 
-        def key(vals, t):
-            return vals, tuple(x % m for x, m in zip(t, torsion))
-
-        def passes(v, t):  # the class with facet values v and torsion part t
-            if gap:
-                return key(v, t) not in closure
-            return key(v, t) in closure and not (
-                all(map(ge, v, a_vals))
-                and key(tuple(map(sub, v, a_vals)), map(sub, t, a_tor)) in closure)
+        def representatives(tb):
+            """(δ, key of b + δ less b's, key of b + δ − a_A less b's) for
+            each δ, given b's torsion index tb."""
+            if tb not in reps:
+                ts = [table.tor_add(tb, u) for u in offsets]
+                reps[tb] = [(d, t, table.tor_add(t, a_tor) - a_key)
+                            for d, t in zip(face.deltas, ts)]
+            return reps[tb]
         # b over a basis of the classes, and the facet values of that basis
         G = il.matmul(B, il.from_columns([quot.section(e, ()) for e in il.identity(quot.free_rank)],
                                          dim=config.rank))
-        M = [[int(f.value(g)) for g in il.columns(G)] for f in over]
-        for p in box_walk(M, [bounds[f.face.indices] for f in over], il.matmul(linear, G)):
-            if any(p[s:e] in vals for s, e, vals in spans):
+        values = [[il.dot(f.witness, g) // f.scale for f in over] for g in il.columns(G)]
+        M = [[v[i] for v in values] for i in range(k)]
+        carry = [[table.pack(v) for v in values], *il.matmul(linear, G)]
+        for p in box_walk(M, table.top, carry):
+            if spans and any(p[s:e] in vals for s, e, vals in spans):
                 continue
-            v, base = p[:k], p[k:k + n]
-            if gap and all(map(ge, v, skip)):
+            at = p[k] + table.bias  # b's key, torsion part aside
+            if gap and (at + skip_ge) & guard == guard:
                 continue
-            hit = next((il.vadd(base, d) for d, t in zip(face.deltas, offsets)
-                        if passes(v, tuple(map(add, p[tor:], t)))), None)
-            if hit is not None:
-                comps.append(QDegComponent(base=_witness_base(family, config, face, hit),
-                                           face=face))
+            for d, t, t_less_a in representatives(table.index(p[tor:]) if twisted else 0):
+                x = at + t
+                if gap:
+                    ok = x not in keys
+                else:
+                    ok = x in keys and not ((at + a_ge) & guard == guard and at + t_less_a in keys)
+                if ok:
+                    base = p[k + 1:k + 1 + n]
+                    comps.append(QDegComponent(
+                        base=_witness_base(family, config, face, il.vadd(base, d)), face=face))
+                    break
     return comps

@@ -55,7 +55,7 @@ class MembershipQuery:
     @cached_property
     def reduced(self) -> "_Reduced":
         """The reduction shared by every target, computed on first use."""
-        return _Reduced(self)
+        return _Reduced(self, il.quotient(self.dim, self.lattice_part))
 
 
 class _Reduced:
@@ -67,11 +67,12 @@ class _Reduced:
     generator's height, and a step to a negative height is pruned.  With h
     the query's functional, w_i = h(section(e_i, 0)); h vanishes on the
     lattice part, hence on torsion, so w.free(g) = h(g).  A nonzero free
-    image must have height >= 1, or the query is not pointed.
+    image must have height >= 1, or the query is not pointed.  `quot` is
+    the ambient space modulo the lattice part, which a face shares among
+    its queries (`cones.FaceData.query`).
     """
 
-    def __init__(self, q: MembershipQuery):
-        quot = il.quotient(q.dim, q.lattice_part)
+    def __init__(self, q: MembershipQuery, quot: il.LatticeQuotient):
         self.images = [quot.project(g) for g in q.generators]
         zero = (0,) * len(quot.torsion)
         self.w = tuple(il.dot(q.functional, quot.section(e, zero))

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from gkzfactors import degrees as dg
 from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, DomainError
+from reference_closure import reference_closure
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -215,4 +217,101 @@ def test_conductor_of_normal_configuration_is_zero(monkeypatch):
     assert config.is_normal()[0]
     calls = _count_member_calls(monkeypatch)
     assert dg.conductor_multiplier(config) == 0
+    assert calls == []
+
+
+def _old_conductor_search(config):
+    """`degrees._conductor_search` as it was: every r < m_h re-tested at each k."""
+    a_A = config.column_sum()
+    base = config.face_data(()).query(config.cols)
+    k_star = 0
+    for h in config.saturation_hilbert_basis():
+        m_h = next((m for m in range(1, dg.SEARCH_CAP) if sg.member(base, il.vscale(m, h))), None)
+        if m_h is None:
+            raise ComputationLimitError("no multiple", stage="degrees.conductor_multiplier",
+                                        used=dg.SEARCH_CAP - 1, limit=dg.SEARCH_CAP - 1)
+        k_h = next((k for k in range(dg.SEARCH_CAP)
+                    if all(sg.member(base, il.vadd(il.vscale(k, a_A), il.vscale(r, h)))
+                           for r in range(m_h))), None)
+        if k_h is None:
+            raise ComputationLimitError("cap", stage="degrees.conductor_multiplier",
+                                        used=dg.SEARCH_CAP, limit=dg.SEARCH_CAP)
+        k_star += k_h
+    return k_star
+
+
+def _outcome(fn, config):
+    try:
+        return fn(config)
+    except ComputationLimitError as exc:
+        return (exc.stage, exc.used, exc.limit)
+
+
+def test_upward_conductor_scan_matches_old_loop():
+    # the upward scan asks a subset of the old loop's (k, r) pairs, so where
+    # the old loop answers the scan gives the same k*
+    inputs = list(_agreement_inputs()) + [[[0, -1, -2, -2], [1, 2, 0, 3], [-2, 3, 3, 3]]]
+    answered = 0
+    for matrix in inputs:
+        try:
+            config = Configuration(matrix)
+        except DomainError:
+            continue
+        old = _outcome(_old_conductor_search, config)
+        new = _outcome(dg._conductor_search, config)
+        if isinstance(old, int):
+            assert new == old, matrix
+            answered += 1
+        else:
+            assert new == old or isinstance(new, int), matrix
+    assert answered > 50
+    assert new == 32
+
+
+def test_packed_closure_matches_reference():
+    # every point of every face's box, in the box both families walk
+    # (facet_bounds), in the box of a_A alone and in a box of width 2, which
+    # columns with larger facet values leave in one step; the torsion faces
+    # of A46 and the non-pointed draws are among the inputs
+    checked = torsion = 0
+    for matrix in _agreement_inputs():
+        try:
+            config = Configuration(matrix)
+            bounds = dg.facet_bounds(config)
+        except (DomainError, ComputationLimitError):
+            continue
+        a_A = config.column_sum()
+        for box in (bounds, {f.face.indices: int(f.value(a_A)) for f in config.facets()},
+                    dict.fromkeys(bounds, 2)):
+            for face in config.all_faces():
+                top = [box[f.face.indices] for f in face.facets_over]
+                if prod(top) > dg.QDEG_BUDGET:
+                    continue
+                table = dg._ClosureTable(config, face, box)
+                ref = reference_closure(config, face, box)
+                tors = list(product(*(range(d) for d in table.torsion)))
+                for v in product(*(range(t) for t in top)):
+                    for t in tors:
+                        assert ((v, t) in ref) == (table.key(v, t) in table.keys), \
+                            (matrix, face, v, t)
+                assert len(table.keys) == len(ref)
+                checked += 1
+                torsion += table.order > 1
+    assert checked > 600 and torsion > 150
+
+
+def test_one_smith_form_per_face_lattice(monkeypatch):
+    # once a face has its lattice_quotient, its closure tables and its
+    # membership queries compute no further quotient
+    config = Configuration(A46.matrix)
+    bounds = dg.facet_bounds(config)
+    gen_sets = (config.cols, tuple(config.saturation_hilbert_basis()))
+    for face in config.all_faces():
+        face.lattice_quotient
+    calls = []
+    monkeypatch.setattr(il, "quotient", lambda *args: calls.append(args))
+    for face in config.all_faces():
+        dg._ClosureTable(config, face, bounds)
+        for gens in gen_sets:
+            assert face.query(gens).reduced.quotient is face.lattice_quotient
     assert calls == []

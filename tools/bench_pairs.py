@@ -10,7 +10,8 @@ the medians, how many pairs the new tree won, and two verdicts per metric:
 metric's ``bound`` in ``BENCHMARK.json``, as a share of the old median) and
 ``gain_holds`` (the new tree won at least 9 pairs in 10, and its median is
 better than the old one by more than the old runs' quartile spread).
-Standard library only.
+Each side's median op count (``attempted``) goes next to them, since a run's
+``peak_rss_mb`` grows with the ops it ran.  Standard library only.
 
     python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
         --seeds 1,2 --pairs 10 --seconds 25 --out BENCH.json
@@ -98,6 +99,8 @@ def main(argv=None) -> int:
             report["runs"][label] = pairs
             report["summary"][label] = dict(
                 summarise(pairs, spec["end_to_end"]),
+                attempted={side: statistics.median(p[side]["attempted"] for p in pairs)
+                           for side in roots},
                 all_correct=all(p[s]["correct"] for p in pairs for s in p),
                 failed=sum(p[s]["failed"] for p in pairs for s in p))
     report["machine"] = next(iter(report["runs"].values()))[0]["old"]["record"]["machine"]
