@@ -42,16 +42,16 @@ class OracleConfig:
 # ---------------------------------------------------------------------------
 
 def bf_member(query, target, R: int) -> bool:
-    """Exhaustive test of target ∈ shift + ℕ·generators + ℤ·lattice_part.
+    """Exhaustive test of target ∈ ℕ·generators + ℤ·lattice_part.
 
+    `query` is anything with `generators` and `lattice_part` (a
+    `semigroup.MembershipQuery` or a namespace); nothing else of it is read.
     All generator coefficients range over [0, R] and all lattice coefficients
     over [-R, R]; independent of the production search.
     """
-    shift = tuple(query.shift)
-    target = tuple(target)
+    want = tuple(target)
     gens = [tuple(g) for g in query.generators]
     lats = [tuple(v) for v in query.lattice_part]
-    want = tuple(t - s for t, s in zip(target, shift))
 
     terms = [(g, range(0, R + 1)) for g in gens]
     terms += [(v, range(-R, R + 1)) for v in lats]

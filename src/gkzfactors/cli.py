@@ -134,25 +134,19 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _gamma(doc: dict, args, config: Configuration):
+def _gamma(doc: dict, args):
     raw = getattr(args, "gamma", None) or doc.get("gamma")
     if raw is None:
         raise DomainError("a parameter is required ('gamma' in the document "
                           "or --gamma)")
-    v = _parse_vec(raw)
-    if len(v) != config.n:
-        raise DomainError("parameter length does not match the matrix")
-    return v
+    return _parse_vec(raw)
 
 
 def _character(doc: dict, args, config: Configuration) -> factors.LocalSystemClass:
     raw = getattr(args, "character", None) or doc.get("character")
     if raw is None:
         return factors.trivial_class(config)
-    v = _parse_vec(raw)
-    if len(v) != config.n:
-        raise DomainError("character length does not match the matrix")
-    return factors.class_of(config, tuple(range(config.N)), v)
+    return factors.class_of(config, tuple(range(config.N)), _parse_vec(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def cmd_normality(config, doc, args):
 
 
 def cmd_resonance(config, doc, args):
-    gamma = _gamma(doc, args, config)
+    gamma = _gamma(doc, args)
     prof = resonance.classify(config, gamma)
     sres = resonance.in_sres(config, gamma)
     dres = resonance.in_dres(config, gamma)
@@ -215,11 +209,7 @@ def _parse_box(spec: str):
 
 
 def cmd_sets(config, doc, args):
-    if args.name not in resonance.SET_NAMES:
-        raise DomainError(f"unknown set name: {args.name}")
     box = _parse_box(args.box)
-    if len(box) != config.n:
-        raise DomainError("box dimension does not match the matrix")
     step = _parse_fr(args.step)
     grid = resonance.region_scan(config, args.name, box, step)
     return {
@@ -234,11 +224,11 @@ def cmd_sets(config, doc, args):
 
 def cmd_factors(config, doc, args):
     if args.table == "dmod":
-        return _filtration(factors.dmod_report(config, _gamma(doc, args, config)))
+        return _filtration(factors.dmod_report(config, _gamma(doc, args)))
     if args.table == "perverse":
         return _filtration(factors.perverse_report(config,
                                                    _character(doc, args, config)))
-    cmp = factors.rh_compare(config, _gamma(doc, args, config))
+    cmp = factors.rh_compare(config, _gamma(doc, args))
     return {
         "dmod": _filtration(cmp.dmod),
         "perverse": _filtration(cmp.perverse),

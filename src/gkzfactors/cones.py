@@ -16,7 +16,7 @@ from operator import mul
 
 from . import intlin as il
 from .errors import ComputationLimitError, DomainError
-from .semigroup import MembershipQuery, _Reduced, member
+from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
 FACET_BUDGET = 100_000
@@ -339,10 +339,8 @@ class FaceData:
             h = (0,) * self.config.n
             for f in self.facets_over:
                 h = il.vadd(h, f.witness)
-            q = MembershipQuery(shift=(0,) * self.config.n, generators=key,
-                                lattice_part=self.lattice_part, functional=h)
-            vars(q)["reduced"] = _Reduced(q, self.lattice_quotient)
-            self._queries[key] = q
+            q = self._queries[key] = MembershipQuery(key, self.lattice_part, h,
+                                                     self.lattice_quotient)
         return q
 
     @cached_property

@@ -219,12 +219,14 @@ class _ClosureTable:
     raises some l_G (G ⊇ F) by at least 1.
 
     The key of y fixes y modulo ℤF: its facet values over F and its torsion
-    part in ℤⁿ/ℤF (`FaceData.lattice_quotient`); equal facet values put a
-    difference in ℚF, where the free part vanishes.  It is one integer.
-    The torsion part, as a mixed-radix index t < order, sits in the low
-    `tbits` bits.  Above it each facet value v_G has a field of w_G + 1 bits
-    at `shift[G]`, holding v_G + 2^w_G − top_G: that is < 2^w_G inside the
-    box, and its top bit, the field's guard bit, is set once v_G >= top_G.
+    part in ℤⁿ/ℤF (`FaceData.lattice_quotient`, `quot`); equal facet values
+    put a difference in ℚF, where the free part vanishes.  It is one
+    integer.  The torsion part, as its index t < quot.torsion_order()
+    (`intlin.LatticeQuotient.index`, which the membership search keys by
+    too), sits in the low `tbits` bits.  Above it each facet value v_G has a
+    field of w_G + 1 bits at `shift[G]`, holding v_G + 2^w_G − top_G: that
+    is < 2^w_G inside the box, and its top bit, the field's guard bit, is
+    set once v_G >= top_G.
     The width has 2^w_G >= top_G and 2^w_G >= l_G(a) for every column a.
     Each column has l_G(a) >= 0, so a step from a point of the box raises
     each field by at most 2^w_G, to below 2^(w_G + 1): no field carries into
@@ -236,10 +238,8 @@ class _ClosureTable:
     def __init__(self, config: Configuration, face: FaceData, bounds: dict):
         over, quot = face.facets_over, face.lattice_quotient
         top = [bounds[f.face.indices] for f in over]
-        self.torsion = quot.torsion
-        self.places = [prod(self.torsion[:j]) for j in range(len(self.torsion))]
-        self.order = prod(self.torsion)
-        self.tbits = (self.order - 1).bit_length()
+        self.quot = quot
+        self.tbits = (quot.torsion_order() - 1).bit_length()
         values = [[il.dot(f.witness, g) // f.scale for f in over] for g in config.cols]
         self.shift, self.top = [], top
         self.bias = self.guard = 0
@@ -252,7 +252,7 @@ class _ClosureTable:
             off += w + 1
         # per column: its packed facet values and its torsion part (a
         # column of F steps by nothing)
-        zero = (0, (0,) * len(self.torsion))
+        zero = (0, (0,) * len(quot.torsion))
         self.steps = sorted({(self.pack(v), quot.project(g)[1])
                              for v, g in zip(values, config.cols)} - {zero})
         self.keys = self._walk()
@@ -261,17 +261,9 @@ class _ClosureTable:
         """Σ values[G] << shift[G], without the bias."""
         return sum(v << s for v, s in zip(values, self.shift))
 
-    def index(self, tor) -> int:
-        """The mixed-radix index of a torsion part, reduced first."""
-        return sum(x % d * p for x, d, p in zip(tor, self.torsion, self.places))
-
-    def tor_add(self, t: int, tor) -> int:
-        """The index of (the part with index t) + tor."""
-        return self.index(t // p % d + x for x, d, p in zip(tor, self.torsion, self.places))
-
     def key(self, values, tor) -> int:
         """The key of the point with these facet values and torsion part."""
-        return self.pack(values) + self.bias + self.index(tor)
+        return self.pack(values) + self.bias + self.quot.index(tor)
 
     def at_least(self, low) -> int:
         """c with (k + c) & guard == guard iff v_G >= low[G] for every G, for
@@ -281,7 +273,7 @@ class _ClosureTable:
         return self.pack(t - x for t, x in zip(self.top, low))
 
     def _walk(self) -> set:
-        guard, mask = self.guard, (1 << self.tbits) - 1
+        guard, mask, quot = self.guard, (1 << self.tbits) - 1, self.quot
         table: dict = {}  # torsion index -> key increments of the columns
         seen, todo = {self.bias}, [self.bias]
         while todo:
@@ -289,7 +281,7 @@ class _ClosureTable:
             t = s & mask
             moves = table.get(t)
             if moves is None:
-                moves = table[t] = [d + self.tor_add(t, u) - t for d, u in self.steps]
+                moves = table[t] = [d + quot.add(t, u) - t for d, u in self.steps]
             for d in moves:
                 ns = s + d
                 if not ns & guard and ns not in seen:
@@ -411,14 +403,14 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
         a_key, a_tor = table.pack(a_vals), [-x for x in mod_zf.project(a_A)[1]]
         a_ge, skip_ge = table.at_least(a_vals), table.at_least([k_star * a for a in a_vals])
         offsets = [mod_zf.project(d)[1] for d in face.deltas]
-        twisted, reps = table.order > 1, {}
+        twisted, reps = mod_zf.torsion_order() > 1, {}
 
         def representatives(tb):
             """(δ, key of b + δ less b's, key of b + δ − a_A less b's) for
             each δ, given b's torsion index tb."""
             if tb not in reps:
-                ts = [table.tor_add(tb, u) for u in offsets]
-                reps[tb] = [(d, t, table.tor_add(t, a_tor) - a_key)
+                ts = [mod_zf.add(tb, u) for u in offsets]
+                reps[tb] = [(d, t, mod_zf.add(t, a_tor) - a_key)
                             for d, t in zip(face.deltas, ts)]
             return reps[tb]
         # b over a basis of the classes, and the facet values of that basis
@@ -433,7 +425,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
             at = p[k] + table.bias  # b's key, torsion part aside
             if gap and (at + skip_ge) & guard == guard:
                 continue
-            for d, t, t_less_a in representatives(table.index(p[tor:]) if twisted else 0):
+            for d, t, t_less_a in representatives(mod_zf.index(p[tor:]) if twisted else 0):
                 x = at + t
                 if gap:
                     ok = x not in keys

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -362,6 +363,22 @@ class LatticeQuotient:
 
     def torsion_order(self) -> int:
         return prod(self.torsion)
+
+    @cached_property
+    def places(self) -> tuple:
+        """The place of each torsion coordinate in the mixed-radix torsion
+        index: a reduced part tor has index Σ tor_j·places_j, a bijection
+        onto range(torsion_order())."""
+        return tuple(prod(self.torsion[:j]) for j in range(len(self.torsion)))
+
+    def index(self, tor) -> int:
+        """The mixed-radix index of a torsion part, reduced first."""
+        return sum(x % d * p for x, d, p in zip(tor, self.torsion, self.places))
+
+    def add(self, t: int, tor) -> int:
+        """The index of (the torsion part with index t) + tor; t // p is
+        digit j of t plus a multiple of d_j, which `index` reduces away."""
+        return self.index(t // p + x for x, p in zip(tor, self.places))
 
     def coset_representatives(self) -> list[Vec]:
         """All cosets as ambient representatives; requires free rank 0."""

@@ -1,26 +1,23 @@
-"""Decidable membership in sets of the form shift + N.S + Z.L.
+"""Decidable membership in sets of the form N.S + Z.L.
 
 The engine behind all degree-set computations: quotient by the lattice part
-(torsion carried as finite coordinates via Smith normal form), then a
-breadth-first search from the target down by the generators, bounded by a
-strictly positive functional on the pointed quotient cone.  Pointedness
-certifies termination.
+(torsion carried as one mixed-radix index, `intlin.LatticeQuotient.index`),
+then a breadth-first search from the target down by the generators, bounded
+by a strictly positive functional on the pointed quotient cone.
+Pointedness certifies termination.
 
-The reduction (quotient, generator images, heights) depends only on the
-generators, the lattice part and the functional, so a query computes it once
-and reuses it for every target; `cones.FaceData.query` keeps one query per
-face and generator set.  Every query brings its functional: a face query
-takes the sum of the facet witnesses over the face.  Each generator's
-integer height is precomputed, and the search carries integer heights and
+The reduction (generator images, heights) depends only on the generators,
+the quotient by the lattice part and the functional, so a query computes it
+once when built and reuses it for every target; `cones.FaceData.query`
+keeps one query per face and generator set, all over the face's one
+quotient.  Every query brings its functional: a face query takes the sum of
+the facet witnesses over the face.  The search carries integer heights and
 integer state keys, so it does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
-from math import prod
 from operator import mul
 
 from . import intlin as il
@@ -29,120 +26,76 @@ from .errors import ComputationLimitError, DimensionMismatchError, NonPointedErr
 DEFAULT_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
 class MembershipQuery:
-    """target ∈ shift + N.generators + Z.lattice_part, all data integral."""
+    """target ∈ N.generators + Z.lattice_part, all data integral.
 
-    shift: tuple
-    generators: tuple
-    lattice_part: tuple
-    # an integer h on the ambient space, zero on the lattice part and
-    # positive on every generator outside its span
-    functional: tuple
-
-    def __post_init__(self):
-        dims = {len(self.shift)}
-        dims.update(len(g) for g in self.generators)
-        dims.update(len(v) for v in self.lattice_part)
-        dims.add(len(self.functional))
-        if len(dims) != 1:
-            raise DimensionMismatchError("membership query mixes ambient dimensions")
-
-    @property
-    def dim(self) -> int:
-        return len(self.shift)
-
-    @cached_property
-    def reduced(self) -> "_Reduced":
-        """The reduction shared by every target, computed on first use."""
-        return _Reduced(self, il.quotient(self.dim, self.lattice_part))
-
-
-class _Reduced:
-    """The part of a query that every target shares, in integers.
-
-    Each generator's free and torsion image in the quotient by the lattice
-    part, and its height under an integer functional w on the free part: a
-    state's height is w.free, a step down by a generator lowers it by that
-    generator's height, and a step to a negative height is pruned.  With h
-    the query's functional, w_i = h(section(e_i, 0)); h vanishes on the
-    lattice part, hence on torsion, so w.free(g) = h(g).  A nonzero free
-    image must have height >= 1, or the query is not pointed.  `quot` is
-    the ambient space modulo the lattice part, which a face shares among
-    its queries (`cones.FaceData.query`).
+    `quotient` is the ambient space modulo Z.lattice_part, and `functional`
+    an integer h on the ambient space, zero on the lattice part and positive
+    on every generator outside its span.  What every target shares is
+    computed here, in integers: each generator's free and torsion image, and
+    its height under an integer functional w on the free part.  A state's
+    height is w.free, a step down by a generator lowers it by that
+    generator's height, and a step to a negative height is pruned.  With
+    w_i = h(section(e_i, 0)), h vanishes on the lattice part, hence on
+    torsion, so w.free(g) = h(g).  A nonzero free image must have height
+    >= 1, or the query is not pointed.
     """
 
-    def __init__(self, q: MembershipQuery, quot: il.LatticeQuotient):
-        self.images = [quot.project(g) for g in q.generators]
-        zero = (0,) * len(quot.torsion)
-        self.w = tuple(il.dot(q.functional, quot.section(e, zero))
-                       for e in il.identity(quot.free_rank))
+    def __init__(self, generators, lattice_part, functional, quotient: il.LatticeQuotient):
+        self.generators, self.lattice_part = tuple(generators), tuple(lattice_part)
+        self.functional, self.quotient = tuple(functional), quotient
+        if any(len(v) != quotient.ambient_rank
+               for v in (*self.generators, *self.lattice_part, self.functional)):
+            raise DimensionMismatchError("membership query mixes ambient dimensions")
+        self.images = [quotient.project(g) for g in self.generators]
+        zero = (0,) * len(quotient.torsion)
+        self.w = tuple(il.dot(self.functional, quotient.section(e, zero))
+                       for e in il.identity(quotient.free_rank))
         self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
         if any(h <= 0 for (f, _t), h in zip(self.images, self.heights) if not il.is_zero_vec(f)):
             raise NonPointedError("cone of generators is not pointed modulo the lattice part")
-        self.quotient = quot
         # a nonzero free image has height >= 1, a zero one height 0, so a
         # state of height >= 0 reached from height h differs from the start
         # by at most h * max |f_i| / h_f in free coordinate i
         self.spread = [[(abs(f[i]), h) for (f, _t), h in zip(self.images, self.heights) if h]
-                       for i in range(quot.free_rank)]
-        self.order = quot.torsion_order()
-        self.places = [prod(quot.torsion[:k]) for k in range(len(quot.torsion))]
+                       for i in range(quotient.free_rank)]
+        self.order = quotient.torsion_order()
+        self.down = [il.vneg(u) for _f, u in self.images]  # torsion step of each generator
 
-    def keys(self, free, tor, height: int):
-        """(start key, goal key, per-generator free decrements) of one search.
-
-        Each state is one integer key: the torsion index in the lowest place,
-        then free coordinate i shifted into [0, 2R_i], where R_i bounds its
-        distance from the start over all states of height >= 0.  The goal
-        (free part zero) gets key -1 when it is out of range, hence
-        unreachable.
-        """
-        place = self.order
-        start = sum(map(mul, tor, self.places))
-        goal = 0
-        codes = [0] * len(self.images)
-        for i, s in enumerate(free):
-            reach = max((-(-height * a // h) for a, h in self.spread[i]), default=0)
-            start += reach * place
-            if goal >= 0:
-                goal = goal + (reach - s) * place if abs(s) <= reach else -1
-            for gi, (f, _t) in enumerate(self.images):
-                codes[gi] += f[i] * place
-            place *= 2 * reach + 1
-        return start, goal, codes
-
-    def moves(self, t: int, codes) -> list:
-        """(generator index, key decrement, height) for each step from torsion index t."""
-        torsion, places = self.quotient.torsion, self.places
-        digits = [t // p % d for p, d in zip(places, torsion)]
-        out = []
-        for gi, ((_f, u), code, h) in enumerate(zip(self.images, codes, self.heights)):
-            nt = sum(((a - b) % d) * p for a, b, d, p in zip(digits, u, torsion, places))
-            out.append((gi, code + t - nt, h))
-        return out
+    def __repr__(self):
+        return f"MembershipQuery({self.generators}, {self.lattice_part}, {self.functional})"
 
 
 def member(q: MembershipQuery, target, witness: bool = False):
-    """Exact decision of target ∈ shift + N.S + Z.L, seeing at most
-    DEFAULT_BUDGET search states.
+    """Exact decision of target ∈ N.S + Z.L, seeing at most DEFAULT_BUDGET
+    search states.
 
     With witness=True returns (verdict, coefficients) where coefficients is a
     dict {"generators": [n_1..], "lattice": [m_1..]} for a true verdict.
     """
     target = tuple(target)
-    if len(target) != q.dim:
-        raise DimensionMismatchError("member: target dimension differs from query")
-    red = q.reduced
+    quot, order = q.quotient, q.order
     budget = DEFAULT_BUDGET  # read per call, so lowering the constant takes effect
-    t0 = il.vsub(target, q.shift)
-    free, tor = red.quotient.project(t0)
-    height = sum(map(mul, red.w, free))
+    free, tor = quot.project(target)
+    height = sum(map(mul, q.w, free))
     if height < 0:
         return (False, None) if witness else False
 
-    start, goal, codes = red.keys(free, tor, height)
-    order = red.order
+    # Each state is one integer key: the torsion index in the lowest place,
+    # then free coordinate i shifted into [0, 2R_i], where R_i bounds its
+    # distance from the start over all states of height >= 0.  The goal
+    # (free part zero) gets key -1 when it is out of range, hence
+    # unreachable.  codes[g] is generator g's free decrement.
+    start, goal, place = quot.index(tor), 0, order
+    codes = [0] * len(q.images)
+    for i, s in enumerate(free):
+        reach = max((-(-height * a // h) for a, h in q.spread[i]), default=0)
+        start += reach * place
+        if goal >= 0:
+            goal = goal + (reach - s) * place if abs(s) <= reach else -1
+        for gi, (f, _t) in enumerate(q.images):
+            codes[gi] += f[i] * place
+        place *= 2 * reach + 1
     seen = {start: None}  # key -> (previous key, generator index)
     dq = deque([(start, height)])
     table: dict = {}  # torsion index -> moves
@@ -151,8 +104,9 @@ def member(q: MembershipQuery, target, witness: bool = False):
         state, height = dq.popleft()
         t = state % order
         moves = table.get(t)
-        if moves is None:
-            moves = table[t] = red.moves(t, codes)
+        if moves is None:  # (generator index, key decrement, height)
+            moves = table[t] = [(gi, code + t - quot.add(t, u), h) for gi, (code, u, h)
+                                in enumerate(zip(codes, q.down, q.heights))]
         for gi, step, gh in moves:
             nheight = height - gh
             if nheight < 0:
@@ -178,7 +132,7 @@ def member(q: MembershipQuery, target, witness: bool = False):
     while seen[state] is not None:
         state, gi = seen[state]
         counts[gi] += 1
-    used = t0
+    used = target
     for gi, c in enumerate(counts):
         used = il.vsub(used, il.vscale(c, q.generators[gi]))
     lat = il.lattice_coordinates(list(q.lattice_part), used)

@@ -47,15 +47,16 @@ def positive_functional(vectors, dim: int):
     return tuple(w)
 
 
-def fm_query(shift, generators, lattice_part=()) -> MembershipQuery:
+def fm_query(generators, lattice_part=()) -> MembershipQuery:
     """The query with the Fourier-Motzkin functional of its free images.
 
     w is found on the free part of the quotient by the lattice part and
     scaled to integers; the ambient functional is h_j = w.free(e_j), so the
-    search recomputes exactly this w.  When no w exists, h = 0 and the
-    search raises `NonPointedError`.
+    query recomputes exactly this w.  When no w exists, h = 0 and building
+    the query raises `NonPointedError`.
     """
-    dim = len(shift)
+    generators = tuple(generators)
+    dim = len(generators[0])
     quot = il.quotient(dim, lattice_part)
     free = [f for f in (quot.project(g)[0] for g in generators) if not il.is_zero_vec(f)]
     w = positive_functional(free, quot.free_rank)
@@ -65,5 +66,4 @@ def fm_query(shift, generators, lattice_part=()) -> MembershipQuery:
         scale = lcm(*(x.denominator for x in w))
         w = [int(x * scale) for x in w]
         h = tuple(il.dot(w, quot.project(e)[0]) for e in il.identity(dim))
-    return MembershipQuery(shift=tuple(shift), generators=tuple(generators),
-                           lattice_part=tuple(lattice_part), functional=h)
+    return MembershipQuery(generators, lattice_part, h, quot)

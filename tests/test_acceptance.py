@@ -143,9 +143,11 @@ def test_criterion_5_oracle_equivalence():
                      for _ in range(rng.randint(1, 4)))
         lats = ((tuple(rng.randint(-2, 2) for _ in range(n)),)
                 if rng.random() < 0.25 else ())
-        q = fm_query(tuple(rng.randint(0, 2) for _ in range(n)), gens, lats)
+        shift = tuple(rng.randint(0, 2) for _ in range(n))
         target = tuple(rng.randint(-3, 8) for _ in range(n))
+        target = tuple(t - s for t, s in zip(target, shift))  # shift + ℕS + ℤL, asked unshifted
         try:
+            q = fm_query(gens, lats)
             got, witness = member(q, target, witness=True)
         except NonPointedError:
             continue

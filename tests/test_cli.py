@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,22 @@ def test_exit_code_domain_error(tmp_path, capsys):
     path.write_text(_doc([[2, 3]], gamma=["1/2", "3"]))  # wrong length
     code, _ = _run(["resonance", str(path), "--json"], capsys=capsys)
     assert code == 2
+
+
+def test_wrong_set_name_and_lengths_exit_2(tmp_path, capsys):
+    # argparse checks the set name, the library the box, γ and character
+    # lengths: each exits 2 with nothing on stdout
+    path = tmp_path / "doc.json"
+    path.write_text(_doc([[2, 3]]))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sets", "nosuch", "--box=-1:1", str(path)])
+    assert info.value.code == 2 and capsys.readouterr().out == ""
+    for argv in (["sets", "sres", "--box=-1:1,-1:1"], ["resonance", "--gamma", "1,2"],
+                 ["factors", "perverse", "--character", "1,2"]):
+        code = cli.main(argv + [str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err, argv
 
 
 def test_exit_code_bad_document(tmp_path, capsys):

@@ -306,7 +306,7 @@ def test_face_query_functional_matches_fourier_motzkin():
             targets.append(tuple(map(sum, zip(*rng.choices(config.cols, k=3)))))
             for gens in gen_sets:
                 q = data.query(gens)
-                fm = fm_query(q.shift, q.generators, q.lattice_part)
+                fm = fm_query(q.generators, q.lattice_part)
                 for target in targets:
                     got = member(q, target, witness=True)
                     assert got == member(fm, target, witness=True), (config.matrix, face, gens, target)

@@ -289,15 +289,50 @@ def test_packed_closure_matches_reference():
                     continue
                 table = dg._ClosureTable(config, face, box)
                 ref = reference_closure(config, face, box)
-                tors = list(product(*(range(d) for d in table.torsion)))
+                tors = list(product(*(range(d) for d in table.quot.torsion)))
                 for v in product(*(range(t) for t in top)):
                     for t in tors:
                         assert ((v, t) in ref) == (table.key(v, t) in table.keys), \
                             (matrix, face, v, t)
                 assert len(table.keys) == len(ref)
                 checked += 1
-                torsion += table.order > 1
+                torsion += table.quot.torsion_order() > 1
     assert checked > 600 and torsion > 150
+
+
+def _check_torsion_index(quot, vectors):
+    tors = list(product(*(range(d) for d in quot.torsion)))
+    assert sorted(quot.index(t) for t in tors) == list(range(quot.torsion_order()))
+    for u in vectors:
+        t = quot.index(quot.project(u)[1])
+        for v in vectors:
+            assert quot.add(t, quot.project(v)[1]) == quot.index(quot.project(il.vadd(u, v))[1])
+
+
+def test_torsion_index_is_a_bijection_that_adds():
+    # LatticeQuotient.index maps the torsion parts onto range(torsion_order()),
+    # and add(index(u), v) is the index of u + v; on random quotients and on
+    # every face quotient with torsion among the agreement inputs
+    rng = random.Random(1818)
+    twisted = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(0, 4)
+        quot = il.quotient(n, [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)])
+        _check_torsion_index(quot, [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(6)])
+        twisted += quot.torsion_order() > 1
+    faces = 0
+    for matrix in _agreement_inputs():
+        try:
+            config = Configuration(matrix)
+        except DomainError:
+            continue
+        vectors = list(config.cols) + [tuple(rng.randint(-9, 9) for _ in range(config.n))
+                                       for _ in range(4)]
+        for face in config.all_faces():
+            if face.lattice_quotient.torsion:
+                _check_torsion_index(face.lattice_quotient, vectors)
+                faces += 1
+    assert twisted > 100 and faces > 50, (twisted, faces)
 
 
 def test_one_smith_form_per_face_lattice(monkeypatch):
@@ -313,5 +348,5 @@ def test_one_smith_form_per_face_lattice(monkeypatch):
     for face in config.all_faces():
         dg._ClosureTable(config, face, bounds)
         for gens in gen_sets:
-            assert face.query(gens).reduced.quotient is face.lattice_quotient
+            assert face.query(gens).quotient is face.lattice_quotient
     assert calls == []

@@ -6,13 +6,14 @@ import pytest
 from fourier_motzkin import fm_query
 
 from gkzfactors import bruteforce as bf
+from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, NonPointedError
 from gkzfactors.semigroup import member
 
 
 def q46():
-    return fm_query((0, 0), ((1, 0), (0, 2), (1, 1)))
+    return fm_query(((1, 0), (0, 2), (1, 1)))
 
 
 def test_member_examples():
@@ -33,14 +34,14 @@ def test_member_witness():
 
 
 def test_member_with_lattice_part():
-    q = fm_query((0,), ((2,),), ((5,),))
+    q = fm_query(((2,),), ((5,),))
     assert member(q, (9,))      # 2*2 + 1*5
     assert member(q, (-1,))     # 4 - 5
-    assert not member(fm_query((0,), ((2,),)), (-1,))
+    assert not member(fm_query(((2,),)), (-1,))
 
 
 def test_member_budget(monkeypatch):
-    q = fm_query((0, 0), ((1, 0),))
+    q = fm_query(((1, 0),))
     monkeypatch.setattr(sg, "DEFAULT_BUDGET", 10)
     with pytest.raises(ComputationLimitError):
         member(q, (10**6, 10**6))
@@ -64,19 +65,21 @@ def test_member_budget_counts_states_seen(monkeypatch):
 def test_member_torsion_with_fractional_functional():
     # Z^3 / Z(2,0,4) has torsion Z/2, and the positive functional found on
     # the free images is (3/8, -1/8), so the search runs on scaled heights
-    q = fm_query((0, 1, 0), ((1, 2, 0), (0, 3, 1), (3, 1, 0)), ((2, 0, 4),))
+    # (the set is shift + ℕS + ℤL, asked as target − shift ∈ ℕS + ℤL)
+    q, shift = fm_query(((1, 2, 0), (0, 3, 1), (3, 1, 0)), ((2, 0, 4),)), (0, 1, 0)
     trues = 0
     for target in itertools.product(range(-2, 5), repeat=3):
-        got, witness = member(q, target, witness=True)
-        assert member(q, target) is got
+        t0 = il.vsub(target, shift)
+        got, witness = member(q, t0, witness=True)
+        assert member(q, t0) is got
         if not got:
-            assert not bf.bf_member(q, target, 8), target
+            assert not bf.bf_member(q, t0, 8), target
             continue
         trues += 1
         box = max([8] + [abs(c) for c in witness["generators"]]
                   + [abs(c) for c in witness["lattice"]])
-        assert bf.bf_member(q, target, box), target
-        point = q.shift
+        assert bf.bf_member(q, t0, box), target
+        point = shift
         for c, g in zip(witness["generators"], q.generators, strict=True):
             point = tuple(p + c * x for p, x in zip(point, g))
         for c, v in zip(witness["lattice"], q.lattice_part, strict=True):
@@ -103,13 +106,15 @@ def test_member_agrees_with_oracle_randomized():
         lats = ()
         if rng.random() < 0.3:
             lats = (tuple(rng.randint(-2, 2) for _ in range(n)),)
-        q = fm_query(tuple(rng.randint(0, 2) for _ in range(n)), gens, lats)
+        shift = tuple(rng.randint(0, 2) for _ in range(n))
         coeffs = [rng.randint(0, 2) for _ in gens]
-        base = tuple(q.shift[i] + sum(c * g[i] for c, g in zip(coeffs, gens))
+        base = tuple(shift[i] + sum(c * g[i] for c, g in zip(coeffs, gens))
                      for i in range(n))
         noise = tuple(rng.randint(-2, 2) for _ in range(n))
         for target in (base, tuple(b + x for b, x in zip(base, noise))):
+            target = il.vsub(target, shift)  # shift + ℕS + ℤL, asked unshifted
             try:
+                q = fm_query(gens, lats)
                 got, witness = member(q, target, witness=True)
             except NonPointedError:
                 break  # lattice part swallows a generator direction; skip

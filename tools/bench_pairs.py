@@ -5,11 +5,14 @@ workload and seed, alternating which root goes first from pair to pair so
 that slow drift of a shared host falls on both sides alike.  Keeps each run's
 result line and machine record, and writes, per workload and seed, the
 median and quartiles of every end-to-end metric on each side, the ratio of
-the medians, how many pairs the new tree won, and two verdicts per metric:
+the medians, how many pairs the new tree won, and three verdicts per metric:
 ``within_bound`` (the new median is worse than the old one by at most the
-metric's ``bound`` in ``BENCHMARK.json``, as a share of the old median) and
+metric's ``bound`` in ``BENCHMARK.json``, as a share of the old median),
 ``gain_holds`` (the new tree won at least 9 pairs in 10, and its median is
-better than the old one by more than the old runs' quartile spread).
+better than the old one by more than the old runs' quartile spread) and
+``unresolved`` (the old runs' quartile spread is wider than the bound as a
+share of the old median, so a change within the bound cannot be told from
+noise, and not every new run is better than every old run).
 Each side's median op count (``attempted``) goes next to them, since a run's
 ``peak_rss_mb`` grows with the ops it ran.  Standard library only.
 
@@ -50,7 +53,7 @@ def spread(values: list) -> dict:
 
 def summarise(pairs: list, end_to_end: list) -> dict:
     """Per metric: each side's spread, the ratio new/old of the medians, the
-    pairs in which the new run was better, and the two verdicts."""
+    pairs in which the new run was better, and the three verdicts."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -59,13 +62,16 @@ def summarise(pairs: list, end_to_end: list) -> dict:
         old_s, new_s = spread(old), spread(new)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
         gain = (new_s["median"] - old_s["median"]) * (1 if higher else -1)
+        all_better = min(new) > max(old) if higher else max(new) < min(old)
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "old": old_s, "new": new_s,
                      "ratio": new_s["median"] / old_s["median"] if old_s["median"] else None,
                      "new_wins": wins, "pairs": len(pairs),
                      "within_bound": gain >= -metric["bound"] * abs(old_s["median"]),
                      "gain_holds": 10 * wins >= 9 * len(pairs)
-                     and gain > old_s["q3"] - old_s["q1"]}
+                     and gain > old_s["q3"] - old_s["q1"],
+                     "unresolved": old_s["q3"] - old_s["q1"]
+                     > metric["bound"] * abs(old_s["median"]) and not all_better}
     return out
 
 
