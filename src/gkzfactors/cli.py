@@ -4,10 +4,13 @@ Commands take one input document (JSON file path or ``-`` for stdin):
 
     {"matrix": [[2, 3]], "gamma": ["1/2"], "character": ["0"]}
 
-Other keys, such as a "bounds" object, are ignored.  All rational numbers
-cross the boundary as exact "p/q" strings.  Exit codes: 0 success, 2 invalid
-input, 3 computation budget exceeded, 4 a bounded (``false_up_to_bounds``)
-verdict was demanded as definite via ``--strict``.
+Other keys, such as a "bounds" object, are ignored.  Each ``cmd_*`` returns
+its payload in library values (``Fraction``s, tuples, ``TriState``s);
+``_plain`` turns a payload into JSON values once, in ``main`` before it is
+rendered and in ``run_fixture`` before it is compared, so all rational
+numbers cross the boundary as exact "p/q" strings.  Exit codes: 0 success,
+2 invalid input, 3 computation budget exceeded, 4 a bounded
+(``false_up_to_bounds``) verdict was demanded as definite via ``--strict``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from . import bruteforce, factors, resonance
 from .cones import Configuration
@@ -33,19 +37,11 @@ EXIT_STRICT = 4
 # exact-rational (de)serialization
 # ---------------------------------------------------------------------------
 
-def _fr(x) -> str:
-    return str(Fraction(x))
-
-
 def _parse_fr(s) -> Fraction:
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not an exact rational: {s!r}") from exc
-
-
-def _vec(v):
-    return [_fr(x) for x in v]
 
 
 def _parse_vec(v):
@@ -57,50 +53,40 @@ def _parse_vec(v):
     return tuple(_parse_fr(x) for x in v)
 
 
-def _tristate(t: TriState):
-    return {"verdict": t.verdict,
-            "bounds": {k: (v if not isinstance(v, Fraction) else _fr(v))
-                       for k, v in sorted(t.bounds.items())}}
-
-
 def _cls(c: factors.LocalSystemClass):
-    return {"face": list(c.face_indices),
-            "representative": _vec(c.representative),
-            "canonical": _vec(c.canonical),
-            "order": c.order,
-            "trivial": c.is_trivial}
+    return {"face": c.face_indices, "representative": c.representative,
+            "canonical": c.canonical, "order": c.order, "trivial": c.is_trivial}
 
 
 def _label(l: factors.FactorLabel):
-    return {"codim": l.codim, "face": list(l.face_indices),
+    return {"codim": l.codim, "face": l.face_indices,
             "class": _cls(l.cls), "multiplicity": l.multiplicity}
 
 
 def _filtration(r: factors.FiltrationReport):
-    out = {
+    return {
         "kind": r.kind,
-        "matrix": [list(row) for row in r.matrix],
-        "parameter": (_vec(r.parameter) if r.kind == "dmod"
-                      else _cls(r.parameter)),
-        "factors": {str(i): [_label(l) for l in level]
-                    for i, level in enumerate(r.factors)},
-        "flags": _plain(r.flags),
+        "matrix": r.matrix,
+        "parameter": r.parameter if r.kind == "dmod" else _cls(r.parameter),
+        "factors": {i: [_label(l) for l in level] for i, level in enumerate(r.factors)},
+        "flags": r.flags,
         "certification": r.certification,
-        "notes": list(r.notes),
+        "notes": r.notes,
     }
-    return out
 
 
 def _plain(obj):
-    """Recursively convert flags/bounds to JSON-safe exact values."""
+    """A payload of library values as JSON values: a `Fraction` as its exact
+    "p/q" string, a tuple as a list, a dict key as a string, and a `TriState`
+    as {"verdict", "bounds"} with the bounds sorted by key."""
+    if isinstance(obj, TriState):
+        obj = {"verdict": obj.verdict, "bounds": dict(sorted(obj.bounds.items()))}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, Fraction):
-        return _fr(obj)
-    if isinstance(obj, TriState):
-        return _tristate(obj)
+        return str(obj)
     return obj
 
 
@@ -120,9 +106,8 @@ def _has_bounded_verdict(obj) -> bool:
 
 def _load_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-        doc = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(sys.stdin.read() if path == "-" else Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad encoding
         raise DomainError(f"cannot read input document: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise DomainError("input document must be an object with a 'matrix'")
@@ -158,10 +143,8 @@ def cmd_faces(config, doc, args):
         "matrix": doc["matrix"],
         "rank": config.rank,
         "pointed": config.is_pointed(),
-        "faces": [{"columns": list(f.indices), "codim": f.codim}
-                  for f in config.all_faces()],
-        "facets": [{"columns": list(f.face.indices),
-                    "functional": _vec(f.l)} for f in config.facets()],
+        "faces": [{"columns": f.indices, "codim": f.codim} for f in config.all_faces()],
+        "facets": [{"columns": f.face.indices, "functional": f.l} for f in config.facets()],
     }
 
 
@@ -170,8 +153,8 @@ def cmd_normality(config, doc, args):
     return {
         "matrix": doc["matrix"],
         "normal": normal,
-        "hole": list(hole) if hole is not None else None,
-        "hilbert_basis": sorted(list(h) for h in config.saturation_hilbert_basis()),
+        "hole": hole,
+        "hilbert_basis": sorted(config.saturation_hilbert_basis()),
     }
 
 
@@ -182,18 +165,17 @@ def cmd_resonance(config, doc, args):
     dres = resonance.in_dres(config, gamma)
     return {
         "matrix": doc["matrix"],
-        "gamma": _vec(gamma),
-        "facet_values": [{"face": list(idx), "value": _fr(v)}
-                         for idx, v in prof.facet_values],
+        "gamma": gamma,
+        "facet_values": [{"face": idx, "value": v} for idx, v in prof.facet_values],
         "nonresonant": prof.is_nonresonant,
         "weak_nonresonant": prof.is_weak,
         "semi_nonresonant": prof.is_semi,
-        "resonant_facets": [list(idx) for idx in prof.resonant_facets],
+        "resonant_facets": prof.resonant_facets,
         "sets": {
             "res": not prof.is_nonresonant,
             "sres": sres,
-            "dres": _tristate(dres),
-            "wres": _tristate(resonance.wres_from(sres, dres)),
+            "dres": dres,
+            "wres": resonance.wres_from(sres, dres),
             "SRes": resonance.in_SRes(config, gamma),
             "DRes": resonance.in_DRes(config, gamma),
         },
@@ -211,14 +193,12 @@ def _parse_box(spec: str):
 def cmd_sets(config, doc, args):
     box = _parse_box(args.box)
     step = _parse_fr(args.step)
-    grid = resonance.region_scan(config, args.name, box, step)
     return {
         "matrix": doc["matrix"],
         "set": args.name,
-        "box": [[_fr(lo), _fr(hi)] for lo, hi in box],
-        "step": _fr(step),
-        "grid": [{"gamma": _vec(cell["gamma"]), "verdict": cell["verdict"]}
-                 for cell in grid],
+        "box": box,
+        "step": step,
+        "grid": resonance.region_scan(config, args.name, box, step),
     }
 
 
@@ -232,10 +212,10 @@ def cmd_factors(config, doc, args):
     return {
         "dmod": _filtration(cmp.dmod),
         "perverse": _filtration(cmp.perverse),
-        "levels": [_plain(lv) for lv in cmp.levels],
+        "levels": cmp.levels,
         "matched": cmp.matched,
         "asserted": cmp.asserted,
-        "notes": list(cmp.notes),
+        "notes": cmp.notes,
     }
 
 
@@ -297,7 +277,7 @@ def run_fixture(fix: dict) -> list:
             sub = dict(expect[key])
             ns = argparse.Namespace(gamma=sub.pop("gamma", None),
                                     character=sub.pop("character", None), table=table)
-            mismatches.extend(_diff(sub, cmd(config, doc, ns), key))
+            mismatches.extend(_diff(sub, _plain(cmd(config, doc, ns)), key))
 
     check("faces", cmd_faces)
     check("normality", cmd_normality)
@@ -312,7 +292,7 @@ def run_fixture(fix: dict) -> list:
     for spec in expect.get("sets", []):
         ns = argparse.Namespace(name=spec["name"], box=spec["box"],
                                 step=spec.get("step", "1"))
-        payload = cmd_sets(config, doc, ns)
+        payload = _plain(cmd_sets(config, doc, ns))
         truth = [c["gamma"] for c in payload["grid"] if c["verdict"] == "true"]
         mismatches += _diff(spec["true_points"], truth,
                             f"sets/{spec['name']}")
@@ -382,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "configuration.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help, **kw):
-        return sub.add_parser(name, help=help, parents=[shared], **kw)
+    def add(name, help):
+        return sub.add_parser(name, help=help, parents=[shared])
 
-    def common(sp, gamma=False, character=False):
+    def common(sp, run, gamma=False, character=False):
+        sp.set_defaults(run=run)
         sp.add_argument("input", help="JSON input document, or '-' for stdin")
         if gamma:
             sp.add_argument("--gamma", help="comma-separated exact rationals")
@@ -393,36 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--character",
                             help="comma-separated exact rationals")
 
-    common(add("faces", "face lattice and facet functionals"))
-    common(add("normality", "normality, hole, Hilbert basis"))
-    common(add("resonance", "facet values, flags, set memberships"), gamma=True)
+    common(add("faces", "face lattice and facet functionals"), cmd_faces)
+    common(add("normality", "normality, hole, Hilbert basis"), cmd_normality)
+    common(add("resonance", "facet values, flags, set memberships"), cmd_resonance,
+           gamma=True)
     sp = add("sets", "grid scan of one resonance locus")
     sp.add_argument("name", choices=resonance.SET_NAMES)
     sp.add_argument("--box", required=True,
                     help="per-axis lo:hi ranges, comma-separated "
                          "(use --box=-6:6 for negative bounds)")
     sp.add_argument("--step", default="1")
-    common(sp)
+    common(sp, cmd_sets)
     sp = add("factors", "composition-factor tables")
     sp.add_argument("table", choices=("dmod", "perverse", "compare"))
-    common(sp, gamma=True, character=True)
-    common(add("gap-factors", "advisory saturation-gap factor labels"))
+    common(sp, cmd_factors, gamma=True, character=True)
+    common(add("gap-factors", "advisory saturation-gap factor labels"), cmd_gap_factors)
     sp = add("verify", "golden fixtures and randomized suite")
     sp.add_argument("--suite", action="store_true")
     sp.add_argument("--fixtures", action="store_true")
     sp.add_argument("--filter", default=None)
     sp.add_argument("--instances", type=int, default=12)
     return p
-
-
-_COMMANDS = {
-    "faces": cmd_faces,
-    "normality": cmd_normality,
-    "resonance": cmd_resonance,
-    "sets": cmd_sets,
-    "factors": cmd_factors,
-    "gap-factors": cmd_gap_factors,
-}
 
 
 def main(argv=None) -> int:
@@ -432,7 +404,7 @@ def main(argv=None) -> int:
             payload = cmd_verify(args)
         else:
             doc = _load_document(args.input)
-            payload = _COMMANDS[args.command](Configuration(doc["matrix"]), doc, args)
+            payload = args.run(Configuration(doc["matrix"]), doc, args)
     except ComputationLimitError as exc:
         print(f"computation limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -440,6 +412,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
+    payload = _plain(payload)
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")

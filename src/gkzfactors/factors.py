@@ -77,11 +77,9 @@ def class_of(config: Configuration, face, gamma) -> LocalSystemClass:
     return _make_class(config, indices, gamma, require_span=True)
 
 
-def trivial_class(config: Configuration, indices=None) -> LocalSystemClass:
-    if indices is None:
-        indices = tuple(range(config.N))
-    zero = tuple(Fraction(0) for _ in range(config.n))
-    return _make_class(config, indices, zero)
+def trivial_class(config: Configuration) -> LocalSystemClass:
+    """The trivial character class on the full column set."""
+    return _make_class(config, range(config.N), (0,) * config.n)
 
 
 # ---------------------------------------------------------------------------

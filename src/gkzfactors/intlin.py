@@ -217,16 +217,14 @@ def lattice_coordinates(B, v: Vec):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(M: Mat, track_v: bool = True) -> tuple[Mat, Mat, Mat | None, Mat]:
-    """Returns (S, U, V, U⁻¹) with S = U.M.V diagonal, entries >= 0 dividing in
-    sequence; U's inverse is kept, transposed, by the inverse operations.  V is
-    None unless `track_v`; S, U and U⁻¹ do not depend on it."""
+def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
+    """Returns (S, U, U⁻¹) with S = U.M.V diagonal for some unimodular V,
+    entries >= 0 dividing in sequence; U's inverse is kept, transposed, by the
+    inverse operations."""
     n, m = shape(M)
     S = [list(row) for row in M]
     U = [list(row) for row in identity(n)]
-    V = [list(row) for row in identity(m)] if track_v else None
     W = [list(row) for row in identity(n)]  # the transpose of U⁻¹
-    col_mats = (S, V) if track_v else (S,)
 
     def rowop(i, k, a, b, c, d):
         # (row_i, row_k) <- (a*row_i + b*row_k, c*row_i + d*row_k) in S and U,
@@ -246,10 +244,9 @@ def smith_normal_form(M: Mat, track_v: bool = True) -> tuple[Mat, Mat, Mat | Non
                 ri[j], rk[j] = p * x + q * y, r * x + s * y
 
     def colop(j, k, a, b, c, d):
-        for T in col_mats:
-            for row in T:
-                x, y = row[j], row[k]
-                row[j], row[k] = a * x + b * y, c * x + d * y
+        for row in S:
+            x, y = row[j], row[k]
+            row[j], row[k] = a * x + b * y, c * x + d * y
 
     t = 0
     while t < min(n, m):
@@ -314,7 +311,7 @@ def smith_normal_form(M: Mat, track_v: bool = True) -> tuple[Mat, Mat, Mat | Non
                 colop(i, i + 1, s_, t_, -(b // g), a // g)  # block [[g,0],[t_*b, lcm]]
                 q = (t_ * b) // g
                 rowop(i, i + 1, 1, 0, -q, 1)  # clear the stray entry: diag(g, lcm)
-    return freeze(S), freeze(U), freeze(V) if track_v else None, transpose(W)
+    return freeze(S), freeze(U), transpose(W)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +396,7 @@ def quotient(ambient_rank: int, B) -> LatticeQuotient:
         B_mat = from_columns(B)
     if ambient_rank == 0:
         return LatticeQuotient(0, 0, (), (), (), (), ())
-    S, U, _V, Uinv = smith_normal_form(B_mat, track_v=False)
+    S, U, Uinv = smith_normal_form(B_mat)
     n, m = shape(S)
     diag = [S[i][i] for i in range(min(n, m))] + [0] * max(0, n - min(n, m))
     torsion_rows = tuple(i for i, d in enumerate(diag) if d not in (0, 1))

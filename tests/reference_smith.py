@@ -1,9 +1,9 @@
-"""The Smith normal form as the library computed it before V became optional.
+"""The Smith normal form as the library computed it when it still tracked V.
 
 Every row and column operation updates its matrices entry by entry, and V is
-always tracked.  `test_quotient_matches_reference_smith` checks that the
-library's Smith form, and the U and U⁻¹ that `intlin.quotient` keeps, are
-identical to this routine's.
+always tracked.  The intlin tests check that the library's S, U and U⁻¹, and
+the U and U⁻¹ that `intlin.quotient` keeps, are identical to this routine's,
+and check S = U.M.V with this routine's V.
 """
 
 from gkzfactors.intlin import freeze, identity, shape

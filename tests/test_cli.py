@@ -101,6 +101,15 @@ def test_exit_code_bad_document(tmp_path, capsys):
         assert code == 2, matrix
 
 
+def test_non_utf8_document_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'\xff\xfe{"matrix": [[1]]}')
+    code = cli.main(["faces", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 # every subcommand that takes an input document, with its required arguments
 DOCUMENT_COMMANDS = (["faces"], ["normality"], ["resonance", "--gamma", "0"],
                      ["sets", "sres", "--box=-1:1"],
@@ -241,6 +250,26 @@ def test_golden_faces_and_normality_output(capsys):
             assert code == 0, (name, suffix)
             assert out == (golden / f"{name}.{suffix}.json").read_text(), \
                 (name, suffix)
+
+
+def _text_transcript(fixture, capsys) -> str:
+    """Every GOLDEN_COMMANDS command's text output on one fixture under
+    --strict, each after a line naming the golden suffix and the exit code."""
+    name = fixture.name.removesuffix(".json")
+    parts = []
+    for suffix, argv in GOLDEN_COMMANDS.items():
+        argv = [a.format(gamma=GOLDEN_GAMMA[name]) for a in argv]
+        code, out = _run(argv + [str(fixture), "--strict"], capsys=capsys)
+        parts.append(f"=== {suffix}: exit {code}\n{out}")
+    return "".join(parts)
+
+
+def test_golden_text_output(capsys):
+    # the text renderer and the --strict exit code, pinned per fixture
+    golden = Path(__file__).parent / "golden"
+    for fixture in cli._fixture_files():
+        name = fixture.name.removesuffix(".json")
+        assert _text_transcript(fixture, capsys) == (golden / f"{name}.text").read_text(), name
 
 
 def test_golden_gap_factors_deep_search(tmp_path, capsys):

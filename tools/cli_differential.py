@@ -2,12 +2,14 @@
 
 Runs every document command on seeded random integer matrices (1-3 rows)
 against two source roots, each invocation in its own subprocess under a time
-cap, and compares stdout, stderr and exit code byte for byte; then does the
-same once for ``verify --fixtures --json`` and once, under its own cap of
-SUITE_CAP seconds, for ``verify --suite --instances 12 --json``, the one
-command that enumerates module components.  Prints the per-command counts of
-identical results, mismatches and timeouts, then lists every mismatch and
-timeout.  Standard library only.
+cap, and compares stdout, stderr and exit code byte for byte.  Each command
+runs twice per draw: once with ``--json``, and once as text with ``--strict``
+(its "text" row), so the text renderer and exit code 4 are compared too.  It
+then does the same once for ``verify --fixtures --json`` and once, under its
+own cap of SUITE_CAP seconds, for ``verify --suite --instances 12 --json``,
+the one command that enumerates module components.  Prints the per-command
+counts of identical results, mismatches and timeouts, then lists every
+mismatch and timeout.  Standard library only.
 
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --draws 120 --cap 5
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --commands gap-factors
@@ -95,8 +97,9 @@ def main(argv=None) -> int:
         p.error(f"unknown commands: {sorted(unknown)}")
 
     rng = random.Random(args.seed)
-    counts = {name: {"identical": 0, "differ": 0, "timeout": 0}
-              for name in wanted + ["verify", "verify-suite"]}
+    rows = [f"{name}{text}" for name in wanted for text in ("", " text")]
+    counts = {row: {"identical": 0, "differ": 0, "timeout": 0}
+              for row in rows + ["verify", "verify-suite"]}
     findings = []
 
     def compare(name: str, argv_: list, what: str, cap: float = args.cap) -> None:
@@ -121,14 +124,16 @@ def main(argv=None) -> int:
             for name in wanted:
                 compare(name, lines[name] + [str(doc_path), "--json"],
                         f"draw {i} {name} {doc['matrix']}")
+                compare(f"{name} text", lines[name] + [str(doc_path), "--strict"],
+                        f"draw {i} {name} --strict {doc['matrix']}")
     # the bundled fixtures, each replayed on one configuration per tree
     compare("verify", ["verify", "--fixtures", "--json"], "verify --fixtures")
     compare("verify-suite", ["verify", "--suite", "--instances", "12", "--json"],
             "verify --suite --instances 12", SUITE_CAP)
 
-    print(f"{'command':<12} {'identical':>9} {'differ':>7} {'timeout':>8}")
+    print(f"{'command':<17} {'identical':>9} {'differ':>7} {'timeout':>8}")
     for name, c in counts.items():
-        print(f"{name:<12} {c['identical']:>9} {c['differ']:>7} {c['timeout']:>8}")
+        print(f"{name:<17} {c['identical']:>9} {c['differ']:>7} {c['timeout']:>8}")
     for line in findings:
         print(line)
     return 1 if any(c["differ"] for c in counts.values()) else 0
