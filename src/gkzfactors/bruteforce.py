@@ -411,11 +411,13 @@ def _grid_gammas(config: Configuration, rng: random.Random, count: int):
     return out
 
 
-def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
-                   gammas_per_instance: int = 4) -> PropertyReport:
-    """Randomized invariant checks; failures carry the reproduction seed."""
+def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25) -> PropertyReport:
+    """Randomized invariant checks, four γ per instance; failures carry the
+    reproduction seed."""
     from . import degrees, resonance
 
+    if instances < 0:
+        raise DomainError("the property suite needs a nonnegative instance count")
     report = PropertyReport()
     master = random.Random(cfg.seed)
     for _ in range(instances):
@@ -457,7 +459,7 @@ def property_suite(cfg: OracleConfig = OracleConfig(), instances: int = 25,
             report.checks += 1
             if (not gaps) != normal:
                 report.fail("gap-empty-iff-normal", seed, str(matrix))
-        for gamma in _grid_gammas(config, rng, gammas_per_instance):
+        for gamma in _grid_gammas(config, rng, 4):
             prof = resonance.classify(config, gamma)
             try:
                 sres = resonance.in_sres(config, gamma)

@@ -15,7 +15,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from . import intlin as il
-from .errors import ComputationLimitError, DomainError
+from .errors import DomainError, check_budget
 from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
@@ -43,8 +43,7 @@ class FacetFunctional:
         return tuple(Fraction(w, self.scale) for w in self.witness)
 
     def value(self, v) -> Fraction:
-        e = lcm(*(x.denominator for x in v))
-        u = [x.numerator * (e // x.denominator) for x in v]  # e.v, in integers
+        u, e = il.scaled(v)
         return Fraction(sum(map(mul, self.witness, u)), self.scale * e)
 
 
@@ -57,10 +56,10 @@ class Configuration:
         if self.n == 0 or self.N == 0:
             raise DomainError("configuration must have at least one row and one column")
         self.cols = il.columns(self.matrix)
-        self.rank = il.rational_rank(self.matrix)
+        self.lattice_basis = il.column_lattice_basis(self.matrix)  # basis of ZA
+        self.rank = len(self.lattice_basis)
         if self.rank == 0:
             raise DomainError("configuration must have a nonzero column")
-        self.lattice_basis = il.column_lattice_basis(self.matrix)  # basis of ZA
         self._cache: dict = {}
         self._face_data: dict = {}
 
@@ -84,8 +83,7 @@ class Configuration:
     def lattice_coords(self, v):
         """Rational coordinates of v over the ZA basis, or None if v ∉ QA."""
         N, D, C = self._za_inverse
-        e = lcm(*(x.denominator for x in v))
-        u = [x.numerator * (e // x.denominator) for x in v]  # e.v, in integers
+        u, e = il.scaled(v)
         if any(sum(map(mul, row, u)) for row in C):
             return None
         return tuple(Fraction(sum(map(mul, row, u)), d * e) for row, d in zip(N, D))
@@ -125,10 +123,8 @@ class Configuration:
                 if inter not in index_sets:
                     index_sets.add(inter)
                     todo.append(inter)
-                    if len(index_sets) > FACE_BUDGET:
-                        raise ComputationLimitError("face enumeration exceeded budget",
-                                                    stage="cones.all_faces",
-                                                    used=len(index_sets), limit=FACE_BUDGET)
+                    check_budget("face enumeration", "cones.all_faces", len(index_sets),
+                                 FACE_BUDGET)
         faces = [self.face_data(idx) for idx in index_sets]
         faces.sort(key=lambda f: (f.codim, f.indices))
         self._cache["faces"] = faces
@@ -198,26 +194,28 @@ class Configuration:
             out = sorted(il.matvec(B, p) for p in self._hilbert_pointed(coords, ys))
         else:
             # the unit lattice is saturated in ZA, so the quotient by it is
-            # free and every class lifts to ZA; facet values depend only on
-            # the class
+            # free and every class lifts to ZA; each facet functional y is 0
+            # on the units and y(ZA) = Z, so y is primitive on the quotient
             units = self.minimal_face()
             quot = il.quotient(self.rank, units.inner)
-            gens_down = self._hilbert_pointed([quot.project(c)[0] for c in coords])
-            lifts = [il.matvec(B, quot.section(g, ())) for g in gens_down]
-            out = sorted(lifts) + sorted(units.span_lat) + sorted(il.vneg(u) for u in units.span_lat)
+            basis = [quot.section(e, ()) for e in il.identity(quot.free_rank)]
+            ys = [tuple(il.dot(f.y, b) for b in basis) for f in self.facets()]
+            gens = self._hilbert_pointed([quot.project(c)[0] for c in coords], ys)
+            out = (sorted(il.matvec(B, quot.section(g, ())) for g in gens)
+                   + sorted(units.span_lat) + sorted(il.vneg(u) for u in units.span_lat))
         self._cache["hilbert"] = out
         return out
 
-    def _hilbert_pointed(self, coords, ys=None) -> list:
+    def _hilbert_pointed(self, coords, ys) -> list:
         """Hilbert basis of cone(coords) ∩ Z^r for a pointed cone of rank r.
 
-        Takes and returns coordinates on a lattice basis; `ys`, when given,
-        are the cone's primitive facet functionals.  Candidates: the
-        generators plus the lattice points of the fundamental parallelepipeds
-        of the simplicial cones of one pulling triangulation.  They cover the
-        Hilbert basis: a lattice point x of the cone lies in some simplicial
-        cone, x = sum floor(c_i) g_i + p with p in that cone's parallelepiped,
-        so an irreducible x is p or a generator g_i.  Each candidate lies in
+        Takes and returns coordinates on a lattice basis; `ys` are the cone's
+        primitive facet functionals.  Candidates: the generators plus the
+        lattice points of the fundamental parallelepipeds of the simplicial
+        cones of one pulling triangulation.  They cover the Hilbert basis: a
+        lattice point x of the cone lies in some simplicial cone, x = sum
+        floor(c_i) g_i + p with p in that cone's parallelepiped, so an
+        irreducible x is p or a generator g_i.  Each candidate lies in
         the cone by construction.  The cone's lattice points are exactly
         those with every facet value l_F >= 0, so a candidate p is reducible
         iff some kept element q has l_F(q) <= l_F(p) for every facet F: then
@@ -231,25 +229,19 @@ class Configuration:
         if not coords:
             return []
         r = len(coords[0])
-        if ys is None:
-            facets = _facet_values(coords, r)
-        else:
-            facets = [(tuple(j for j, c in enumerate(coords) if not il.dot(y, c)), y) for y in ys]
+        facets = [(tuple(j for j, c in enumerate(coords) if not il.dot(y, c)), y) for y in ys]
         w = tuple(sum(y[i] for _zero, y in facets) for i in range(r))
         if any(il.dot(w, c) <= 0 for c in coords):
             raise DomainError("hilbert basis requires a pointed cone")
         simplices = [[coords[j] for j in s]
                      for s in pulling_triangulation([z for z, _y in facets], len(coords))]
         quots = [il.quotient(r, s) for s in simplices]
-        count = sum(q.torsion_order() for q in quots)
-        if count > HILBERT_BUDGET:
-            raise ComputationLimitError("hilbert candidate enumeration exceeded budget",
-                                        stage="cones.saturation_hilbert_basis",
-                                        used=count, limit=HILBERT_BUDGET)
+        check_budget("hilbert candidate enumeration", "cones.saturation_hilbert_basis",
+                     sum(q.torsion_order() for q in quots), HILBERT_BUDGET)
         candidates = set(coords)
         for combo, quot in zip(simplices, quots):
             M = il.from_columns(combo, dim=r)
-            N, D = il.scaled_inverse(M)
+            N, D, _C = il.scaled_left_inverse(M)
             for tor in product(*(range(d) for d in quot.torsion)):
                 # y - M.floor(M^-1 y): the parallelepiped point of y's class
                 y = quot.section((), tor)
@@ -378,8 +370,8 @@ class FaceData:
         Runs in integers: `canonical` as e.v, e the lcm of v's denominators,
         and the exact remainder as X / den in lowest terms.
         """
-        e = lcm(*(x.denominator for x in v))
-        canonical = exact = [x.numerator * (e // x.denominator) for x in v]
+        canonical, e = il.scaled(v)
+        exact = canonical
         den, order = e, 1
         for r, col in self.hnf:
             t = canonical[r] // (e * col[r])
@@ -476,10 +468,8 @@ def _facet_values(coords, r: int) -> list:
     each, may not exceed FACET_BUDGET; they are counted before any kernel.
     """
     distinct = sorted(set(coords))
-    count = comb(len(distinct), r - 1)
-    if count > FACET_BUDGET:
-        raise ComputationLimitError("facet subset enumeration exceeded budget",
-                                    stage="cones.facets", used=count, limit=FACET_BUDGET)
+    check_budget("facet subset enumeration", "cones.facets", comb(len(distinct), r - 1),
+                 FACET_BUDGET)
     seen: dict = {}
     combos = [()] if r == 1 else combinations(distinct, r - 1)
     for combo in combos:

@@ -38,7 +38,7 @@ from operator import add
 
 from . import intlin as il
 from .cones import Configuration, FaceData
-from .errors import ComputationLimitError, DomainError
+from .errors import ComputationLimitError, DomainError, check_budget
 from .semigroup import member
 
 QDEG_BUDGET = 200_000
@@ -372,10 +372,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     bounds = facet_bounds(config)
     faces = config.all_faces()  # sorted by codimension: larger faces first
     work = sum(prod(bounds[f.face.indices] for f in face.facets_over) for face in faces)
-    if work > QDEG_BUDGET:
-        raise ComputationLimitError("component enumeration exceeded budget",
-                                    stage="degrees.qdeg_components", used=work,
-                                    limit=QDEG_BUDGET)
+    check_budget("component enumeration", "degrees.qdeg_components", work, QDEG_BUDGET)
     B = il.from_columns(config.lattice_basis, dim=config.n)
     k_star, a_A, n = conductor_multiplier(config), config.column_sum(), config.n
     comps: list[QDegComponent] = []

@@ -30,3 +30,9 @@ class ComputationLimitError(GKZError):
         if stage is not None:
             message = f"{message} (stage {stage}, used {used}, limit {limit})"
         super().__init__(message)
+
+
+def check_budget(what: str, stage: str, used: int, limit: int) -> None:
+    """The one budget rule: raise once `used` exceeds `limit`."""
+    if used > limit:
+        raise ComputationLimitError(f"{what} exceeded budget", stage=stage, used=used, limit=limit)

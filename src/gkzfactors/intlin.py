@@ -229,13 +229,6 @@ def smith_normal_form(M: Mat) -> tuple[Mat, Mat, Mat]:
     def rowop(i, k, a, b, c, d):
         # (row_i, row_k) <- (a*row_i + b*row_k, c*row_i + d*row_k) in S and U,
         # and the inverse operation on the columns of U⁻¹, the rows of W
-        if (a, b, d) == (1, 0, 1):  # row_k += c*row_i, and row_i -= c*row_k in W
-            for T, src, dst, f in ((S, i, k, c), (U, i, k, c), (W, k, i, -c)):
-                row = T[dst]
-                for j, x in enumerate(T[src]):
-                    if x:
-                        row[j] += f * x
-            return
         e = a * d - b * c  # +-1: every block used here is unimodular
         for T, (p, q, r, s) in ((S, (a, b, c, d)), (U, (a, b, c, d)),
                                 (W, (e * d, -e * c, -e * b, e * a))):
@@ -344,10 +337,8 @@ class LatticeQuotient:
 
     def free_values(self, v) -> tuple:
         """Free-part coordinates only; accepts rational input vectors."""
-        if len(v) != self.ambient_rank:
-            raise DimensionMismatchError("quotient projection: wrong ambient dimension")
-        return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(self._U[i], v))
-                     for i in self._free_rows)
+        u, e = scaled(v)
+        return tuple(Fraction(x, e) for x in self.project(u)[0])
 
     def section(self, free: Vec, tor: Vec) -> Vec:
         """An ambient representative with the given quotient coordinates."""
@@ -427,8 +418,7 @@ def _rref_ints(rows, width: int) -> tuple[list, list[int], list[int]]:
     reduction of the row, so every step holds the same rationals as a
     Gauss-Jordan in fractions would.
     """
-    D = [lcm(*(x.denominator for x in row)) for row in rows]
-    A = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, D)]
+    A, D = map(list, zip(*map(scaled, rows))) if rows else ([], [])
     n = len(A)
     pivots: list[int] = []
     for col in range(width):
@@ -480,13 +470,6 @@ def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
     return [row[m:] for row in A[:m]], D[:m], [row[m:] for row in A[m:]]
 
 
-def scaled_inverse(M: Mat) -> tuple[list, list[int]]:
-    """(N, D) for an invertible square M: row i of M's inverse is N[i] / D[i], D[i] > 0."""
-    if len(M) != shape(M)[1]:
-        raise DimensionMismatchError("scaled_inverse: matrix not invertible")
-    return scaled_left_inverse(M)[:2]
-
-
 def rational_rank(M: Mat) -> int:
     return len(_rref_ints(M, shape(M)[1])[2])
 
@@ -516,10 +499,14 @@ def integer_kernel(M: Mat) -> list[Vec]:
     return [tuple(U[i][j] for i in range(ncols)) for j in zero_cols]
 
 
+def scaled(v) -> tuple[list, int]:
+    """(e.v as a list of ints, e) for a rational vector v, e the lcm of its denominators."""
+    e = lcm(*(x.denominator for x in v))
+    return [x.numerator * (e // x.denominator) for x in v], e
+
+
 def clear_denominators(v) -> Vec:
     """Scale a rational vector to a primitive integer vector (positive gcd)."""
-    v = [Fraction(x) for x in v]
-    e = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (e // x.denominator) for x in v]
+    ints, _e = scaled(v)
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)

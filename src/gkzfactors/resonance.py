@@ -25,7 +25,7 @@ from math import prod
 from . import degrees as dg
 from . import intlin as il
 from .cones import Configuration
-from .errors import ComputationLimitError, DomainError, GKZError
+from .errors import DomainError, GKZError, check_budget
 
 GRID_BUDGET = 100_000
 
@@ -139,9 +139,11 @@ def _dres_certificate(config: Configuration, gamma):
 
     A class is witnessed at level i only along faces of codimension above i,
     and there it survives into the k-th power precisely for k above the
-    invariant facet-value sum, so the search over (i, face) is complete.
-    The candidates of a face do not depend on the level, so each face's are
-    built once, on first use.
+    invariant facet-value sum.  The search is exhaustive over the finitely
+    many (level, face) pairs, but that a good class decides dres is proven
+    only on normal input (ROADMAP item 5), so `in_dres` certifies a miss
+    only there or off the resonant set.  The candidates of a face do not
+    depend on the level, so each face's are built once, on first use.
     """
     candidates: dict = {}
     for level in range(config.rank):
@@ -230,11 +232,7 @@ def region_scan(config: Configuration, set_name: str, box, step) -> list[dict]:
         raise DomainError("scan step must be positive")
     box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
     sizes = [max(0, (hi - lo) // step + 1) for lo, hi in box]
-    count = prod(sizes)
-    if count > GRID_BUDGET:
-        raise ComputationLimitError("region scan grid exceeded budget",
-                                    stage="resonance.region_scan", used=count,
-                                    limit=GRID_BUDGET)
+    check_budget("region scan grid", "resonance.region_scan", prod(sizes), GRID_BUDGET)
     axes = [[lo + k * step for k in range(size)] for (lo, _hi), size in zip(box, sizes)]
     out = []
     for gamma in product(*axes):

@@ -197,7 +197,7 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_property_suite():
     t0 = time.perf_counter()
-    report = bf.property_suite(instances=12, gammas_per_instance=4)
+    report = bf.property_suite(instances=12)
     assert report.instances >= 8
     assert report.checks >= 50
     assert report.ok, report.failures

@@ -401,3 +401,11 @@ def test_verify_suite_small(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+def test_verify_suite_rejects_negative_instances(capsys):
+    # a negative count would check nothing and report ok
+    code = cli.main(["verify", "--suite", "--instances", "-3", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -136,7 +136,39 @@ def test_non_pointed_hilbert_basis_pinned():
     assert config.saturation_hilbert_basis() == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, 0, 0)]
     assert config.is_normal() == (False, (0, 0, 1))
     with pytest.raises(DomainError):  # the line R.e1 has facet values 0
-        config._hilbert_pointed([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        config._hilbert_pointed([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                                [f.y for f in config.facets()])
+
+
+def test_non_pointed_hilbert_basis_matches_quotient_facets():
+    # the facets of the cone, carried to the quotient by the units, are the
+    # facets the quotient cone's own enumeration finds: the basis equals the
+    # one built from `_facet_values` on the projected coordinates, and every
+    # element lies in the cone
+    rng = random.Random(20)
+    checked = 0
+    while checked < 100:
+        rows, cols = rng.randint(1, 3), rng.randint(2, 6)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        try:
+            config = Configuration(m)
+        except DomainError:
+            continue
+        if config.is_pointed():
+            continue
+        units = config.minimal_face()
+        quot = il.quotient(config.rank, units.inner)
+        down = [quot.project(c)[0] for c in config.col_coords]
+        nonzero = sorted({c for c in down if any(c)})
+        ys = [y for _zero, y in cones._facet_values(nonzero, quot.free_rank)] if nonzero else []
+        B = il.from_columns(config.lattice_basis)
+        want = (sorted(il.matvec(B, quot.section(g, ()))
+                       for g in config._hilbert_pointed(down, ys))
+                + sorted(units.span_lat) + sorted(il.vneg(u) for u in units.span_lat))
+        basis = config.saturation_hilbert_basis()
+        assert basis == want, m
+        assert all(f.value(b) >= 0 for f in config.facets() for b in basis), m
+        checked += 1
 
 
 def _homogeneous_draws(seed: int, rows: int, cols: int, count: int) -> list:

@@ -13,7 +13,7 @@ from gkzfactors import cli, cones
 from gkzfactors import degrees as dg
 from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
-from gkzfactors.errors import ComputationLimitError, DomainError
+from gkzfactors.errors import ComputationLimitError, DomainError, check_budget
 from reference_closure import reference_closure
 
 A23 = Configuration([[2, 3]])
@@ -143,6 +143,12 @@ def test_conductor_multiplier_positive():
 
 
 def test_budget_errors_name_their_stage(monkeypatch):
+    # the one budget rule: a count at the limit passes, one above raises
+    check_budget("grid", "stage.name", 7, 7)
+    with pytest.raises(ComputationLimitError) as info:
+        check_budget("grid", "stage.name", 8, 7)
+    assert (info.value.stage, info.value.used, info.value.limit) == ("stage.name", 8, 7)
+    assert str(info.value) == "grid exceeded budget (stage stage.name, used 8, limit 7)"
     # [[2, 3]] has 5 module components; a budget of 10 stops the enumeration
     # after 11 facet-value tuples, one of 3 stops the first membership search
     for module, name, budget, stage, used in (

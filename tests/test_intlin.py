@@ -156,6 +156,23 @@ def test_free_values():
     # ZA=Z^2 modulo Z(0,2): one free coordinate (x) and one torsion (y mod 2)
     assert q.free_rank == 1 and q.torsion_order() == 2
     assert q.free_values((3, 1)) != q.free_values((4, 1))
+    # Z^3 modulo Z(1, 1, 0): the free coordinates are x2 - x1 and x3, exact
+    # on a rational input
+    q = il.quotient(3, [(1, 1, 0)])
+    v = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    assert q.free_values(v) == (Fraction(-7, 6), Fraction(5, 4))
+    # the values are linear: free_values(v) = free_values(e.v) / e, and on an
+    # integer vector they are the free part of its projection
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        q = il.quotient(n, [tuple(rng.randint(-3, 3) for _ in range(n))
+                            for _ in range(rng.randint(0, n))])
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        u, e = il.scaled(v)
+        assert tuple(Fraction(x) for x in u) == tuple(e * x for x in v)
+        assert q.free_values(v) == tuple(x / e for x in q.free_values(u))
+        assert q.free_values(u) == q.project(u)[0]
 
 
 def test_clear_denominators():
@@ -236,9 +253,9 @@ def test_scaled_inverse_floors_match_fractions():
         M = il.freeze([[rng.randint(-4, 4) for _ in range(r)] for _ in range(r)])
         if il.rational_rank(M) != r:
             with pytest.raises(DimensionMismatchError):
-                il.scaled_inverse(M)
+                il.scaled_left_inverse(M)
             continue
-        N, D = il.scaled_inverse(M)
+        N, D, _C = il.scaled_left_inverse(M)
         Minv, _ = _left_inverse(M)
         assert all(d > 0 for d in D)
         for _ in range(5):

@@ -150,7 +150,7 @@ def test_bf_pullback_order_bound():
 
 
 def test_property_suite_passes():
-    report = bf.property_suite(instances=10, gammas_per_instance=3)
+    report = bf.property_suite(instances=10)
     assert report.instances > 0
     assert report.ok, report.failures
 
@@ -162,7 +162,7 @@ def test_property_suite_notes_resonance_budget(monkeypatch):
     from gkzfactors import semigroup
 
     monkeypatch.setattr(semigroup, "DEFAULT_BUDGET", 30)
-    report = bf.property_suite(bf.OracleConfig(seed=3), instances=3, gammas_per_instance=2)
+    report = bf.property_suite(bf.OracleConfig(seed=3), instances=3)
     assert report.instances == 3
     assert any(": resonance budget (" in n for n in report.notes), report.notes
     assert report.ok, report.failures
@@ -170,7 +170,7 @@ def test_property_suite_notes_resonance_budget(monkeypatch):
 
 def test_property_suite_reports_degenerate():
     cfg = bf.OracleConfig(seed=5, max_n=1, max_cols=1, coeff_bound=1)
-    report = bf.property_suite(cfg, instances=30, gammas_per_instance=1)
+    report = bf.property_suite(cfg, instances=30)
     # with 1x1 matrices in {-1,0,1} some zero instances must occur
     assert any("degenerate" in n for n in report.notes)
 
@@ -186,12 +186,12 @@ def test_property_suite_propagates_unexpected_errors(monkeypatch):
     # a crash while building a configuration is not a degenerate instance
     monkeypatch.setattr(bf, "Configuration", boom)
     with pytest.raises(RuntimeError):
-        bf.property_suite(cfg, instances=30, gammas_per_instance=1)
+        bf.property_suite(cfg, instances=30)
     monkeypatch.undo()
     # a crash in the component extraction is not a budget overrun
     monkeypatch.setattr(degrees, "qdeg_components", boom)
     with pytest.raises(RuntimeError):
-        bf.property_suite(cfg, instances=30, gammas_per_instance=1)
+        bf.property_suite(cfg, instances=30)
 
 
 def test_oracle_config_validation():
