@@ -12,10 +12,10 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm
-from operator import mul
+from operator import le, mul
 
 from . import intlin as il
-from .errors import DomainError, check_budget
+from .errors import DimensionMismatchError, DomainError, check_budget
 from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
@@ -44,7 +44,7 @@ class FacetFunctional:
 
     def value(self, v) -> Fraction:
         u, e = il.scaled(v)
-        return Fraction(sum(map(mul, self.witness, u)), self.scale * e)
+        return Fraction(il.dot(self.witness, u), self.scale * e)
 
 
 class Configuration:
@@ -82,6 +82,8 @@ class Configuration:
 
     def lattice_coords(self, v):
         """Rational coordinates of v over the ZA basis, or None if v ∉ QA."""
+        if len(v) != self.n:
+            raise DimensionMismatchError(f"lattice_coords: length {len(v)} in Z^{self.n}")
         N, D, C = self._za_inverse
         u, e = il.scaled(v)
         if any(sum(map(mul, row, u)) for row in C):
@@ -198,8 +200,7 @@ class Configuration:
             # on the units and y(ZA) = Z, so y is primitive on the quotient
             units = self.minimal_face()
             quot = il.quotient(self.rank, units.inner)
-            basis = [quot.section(e, ()) for e in il.identity(quot.free_rank)]
-            ys = [tuple(il.dot(f.y, b) for b in basis) for f in self.facets()]
+            ys = [tuple(il.dot(f.y, b) for b in quot.section_basis) for f in self.facets()]
             gens = self._hilbert_pointed([quot.project(c)[0] for c in coords], ys)
             out = (sorted(il.matvec(B, quot.section(g, ())) for g in gens)
                    + sorted(units.span_lat) + sorted(il.vneg(u) for u in units.span_lat))
@@ -251,7 +252,8 @@ class Configuration:
         values = {p: tuple(il.dot(y, p) for _zero, y in facets) for p in candidates}
         basis: list = []
         for p in sorted(candidates, key=lambda p: (il.dot(w, p), p)):
-            if not any(all(a <= b for a, b in zip(values[q], values[p])) for q in basis):
+            vp = values[p]
+            if not any(all(map(le, values[q], vp)) for q in basis):
                 basis.append(p)
         return basis
 
@@ -348,6 +350,8 @@ class FaceData:
 
     def in_span(self, v) -> bool:
         """v ∈ QF for a rational vector v."""
+        if len(v) != self.config.n:
+            raise DimensionMismatchError(f"in_span: length {len(v)} in Z^{self.config.n}")
         return not any(il.dot(w, v) for w in self.annihilator)
 
     @cached_property

@@ -411,8 +411,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
                             for d, t in zip(face.deltas, ts)]
             return reps[tb]
         # b over a basis of the classes, and the facet values of that basis
-        G = il.matmul(B, il.from_columns([quot.section(e, ()) for e in il.identity(quot.free_rank)],
-                                         dim=config.rank))
+        G = il.matmul(B, il.from_columns(quot.section_basis, dim=config.rank))
         values = [[il.dot(f.witness, g) // f.scale for f in over] for g in il.columns(G)]
         M = [[v[i] for v in values] for i in range(k)]
         carry = [[table.pack(v) for v in values], *il.matmul(linear, G)]

@@ -7,6 +7,13 @@ integer vectors), but their Gauss-Jordan elimination runs on integers, each
 row kept over one denominator, and gives the same results as elimination in
 fractions.  Smith normal forms carry the inverse of their row transform.  All
 results are exact; there is no floating point anywhere.
+
+Kernel convention: the vector and matrix helpers run their inner loops in
+builtins (`map` and `zip` over `operator` functions, one list comprehension
+per column operation of the Hermite form); those that pair two vectors check
+their lengths first, since `map` and `zip` stop silently at the shorter one;
+and every result equals the entry-by-entry formula's, which
+`tests/test_intlin.py` checks.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
+from operator import add, itemgetter, mul, neg, sub
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -24,7 +32,7 @@ Mat = tuple  # tuple of row tuples
 
 
 def freeze(rows) -> Mat:
-    return tuple(tuple(x for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def shape(M: Mat) -> tuple[int, int]:
@@ -40,7 +48,7 @@ def transpose(M: Mat) -> Mat:
 
 
 def columns(M: Mat) -> list[Vec]:
-    return [tuple(row[j] for row in M) for j in range(shape(M)[1])]
+    return list(zip(*M))
 
 
 def from_columns(cols, dim: int | None = None) -> Mat:
@@ -52,49 +60,51 @@ def from_columns(cols, dim: int | None = None) -> Mat:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise DimensionMismatchError("columns of unequal length")
-    return tuple(tuple(c[i] for c in cols) for i in range(n))
+    return tuple(zip(*cols))
 
 
 def matvec(M: Mat, v: Vec) -> Vec:
-    n, m = shape(M)
+    m = shape(M)[1]
     if len(v) != m:
         raise DimensionMismatchError(f"matvec: {m} columns vs vector of length {len(v)}")
-    return tuple(sum(M[i][j] * v[j] for j in range(m)) for i in range(n))
+    return tuple(sum(map(mul, row, v)) for row in M)
 
 
 def matmul(A: Mat, B: Mat) -> Mat:
-    n, k = shape(A)
-    k2, m = shape(B)
-    if k != k2:
+    if shape(A)[1] != len(B):
         raise DimensionMismatchError("matmul: inner dimensions differ")
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = columns(B)
+    return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in A)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"vadd: vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"vsub: vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
+    return tuple(map(mul, repeat(c), u))
 
 
 def dot(u: Vec, v: Vec):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dot: vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 # ---------------------------------------------------------------------------
@@ -106,52 +116,46 @@ def hermite_normal_form(M: Mat) -> tuple[Mat, Mat]:
 
     H is lower triangular in the staircase sense: pivot columns come first with
     strictly increasing pivot rows, pivots positive, entries left of a pivot in
-    its row reduced into [0, pivot); trailing columns are zero.
+    its row reduced into [0, pivot); trailing columns are zero.  [H; U] is
+    held as one list per column, so a column operation rebuilds two lists.
     """
     n, m = shape(M)
-    H = [list(row) for row in M]
-    U = [list(row) for row in identity(m)]
+    C = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(columns(M))]
 
     def colop(j, k, a, b, c, d):
         # (col_j, col_k) <- (a*col_j + b*col_k, c*col_j + d*col_k)
-        for row in (H, U):
-            for i in range(len(row)):
-                x, y = row[i][j], row[i][k]
-                row[i][j], row[i][k] = a * x + b * y, c * x + d * y
+        x, y = C[j], C[k]
+        C[j] = [a * p + b * q for p, q in zip(x, y)]
+        C[k] = [c * p + d * q for p, q in zip(x, y)]
 
     piv = 0
-    pivots = []  # (row, col)
     for i in range(n):
         if piv >= m:
             break
         # clear row i across columns piv..m-1 down to a single entry at piv
         j = piv
         for k in range(piv + 1, m):
-            if H[i][k] == 0:
+            if C[k][i] == 0:
                 continue
-            if H[i][j] == 0:
-                colop(j, k, 0, 1, 1, 0)  # swap
+            if C[j][i] == 0:
+                C[j], C[k] = C[k], C[j]  # swap
                 continue
-            g, s, t = _xgcd(H[i][j], H[i][k])
-            a, b = H[i][j] // g, H[i][k] // g
+            g, s, t = _xgcd(C[j][i], C[k][i])
+            a, b = C[j][i] // g, C[k][i] // g
             # [s t; -b a] has determinant s*a + t*b = 1
             colop(j, k, s, t, -b, a)
-        if H[i][j] == 0:
+        if C[j][i] == 0:
             continue
-        if H[i][j] < 0:
-            for row in (H, U):
-                for r in range(len(row)):
-                    row[r][j] = -row[r][j]
-        p = H[i][j]
+        if C[j][i] < 0:
+            C[j] = [-x for x in C[j]]
+        p, cj = C[j][i], C[j]
         for k in range(j):
-            q = H[i][k] // p  # floor division: leaves remainder in [0, p)
+            q = C[k][i] // p  # floor division: leaves remainder in [0, p)
             if q:
-                for row in (H, U):
-                    for r in range(len(row)):
-                        row[r][k] -= q * row[r][j]
-        pivots.append((i, j))
+                C[k] = [x - q * y for x, y in zip(C[k], cj)]
         piv += 1
-    return freeze(H), freeze(U)
+    return (tuple(tuple(map(itemgetter(i), C)) for i in range(n)),
+            tuple(tuple(map(itemgetter(n + i), C)) for i in range(m)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -349,6 +353,13 @@ class LatticeQuotient:
             y[i] = val
         return matvec(self._Uinv, tuple(y))
 
+    @cached_property
+    def section_basis(self) -> tuple:
+        """The sections of the free unit vectors with torsion part 0: b_i
+        has free coordinates e_i, so f ↦ Σ f_i·b_i is a section of the free part."""
+        zero = (0,) * len(self.torsion)
+        return tuple(self.section(e, zero) for e in identity(self.free_rank))
+
     def torsion_order(self) -> int:
         return prod(self.torsion)
 
@@ -501,7 +512,7 @@ def integer_kernel(M: Mat) -> list[Vec]:
 
 def scaled(v) -> tuple[list, int]:
     """(e.v as a list of ints, e) for a rational vector v, e the lcm of its denominators."""
-    e = lcm(*(x.denominator for x in v))
+    e = lcm(*[x.denominator for x in v])
     return [x.numerator * (e // x.denominator) for x in v], e
 
 

@@ -48,9 +48,7 @@ class MembershipQuery:
                for v in (*self.generators, *self.lattice_part, self.functional)):
             raise DimensionMismatchError("membership query mixes ambient dimensions")
         self.images = [quotient.project(g) for g in self.generators]
-        zero = (0,) * len(quotient.torsion)
-        self.w = tuple(il.dot(self.functional, quotient.section(e, zero))
-                       for e in il.identity(quotient.free_rank))
+        self.w = tuple(il.dot(self.functional, b) for b in quotient.section_basis)
         self.heights = [sum(map(mul, self.w, f)) for f, _t in self.images]
         if any(h <= 0 for (f, _t), h in zip(self.images, self.heights) if not il.is_zero_vec(f)):
             raise NonPointedError("cone of generators is not pointed modulo the lattice part")

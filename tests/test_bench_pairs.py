@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.summarise` on synthetic pairs: its three verdicts."""
+"""`tools/bench_pairs` on synthetic pairs: the three verdicts of `summarise`
+and the memory-against-ops line of `rss_per_op`."""
 
 import importlib.util
 from pathlib import Path
@@ -11,10 +12,15 @@ LOWER = {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
 WIDE = [20, 60, 100, 140, 180] * 2
 
 
-def _summarise(metric, old, new):
+def _module():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _summarise(metric, old, new):
+    module = _module()
     name = metric["name"]
     pairs = [{side: {"metrics": {name: {"value": v}}} for side, v in (("old", a), ("new", b))}
              for a, b in zip(old, new, strict=True)]
@@ -39,3 +45,24 @@ def test_summarise_verdicts_on_synthetic_pairs():
     assert _verdicts(_summarise(LOWER, WIDE, [x / 100 for x in WIDE])) == (True, True, False)
     # one new run that ties the best old run is enough to keep it unresolved
     assert _summarise(HIGHER, WIDE, [180] + [x + 200 for x in WIDE[1:]])["unresolved"]
+
+
+def _run(attempted, rss):
+    return {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}
+
+
+def test_rss_per_op_fits_memory_against_ops():
+    rss_per_op = _module().rss_per_op
+    # 20 MB plus 0.5 KB per op, exactly, on both sides: the medians of 2048
+    # and 4096 ops predict 22 MB over 21 MB
+    line = lambda ops: 20 + ops * 0.5 / 1024  # noqa: E731
+    pairs = [{"old": _run(ops, line(ops)), "new": _run(ops + 2048, line(ops + 2048))}
+             for ops in (1024, 2048, 3072)]
+    fit = rss_per_op(pairs)
+    assert abs(fit["kb_per_op"] - 0.5) < 1e-9 and abs(fit["intercept_mb"] - 20) < 1e-9
+    assert abs(fit["predicted_ratio"] - 22 / 21) < 1e-12
+    # memory that does not follow the ops leaves a flat line and a ratio of 1
+    flat = [{"old": _run(ops, 24.0), "new": _run(ops + 2000, 24.0)} for ops in (100, 300)]
+    assert rss_per_op(flat) == {"kb_per_op": 0.0, "intercept_mb": 24.0, "predicted_ratio": 1.0}
+    # every run of the same length leaves the slope undetermined
+    assert rss_per_op([{"old": _run(60, 23.0), "new": _run(60, 23.5)}]) is None

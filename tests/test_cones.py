@@ -17,7 +17,7 @@ from gkzfactors import degrees as dg
 from gkzfactors import factors as fa
 from gkzfactors import intlin as il
 from gkzfactors.cones import Configuration
-from gkzfactors.errors import ComputationLimitError, DomainError
+from gkzfactors.errors import ComputationLimitError, DimensionMismatchError, DomainError
 from gkzfactors.semigroup import member
 
 A23 = Configuration([[2, 3]])
@@ -526,3 +526,18 @@ def test_face_record_matches_old_face_and_functional():
                 assert face.in_span(v) == want, (m, face, v)
                 seen["in span" if want else "outside"] += 1
     assert all(seen.values()), seen
+
+
+def test_public_entry_points_reject_wrong_lengths():
+    # the scalar products behind these entry points stop at the shorter
+    # vector, so each checks the length itself: on A46 = [[1,0,1],[0,2,1]]
+    # (1,) once passed as a point of QA with coordinates (1, 0)
+    face = A46.face_data((0,))
+    entry_points = [A46.in_span, A46.lattice_coords, face.representative, face.in_span,
+                    A46.face_data(tuple(range(A46.N))).in_span]
+    entry_points += [f.value for f in A46.facets()]
+    for v in ((1,), (Fraction(1, 2),), (1, 0, 0), ()):
+        for call in entry_points:
+            with pytest.raises(DimensionMismatchError):
+                call(v)
+    assert A46.lattice_coords((1, 0)) == (1, 0) and face.representative((1, 0)) == (0, 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_hnf import reference_hnf
 from reference_smith import reference_smith
 
 from gkzfactors import intlin as il
@@ -282,3 +283,91 @@ def test_quotient_matches_reference_smith():
         assert q.torsion == tuple(d for d in diag if d not in (0, 1)), M
         nontrivial += bool(q.torsion)
     assert nontrivial > 300
+
+
+def test_hnf_matches_row_major_reference():
+    # the column-major routine performs the reference's column operations in
+    # the same order, so H and U are identical values, not just equivalent
+    rng = random.Random(21)
+    edge = [(), ((),), ((), (), ()), ((0, 0, 0),), ((3, -6, 9, 0),), ((0, 0), (0, 0)),
+            ((2, 4, 6), (1, 2, 3)), ((0, 5), (0, 7), (0, 0)), ((-2,), (3,))]
+    for M in edge:
+        assert il.hermite_normal_form(M) == reference_hnf(M), M
+    ranks = set()
+    for _ in range(1500):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        bound, density = rng.choice((1, 3, 9, 40)), rng.choice((0.3, 0.7, 1.0))
+        rows = [tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+                      for _ in range(m)) for _ in range(n)]
+        if rng.random() < 0.3:  # rank-deficient: a row and a column repeated
+            rows.append(rows[0])
+            rows = [row + row[-1:] for row in rows]
+        M = tuple(rows)
+        H, U = il.hermite_normal_form(M)
+        assert (H, U) == reference_hnf(M), M
+        assert il.matmul(M, U) == H
+        ranks.add((len(il.hnf_pivots(H)) < min(il.shape(M)), il.shape(M)[0] == 1))
+    assert ranks == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _entrywise(u, v, c):
+    """The vector helpers' values by the entry-by-entry formulas."""
+    r = range(len(u))
+    return {"vadd": tuple(u[i] + v[i] for i in r), "vsub": tuple(u[i] - v[i] for i in r),
+            "vneg": tuple(-u[i] for i in r), "vscale": tuple(c * u[i] for i in r),
+            "dot": sum(u[i] * v[i] for i in r), "is_zero_vec": all(u[i] == 0 for i in r)}
+
+
+def test_vector_helpers_match_entrywise_formulas():
+    rng = random.Random(5)
+
+    def entry(rational):
+        x = rng.choice((0, 0, rng.randint(-9, 9)))
+        return Fraction(x, rng.randint(1, 6)) if rational and rng.random() < 0.7 else x
+
+    for _ in range(600):
+        rational, n, m = rng.random() < 0.5, rng.randint(0, 5), rng.randint(0, 4)
+        u, v = (tuple(entry(rational) for _ in range(n)) for _ in range(2))
+        c = entry(rational)
+        got = {"vadd": il.vadd(u, v), "vsub": il.vsub(u, v), "vneg": il.vneg(u),
+               "vscale": il.vscale(c, u), "dot": il.dot(u, v), "is_zero_vec": il.is_zero_vec(u)}
+        assert got == _entrywise(u, v, c), (u, v, c)
+        assert type(got["dot"]) is type(_entrywise(u, v, c)["dot"])
+        A = tuple(tuple(entry(rational) for _ in range(n)) for _ in range(m))
+        B = tuple(tuple(entry(rational) for _ in range(m)) for _ in range(n))
+        if m:  # a matrix without rows has no column count
+            assert il.matvec(A, u) == tuple(sum(A[i][j] * u[j] for j in range(n))
+                                            for i in range(m))
+            assert il.matmul(A, B) == tuple(tuple(sum(A[i][t] * B[t][j] for t in range(n))
+                                                  for j in range(il.shape(B)[1]))
+                                            for i in range(m))
+        assert il.columns(A) == [tuple(row[j] for row in A) for j in range(il.shape(A)[1])]
+        assert il.freeze([list(row) for row in A]) == A
+        assert il.from_columns(il.columns(A), dim=m) == A
+        assert il.from_columns(il.columns(B), dim=n) == B
+
+
+def test_vector_helpers_reject_unequal_lengths():
+    for op in (il.vadd, il.vsub, il.dot):
+        with pytest.raises(DimensionMismatchError):
+            op((1, 2), (1,))
+        with pytest.raises(DimensionMismatchError):
+            op((), (Fraction(1, 2),))
+    with pytest.raises(DimensionMismatchError):
+        il.matvec(((1, 2),), (1,))
+    with pytest.raises(DimensionMismatchError):
+        il.matmul(((1, 2),), ((1,),))
+
+
+def test_section_basis_sections_the_free_unit_vectors():
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        q = il.quotient(n, [tuple(rng.randint(-3, 3) for _ in range(n))
+                            for _ in range(rng.randint(0, n))])
+        basis = q.section_basis
+        assert len(basis) == q.free_rank
+        for e, b in zip(il.identity(q.free_rank), basis):
+            assert q.project(b) == (e, (0,) * len(q.torsion))
+        if not q.torsion:  # the basis its callers built by hand
+            assert list(basis) == [q.section(e, ()) for e in il.identity(q.free_rank)]

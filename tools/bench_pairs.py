@@ -14,7 +14,12 @@ better than the old one by more than the old runs' quartile spread) and
 share of the old median, so a change within the bound cannot be told from
 noise, and not every new run is better than every old run).
 Each side's median op count (``attempted``) goes next to them, since a run's
-``peak_rss_mb`` grows with the ops it ran.  Standard library only.
+``peak_rss_mb`` grows with the ops it ran, and so does ``rss_per_op``: a
+least-squares line of ``peak_rss_mb`` against ``attempted`` over every run of
+both sides (KB per op and an intercept in MB), and the ``peak_rss_mb`` ratio
+that line predicts from the change in median ``attempted`` alone.  A ratio
+near the measured one puts the change in memory on the harness's per-op
+records, not on the library.  Standard library only.
 
     python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
         --seeds 1,2 --pairs 10 --seconds 25 --out BENCH.json
@@ -75,6 +80,22 @@ def summarise(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def rss_per_op(pairs: list) -> dict | None:
+    """The line peak_rss_mb = intercept + slope * attempted fitted to every
+    run, with the slope in KB (1024 bytes) per op, and the ratio new/old it
+    predicts at the two sides' median op counts; None when every run made
+    the same number of ops."""
+    runs = [p[side] for p in pairs for side in ("old", "new")]
+    try:
+        slope, intercept = statistics.linear_regression(
+            [r["attempted"] for r in runs], [r["metrics"]["peak_rss_mb"]["value"] for r in runs])
+    except statistics.StatisticsError:
+        return None
+    old, new = (statistics.median(p[side]["attempted"] for p in pairs) for side in ("old", "new"))
+    return {"kb_per_op": slope * 1024, "intercept_mb": intercept,
+            "predicted_ratio": (intercept + slope * new) / (intercept + slope * old)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", type=Path, help="root of the reference tree")
@@ -107,6 +128,7 @@ def main(argv=None) -> int:
                 summarise(pairs, spec["end_to_end"]),
                 attempted={side: statistics.median(p[side]["attempted"] for p in pairs)
                            for side in roots},
+                rss_per_op=rss_per_op(pairs),
                 all_correct=all(p[s]["correct"] for p in pairs for s in p),
                 failed=sum(p[s]["failed"] for p in pairs for s in p))
     report["machine"] = next(iter(report["runs"].values()))[0]["old"]["record"]["machine"]
