@@ -1,8 +1,12 @@
 """Face lattice of the cone generated by a configuration's columns.
 
 Faces are index sets (duplicate columns always co-occur).  Facet functionals
-are primitive against the column lattice.  Also: normality, the Hilbert basis
-of the saturation, and the simplicial-family predicate.
+are primitive against the column lattice; they come from a double
+description of the dual cone, whose work grows with the facets found.  The
+faces and their codimensions come from a top-down walk of the face lattice
+that intersects each face with the facets and needs no kernel.  Also:
+normality, the Hilbert basis of the saturation, and the simplicial-family
+predicate.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd, lcm
+from itertools import combinations
+from math import gcd, lcm
 from operator import le, mul
 
 from . import intlin as il
@@ -19,7 +23,7 @@ from .errors import DimensionMismatchError, DomainError, check_budget
 from .semigroup import MembershipQuery, member
 
 HILBERT_BUDGET = 500_000
-FACET_BUDGET = 100_000
+FACET_BUDGET = 10_000_000
 FACE_BUDGET = 50_000
 
 
@@ -111,34 +115,44 @@ class Configuration:
         return out
 
     def all_faces(self) -> list["FaceData"]:
-        """Every face, sorted by (codim, indices): each face found is intersected
-        once with every facet, and the faces found may not exceed FACE_BUDGET."""
-        if "faces" in self._cache:
-            return self._cache["faces"]
-        facet_sets = [set(f.face.indices) for f in self.facets()]
-        todo = [tuple(range(self.N))]
-        index_sets = set(todo)
-        while todo:
-            a = todo.pop()
-            for f in facet_sets:
-                inter = tuple(sorted(f.intersection(a)))
-                if inter not in index_sets:
-                    index_sets.add(inter)
-                    todo.append(inter)
-                    check_budget("face enumeration", "cones.all_faces", len(index_sets),
-                                 FACE_BUDGET)
-        faces = [self.face_data(idx) for idx in index_sets]
-        faces.sort(key=lambda f: (f.codim, f.indices))
-        self._cache["faces"] = faces
-        return faces
+        """Every face, sorted by (codim, indices)."""
+        if "faces" not in self._cache:
+            codims = self._face_codims
+            self._cache["faces"] = [self.face_data(idx)
+                                    for idx in sorted(codims, key=lambda i: (codims[i], i))]
+        return self._cache["faces"]
+
+    @cached_property
+    def _face_codims(self) -> dict:
+        """Index set -> codimension of every face, by a top-down walk of the
+        face lattice.  The facets of a face F are the inclusion-maximal
+        proper intersections F ∩ Z over the cone's facets Z (as in
+        `pulling_triangulation`); the lattice is graded, so the codimension
+        is the depth at which the walk first meets a face.  Index sets are
+        bitmasks here; the faces found may not exceed FACE_BUDGET."""
+        zeros = [sum(1 << j for j in f.face.indices) for f in self.facets()]
+        top = (1 << self.N) - 1
+        codims = {top: 0}
+        level = [top]
+        while level:
+            below = []
+            for face in level:
+                for sub in _facets_of(face, zeros):
+                    if sub not in codims:
+                        codims[sub] = codims[face] + 1
+                        below.append(sub)
+                        check_budget("face enumeration", "cones.all_faces", len(codims),
+                                     FACE_BUDGET)
+            level = below
+        return {tuple(j for j in range(self.N) if mask >> j & 1): codim
+                for mask, codim in codims.items()}
 
     def face(self, indices) -> "FaceData":
         """The face with the given column indices (must exist)."""
         idx = tuple(sorted(indices))
-        for f in self.all_faces():
-            if f.indices == idx:
-                return f
-        raise DomainError(f"{idx} is not a face of the configuration")
+        if idx not in self._face_codims:
+            raise DomainError(f"{idx} is not a face of the configuration")
+        return self.face_data(idx)
 
     def minimal_face(self) -> "FaceData":
         return self.all_faces()[-1]
@@ -241,13 +255,21 @@ class Configuration:
                      sum(q.torsion_order() for q in quots), HILBERT_BUDGET)
         candidates = set(coords)
         for combo, quot in zip(simplices, quots):
+            # the parallelepiped point of a class y is M.frac(M^-1 y), and
+            # frac is additive modulo 1: over the common denominator e of
+            # M^-1, step through the sums of the Smith generators' numerators
             M = il.from_columns(combo, dim=r)
             N, D, _C = il.scaled_left_inverse(M)
-            for tor in product(*(range(d) for d in quot.torsion)):
-                # y - M.floor(M^-1 y): the parallelepiped point of y's class
-                y = quot.section((), tor)
-                floor = tuple(il.dot(row, y) // d for row, d in zip(N, D))
-                candidates.add(il.vsub(y, il.matvec(M, floor)))
+            e = lcm(*D)
+            fracs = [(0,) * r]  # e.frac(M^-1 y), one per class y
+            for unit, d in zip(il.identity(len(quot.torsion)), quot.torsion):
+                gen = quot.section((), unit)
+                num = tuple(il.dot(row, gen) * (e // dd) for row, dd in zip(N, D))
+                step = fracs
+                for _ in range(d - 1):
+                    step = [tuple((a + x) % e for a, x in zip(f, num)) for f in step]
+                    fracs.extend(step)
+            candidates.update(tuple(x // e for x in il.matvec(M, f)) for f in fracs)
         candidates.discard(tuple(0 for _ in range(r)))
         values = {p: tuple(il.dot(y, p) for _zero, y in facets) for p in candidates}
         basis: list = []
@@ -277,17 +299,18 @@ class FaceData:
     The one face object: `all_faces`, `face`, `minimal_face` and
     `FacetFunctional.face` hand out these records.  `indices` is usually a
     face, but any column-index set works (pullbacks take subcones); then "F"
-    below means the cone of those columns.  Each consumer builds only what
-    it reads: `all_faces` `codim`, which is len(`ann`); membership queries
-    and closure tables `facets_over`, `lattice_part` and its
-    `lattice_quotient`; `in_span` (dmod tables, gap
-    components) `annihilator`, derived from `ann`; classes (`reduce`) `hnf`;
-    pullbacks `deltas`, and `ann` and `representative` only for a class
-    other than the trivial one, the latter only outside QF; class
-    candidates `representative` and `deltas`, and `in_sres` also
+    below means the cone of those columns.  `codim` is read off the walk of
+    `Configuration.all_faces` and exists only for faces.  Each consumer
+    builds only what it reads: membership queries and closure tables
+    `facets_over`, `lattice_part` and its `lattice_quotient`; `in_span`
+    (dmod tables, gap components) `annihilator`, derived from `ann`; classes
+    (`reduce`) `hnf`; pullbacks `deltas`, and `ann` and `representative`
+    only for a class other than the trivial one, the latter only outside QF;
+    class candidates `representative` and `deltas`, and `in_sres` also
     `column_sum_representative`.  In turn `representative` needs
     `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
-    `span_lat` only when a pivot of `hnf` exceeds 1.
+    `span_lat` only when a pivot of `hnf` exceeds 1.  So `ann`, a kernel, is
+    built only where `ann`, `inner` or `annihilator` is read.
     """
 
     def __init__(self, config: Configuration, indices: tuple):
@@ -301,7 +324,11 @@ class FaceData:
 
     @cached_property
     def codim(self) -> int:
-        return len(self.ann)
+        """Depth in the face lattice: the rank minus the dimension of the face."""
+        codims = self.config._face_codims
+        if self.indices not in codims:
+            raise DomainError(f"{self.indices} is not a face of the configuration")
+        return codims[self.indices]
 
     @cached_property
     def lattice_part(self) -> tuple:
@@ -468,29 +495,73 @@ def _facet_values(coords, r: int) -> list:
 
     Returns (zero, y) pairs sorted by zero: y is the facet's primitive integer
     functional, nonnegative on every vector, and zero lists the indices j with
-    y.coords[j] = 0.  The (r-1)-subsets of the distinct vectors, one kernel
-    each, may not exceed FACET_BUDGET; they are counted before any kernel.
+    y.coords[j] = 0.  The functionals are the extreme rays of the dual cone
+    {y : y.c >= 0 for every vector c}, found by the double description
+    method.  It starts from the dual basis of r independent distinct vectors,
+    a simplicial cone, so every dual cone on the way is pointed; each further
+    vector c keeps the rays p with c.p >= 0 and replaces those with c.n < 0
+    by the primitive (c.p).n - (c.n).p over the rays p with c.p > 0 adjacent
+    to n.  A ray is held with the set of vectors it vanishes on, and two rays
+    are adjacent iff no third ray vanishes on every vector both vanish on
+    (they span a 2-face of the pointed dual cone); since such a face is cut
+    out by at least r - 2 independent vectors, pairs with fewer common zeros
+    are not adjacent.  The (p, n) pairs tested may not exceed FACET_BUDGET;
+    each vector's pairs are counted before they are tested.
     """
-    distinct = sorted(set(coords))
-    check_budget("facet subset enumeration", "cones.facets", comb(len(distinct), r - 1),
-                 FACET_BUDGET)
-    seen: dict = {}
-    combos = [()] if r == 1 else combinations(distinct, r - 1)
-    for combo in combos:
-        # a functional vanishing on the combo, unique up to scale
-        ker = il.rational_kernel(il.freeze(combo)) if combo else [(1,)]
-        if len(ker) != 1:
+    distinct = sorted({c for c in coords if any(c)})
+    start = il.pivot_columns(il.from_columns(distinct, dim=r))
+    N, _D, _C = il.scaled_left_inverse(il.from_columns([distinct[j] for j in start], dim=r))
+    # row i of N is positive on distinct[start[i]] and zero on the other starting vectors
+    starting = sum(1 << j for j in start)
+    rays = []
+    for row, j in zip(N, start):
+        g = gcd(*row)
+        rays.append((tuple(x // g for x in row), starting & ~(1 << j)))
+    pairs = 0
+    for j, c in enumerate(distinct):
+        if starting >> j & 1:
             continue
-        y = ker[0]
-        vals = [il.dot(y, c) for c in coords]
-        if all(v <= 0 for v in vals):
-            y, vals = il.vneg(y), [-v for v in vals]
-        if any(v < 0 for v in vals):
-            continue
-        zero = tuple(j for j, v in enumerate(vals) if v == 0)
-        if len(zero) < len(coords):
-            seen.setdefault(zero, y)
-    return sorted(seen.items())
+        bit = 1 << j
+        pos, neg, kept = [], [], []
+        for y, zero in rays:
+            v = il.dot(y, c)
+            if v > 0:
+                pos.append((y, zero, v))
+                kept.append((y, zero))
+            elif v < 0:
+                neg.append((y, zero, v))
+            else:
+                kept.append((y, zero | bit))
+        if neg:
+            pairs += len(pos) * len(neg)
+            check_budget("facet pair enumeration", "cones.facets", pairs, FACET_BUDGET)
+            zeros = [zero for _y, zero in rays]
+            for p, zp, vp in pos:
+                for n, zn, vn in neg:
+                    common = zp & zn
+                    if common.bit_count() < r - 2 or sum(z & common == common for z in zeros) > 2:
+                        continue
+                    y = il.vsub(il.vscale(vp, n), il.vscale(vn, p))
+                    g = gcd(*y)
+                    kept.append((tuple(x // g for x in y), common | bit))
+        rays = kept
+    return sorted((tuple(j for j, c in enumerate(coords) if not il.dot(y, c)), y)
+                  for y, _zero in rays)
+
+
+def _facets_of(face: int, zeros) -> list:
+    """The facets of a face, as bitmasks: its inclusion-maximal proper
+    intersections with the facet zero sets.  Taken by decreasing size, a set
+    is maximal iff no strictly larger maximal set contains it."""
+    subs = sorted({face & z for z in zeros} - {face}, key=int.bit_count, reverse=True)
+    out: list = []
+    larger, size = 0, None  # out[:larger] are strictly larger than the current set
+    for sub in subs:
+        if sub.bit_count() != size:
+            larger, size = len(out), sub.bit_count()
+        if not any(sub & k == sub for k in out[:larger]):
+            out.append(sub)
+    return out
 
 
 def pulling_triangulation(zeros, n: int) -> list:

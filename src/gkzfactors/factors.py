@@ -105,6 +105,7 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
     # itself: there `FaceData.representative` gives z = 0, since the free
     # rows of class_quotient vanish on Q.inner and section is linear
     base = cls.representative
+    reps = face.deltas  # base + δ; for base = 0, δ itself
     if any(base):
         coords = ambient.lattice_coords(base)
         if coords is None:
@@ -115,7 +116,8 @@ def pullback_solutions(ambient: Configuration, face, cls: LocalSystemClass) -> l
             if z is None:
                 return []
             base = il.vadd(base, z)
-    out = [_make_class(ambient, face.indices, il.vadd(base, d)) for d in face.deltas]
+        reps = [il.vadd(base, d) for d in face.deltas]
+    out = [_make_class(ambient, face.indices, rep) for rep in reps]
     out.sort(key=lambda c: c.canonical)
     return out
 

@@ -481,8 +481,14 @@ def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
     return [row[m:] for row in A[:m]], D[:m], [row[m:] for row in A[m:]]
 
 
+def pivot_columns(M: Mat) -> list[int]:
+    """The pivot columns of M's Gauss-Jordan: left to right, each column
+    independent of those before it, as many as the rank."""
+    return _rref_ints(M, shape(M)[1])[2]
+
+
 def rational_rank(M: Mat) -> int:
-    return len(_rref_ints(M, shape(M)[1])[2])
+    return len(pivot_columns(M))
 
 
 def rational_kernel(M: Mat) -> list[Vec]:

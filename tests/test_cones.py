@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_motzkin import fm_query
+from reference_facets import reference_facets
 
 from gkzfactors import bruteforce as bf
 from gkzfactors import cli, cones
@@ -225,18 +226,92 @@ def test_hilbert_budget_counts_one_triangulation(monkeypatch):
     assert Configuration(m).saturation_hilbert_basis()
 
 
-def test_facet_budget_counts_subsets_before_any_kernel(monkeypatch):
-    # rank 3 and four distinct columns: C(4, 2) = 6 kernels
-    calls = []
-    kernel = il.rational_kernel
-    monkeypatch.setattr(il, "rational_kernel", lambda *a: calls.append(a) or kernel(*a))
-    monkeypatch.setattr(cones, "FACET_BUDGET", 5)
+def test_facet_budget_counts_candidate_pairs(monkeypatch):
+    # rank 3 and four distinct columns: the dual basis of the first three,
+    # then (1, 1, -1) is positive on two rays and negative on one, 2 pairs
+    monkeypatch.setattr(cones, "FACET_BUDGET", 1)
     with pytest.raises(ComputationLimitError) as err:
         Configuration(A54.matrix).facets()
-    assert (err.value.stage, err.value.used, err.value.limit) == ("cones.facets", 6, 5)
-    assert calls == []
-    monkeypatch.setattr(cones, "FACET_BUDGET", 6)
+    assert (err.value.stage, err.value.used, err.value.limit) == ("cones.facets", 2, 1)
+    monkeypatch.setattr(cones, "FACET_BUDGET", 2)
     assert len(Configuration(A54.matrix).facets()) == 4
+
+
+def _distinct_homogeneous_columns(seed: int, count: int, rank: int) -> list:
+    """A matrix of `count` distinct columns (1, a, ...) with a, ... in [-20, 20]."""
+    rng = random.Random(seed)
+    cols: set = set()
+    while len(cols) < count:
+        cols.add((1,) + tuple(rng.randint(-20, 20) for _ in range(rank - 1)))
+    return [list(row) for row in zip(*sorted(cols))]
+
+
+def test_facet_budget_admits_many_columns(monkeypatch):
+    # 160 distinct columns at rank 3 and 85 at rank 4 answer under the
+    # default budget, with the pairs tested counted
+    used = []
+    check = cones.check_budget
+    monkeypatch.setattr(cones, "check_budget",
+                        lambda what, stage, n, limit: used.append((stage, n)) or
+                        check(what, stage, n, limit))
+    for count, rank, facets, pairs in ((160, 3, 9, 1362), (85, 4, 60, 15919)):
+        used.clear()
+        config = Configuration(_distinct_homogeneous_columns(1, count, rank))
+        assert len(config.facets()) == facets
+        assert max(n for stage, n in used if stage == "cones.facets") == pairs
+        assert pairs <= cones.FACET_BUDGET
+
+
+def _cone_draws(seed: int, count: int) -> list:
+    """Seeded matrices with 1-5 rows, 1-9 columns and entries in [-2, 2]; in
+    turn plain, with a row summing the others (rank below the row count), a
+    column and its negative (not pointed), a repeated column and a zero column."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 5
+        n, N = rng.randint(1, 5), rng.randint(1, 8 if kind >= 2 else 9)
+        m = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
+        if kind == 1:
+            m.append([sum(col) for col in zip(*m)])
+        elif kind == 2:
+            m = [row + [-row[0]] for row in m]
+        elif kind == 3:
+            j = rng.randrange(N)
+            m = [row + [row[j]] for row in m]
+        elif kind == 4:
+            m = [row + [0] for row in m]
+        if any(any(row) for row in m):
+            out.append(m)
+    return out
+
+
+def test_facets_and_faces_match_subset_enumeration():
+    # the double description's facets against the (r-1)-subset enumeration,
+    # and the walk's faces against the closure of those facets under
+    # intersection, with codim = rank - rank(face columns)
+    seen = {"n > rank": 0, "not pointed": 0, "repeated column": 0, "zero column": 0}
+    for m in _cone_draws(22, 620):
+        config = Configuration(m)
+        want = reference_facets(config.col_coords, config.rank)
+        assert [(f.face.indices, f.y) for f in config.facets()] == want, m
+        assert all(f.face.codim == 1 for f in config.facets()), m  # read before all_faces()
+        index_sets = {tuple(range(config.N))}
+        todo = list(index_sets)
+        while todo:
+            a = set(todo.pop())
+            for zero, _y in want:
+                inter = tuple(sorted(a.intersection(zero)))
+                if inter not in index_sets:
+                    index_sets.add(inter)
+                    todo.append(inter)
+        faces = sorted((_full_codim(config, idx), idx) for idx in index_sets)
+        assert [(f.codim, f.indices) for f in config.all_faces()] == faces, m
+        seen["n > rank"] += config.n > config.rank
+        seen["not pointed"] += not config.is_pointed()
+        seen["repeated column"] += len(set(config.cols)) < config.N
+        seen["zero column"] += any(not any(c) for c in config.cols)
+    assert all(seen.values()), seen
 
 
 def test_face_budget_counts_faces_found(monkeypatch, tmp_path, capsys):
@@ -265,6 +340,8 @@ def test_face_span_lattice_saturated():
 def test_face_rejects_non_face():
     with pytest.raises(DomainError):
         A46.face((2,))  # interior column is not a face
+    with pytest.raises(DomainError):
+        A46.face_data((2,)).codim  # a codimension only for faces
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,18 +1,21 @@
 """Differential test of the gkzfactors command line between two source trees.
 
-Runs every document command on seeded random integer matrices (1-3 rows)
-against two source roots, each invocation in its own subprocess under a time
-cap, and compares stdout, stderr and exit code byte for byte.  Each command
-runs twice per draw: once with ``--json``, and once as text with ``--strict``
-(its "text" row), so the text renderer and exit code 4 are compared too.  It
-then does the same once for ``verify --fixtures --json`` and once, under its
-own cap of SUITE_CAP seconds, for ``verify --suite --instances 12 --json``,
-the one command that enumerates module components.  Prints the per-command
-counts of identical results, mismatches and timeouts, then lists every
-mismatch and timeout.  Standard library only.
+Runs every document command on seeded random integer matrices (1-3 rows and
+1-5 columns; ``--rows`` and ``--cols`` change the maxima) against two source
+roots, each invocation in its own subprocess under a time cap, and compares
+stdout, stderr and exit code byte for byte.  Each command runs twice per
+draw: once with ``--json``, and once as text with ``--strict`` (its "text"
+row), so the text renderer and exit code 4 are compared too.  It then does
+the same once for ``verify --fixtures --json`` and once, under its own cap of
+SUITE_CAP seconds, for ``verify --suite --instances 12 --json``, the one
+command that enumerates module components.  Prints the per-command counts of
+identical results, mismatches and timeouts, then lists every mismatch and
+timeout.  Standard library only.
 
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --draws 120 --cap 5
     python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --commands gap-factors
+    python3 tools/cli_differential.py OLD_ROOT NEW_ROOT --commands faces,normality \
+        --rows 5 --cols 9
 
 A root is a directory holding ``src/gkzfactors``, such as a ``git archive``
 of another commit.  Exit status: 0 when no result differs, 1 otherwise
@@ -32,7 +35,7 @@ from pathlib import Path
 
 RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
           "from gkzfactors.cli import main; sys.exit(main(sys.argv[1:]))")
-MAX_COLS, ENTRY = 5, 3  # columns per drawn matrix, largest |matrix entry|
+ENTRY = 3  # largest |matrix entry|
 SUITE_CAP = 60.0  # seconds for the one seeded property-suite run
 
 
@@ -52,9 +55,10 @@ def command_lines(rows: int) -> dict:
     }
 
 
-def draw(rng: random.Random) -> dict:
-    """A document: a 1-3 row matrix and a γ in the rational span of its columns."""
-    rows, cols = rng.randint(1, 3), rng.randint(1, MAX_COLS)
+def draw(rng: random.Random, max_rows: int, max_cols: int) -> dict:
+    """A document: a matrix of at most max_rows rows and max_cols columns, and
+    a γ in the rational span of its columns."""
+    rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
     matrix = [[rng.randint(-ENTRY, ENTRY) for _ in range(cols)] for _ in range(rows)]
     coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(cols)]
     gamma = [str(sum(c * row[j] for j, c in enumerate(coeffs))) for row in matrix]
@@ -88,6 +92,8 @@ def main(argv=None) -> int:
     p.add_argument("--draws", type=int, default=120)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--cap", type=float, default=5.0, help="seconds per invocation")
+    p.add_argument("--rows", type=int, default=3, help="most rows of a drawn matrix")
+    p.add_argument("--cols", type=int, default=5, help="most columns of a drawn matrix")
     p.add_argument("--commands", default=None,
                    help="comma-separated subset of: " + ", ".join(command_lines(1)))
     args = p.parse_args(argv)
@@ -118,7 +124,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         doc_path = Path(tmp) / "doc.json"
         for i in range(args.draws):
-            doc = draw(rng)
+            doc = draw(rng, args.rows, args.cols)
             doc_path.write_text(json.dumps(doc))
             lines = command_lines(len(doc["matrix"]))
             for name in wanted:
