@@ -101,16 +101,21 @@ class Configuration:
     # -- faces ------------------------------------------------------------------
 
     def facets(self) -> list[FacetFunctional]:
+        """Every facet's l is `rational_solve(B, y)`, B the ZA basis as rows,
+        read off one `solution_map` of B as T.y / e: so the witness is u / g
+        for u = T.y, g = gcd(u), and scale = e / g (`FacetFunctional`)."""
         if "facets" in self._cache:
             return self._cache["facets"]
-        B = il.freeze(self.lattice_basis)
+        N, D, _C, pivots = il.solution_map(il.freeze(self.lattice_basis))
+        e, T = lcm(*D), [(0,) * self.rank] * self.n
+        for row, d, c in zip(N, D, pivots):
+            T[c] = il.vscale(e // d, row)
         out = []
         for face_idx, y in _facet_values(self.col_coords, self.rank):
-            l = il.rational_solve(B, y)  # a rational h on Q^n whose values on the ZA basis are y
-            witness = il.clear_denominators(l)
-            scale = next(w // x for w, x in zip(witness, l) if x)  # witness = scale.l
-            out.append(FacetFunctional(face=self.face_data(face_idx), witness=witness,
-                                       scale=scale, y=y))
+            u = il.matvec(T, y)
+            g = gcd(*u)
+            out.append(FacetFunctional(face=self.face_data(face_idx),
+                                       witness=tuple(x // g for x in u), scale=e // g, y=y))
         self._cache["facets"] = out
         return out
 
@@ -280,16 +285,14 @@ class Configuration:
         return basis
 
     def is_normal(self):
-        """(verdict, witness): witness is a hole of the semigroup on false."""
+        """(verdict, witness): witness is a hole of the semigroup on false, the
+        least Hilbert generator outside NA; columns lie in NA, unsearched."""
         if "normal" in self._cache:
             return self._cache["normal"]
-        gens = self.saturation_hilbert_basis()
-        verdict, hole = True, None
-        for g in sorted(gens):
-            if not self.semigroup_member(g):
-                verdict, hole = False, g
-                break
-        self._cache["normal"] = (verdict, hole)
+        cols = set(self.cols)
+        hole = next((g for g in sorted(self.saturation_hilbert_basis())
+                     if g not in cols and not self.semigroup_member(g)), None)
+        self._cache["normal"] = (hole is None, hole)
         return self._cache["normal"]
 
 
@@ -384,9 +387,7 @@ class FaceData:
     @cached_property
     def hnf(self) -> list:
         """The column HNF basis of ZF as (pivot row, column) pairs, by increasing row."""
-        if not self.cols:
-            return []
-        H, _ = il.hermite_normal_form(il.from_columns(self.cols, dim=self.config.n))
+        H, _ = il.hermite_normal_form(il.from_columns(self.cols, dim=self.config.n), ())
         cols = il.columns(H)
         return [(r, cols[c]) for r, c in il.hnf_pivots(H)]
 
@@ -509,9 +510,9 @@ def _facet_values(coords, r: int) -> list:
     each vector's pairs are counted before they are tested.
     """
     distinct = sorted({c for c in coords if any(c)})
-    start = il.pivot_columns(il.from_columns(distinct, dim=r))
-    N, _D, _C = il.scaled_left_inverse(il.from_columns([distinct[j] for j in start], dim=r))
-    # row i of N is positive on distinct[start[i]] and zero on the other starting vectors
+    # Gauss-Jordan leaves I at the pivot columns `start`, so row i of N is
+    # positive on distinct[start[i]] and zero on the other starting vectors
+    N, _D, _C, start = il.solution_map(il.from_columns(distinct, dim=r))
     starting = sum(1 << j for j in start)
     rays = []
     for row, j in zip(N, start):

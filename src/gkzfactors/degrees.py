@@ -19,15 +19,10 @@ families, checks the size of the conductor's facet-value box against the
 budget (exit 3 before any work), walks the lattice points of the box along
 a Hermite normal form (`box_walk`), skips the gap classes the conductor
 already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a lookup in
-one closure per face; only the witness of each reported class runs a
-search.  The closure is a set of single-integer keys (`_ClosureTable`):
-the torsion index modulo ℤF in the low bits, and above it one bit field per
-facet value over F, biased so that leaving the box sets the field's guard
-bit.  Each field is wide enough for the box and for any one column's facet
-value, so a step never carries into the next field, and columns have facet
-values >= 0 over F, so the box is left only upwards: one `& guard` test
-decides it exactly.  A class test is an add and a set lookup.  A face is
-its `cones.FaceData` record throughout.
+one closure per face, a set of single-integer keys (`_ClosureTable`): a
+class test is an add and a set lookup, and only the witness of each
+reported class runs a search.  A face is its `cones.FaceData` record
+throughout.
 """
 
 from __future__ import annotations
@@ -157,12 +152,13 @@ def _conductor_search(config: Configuration) -> int:
     a_A ∈ ℕA, so k·a_A + r·h ∈ ℕA implies (k + 1)·a_A + r·h ∈ ℕA: the least
     k that serves r is found by scanning upwards from the least k that
     serves every r' < r, and k_h is where the scan ends after r = m_h − 1.
-    Each k is tried once per r, and k_h must stay below SEARCH_CAP.
+    Each k is tried once per r, and k_h must stay below SEARCH_CAP.  A
+    column h lies in ℕA, so m_h = 1 and k_h = 0: it is not searched.
     """
     a_A = config.column_sum()
     base = config.face_data(()).query(config.cols)
-    k_star = 0
-    for h in config.saturation_hilbert_basis():
+    k_star, cols = 0, set(config.cols)
+    for h in [h for h in config.saturation_hilbert_basis() if h not in cols]:
         m_h = None
         for m in range(1, SEARCH_CAP):
             if member(base, il.vscale(m, h)):
@@ -302,10 +298,10 @@ def box_walk(M, bounds, carry):
     the box cuts each to an interval of c'_j, an empty intersection prunes
     the branch, and v_{p_j} rises with c'_j while the rows above it stay, so
     walking each c'_j upwards gives v in lexicographic order.  Everything is
-    carried as running sums of the columns of [H; carry.U], with no solve.
+    carried as running sums of the columns of [H; carry.U] = [M; carry].U.
     """
-    H, U = il.hermite_normal_form(il.freeze(M))
-    rows = list(H) + list(il.matmul(il.freeze(carry), U))
+    H, carried = il.hermite_normal_form(il.freeze(M), il.freeze(carry))
+    rows = H + carried
     piv = [p for p, _c in il.hnf_pivots(H)] + [len(M)]
     cols = il.columns(rows)
 
@@ -362,6 +358,10 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     x − a_A is in the box and its key (x's key less the packed l_G(a_A),
     torsion part minus a_A's) is looked up exactly.
 
+    The full face is skipped: there ℕA + ℤF = sat + ℤF = ℤF = ℤA, so no x
+    passes either test.  Its box, one empty tuple, still counts towards
+    QDEG_BUDGET.
+
     The ideal families are decided per γ only (`first_passing`).
     """
     if family.kind == "ideal":
@@ -376,7 +376,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     B = il.from_columns(config.lattice_basis, dim=config.n)
     k_star, a_A, n = conductor_multiplier(config), config.column_sum(), config.n
     comps: list[QDegComponent] = []
-    for face in faces:
+    for face in faces[1:]:  # the full face comes first, and no class passes there
         over, quot = face.facets_over, face.class_quotient
         table = _ClosureTable(config, face, bounds)
         keys, guard, mod_zf = table.keys, table.guard, face.lattice_quotient

@@ -111,16 +111,20 @@ def is_zero_vec(u: Vec) -> bool:
 # Hermite normal form (column style, lower triangular)
 # ---------------------------------------------------------------------------
 
-def hermite_normal_form(M: Mat) -> tuple[Mat, Mat]:
-    """Column HNF: returns (H, U) with H = M.U, U unimodular.
+def hermite_normal_form(M: Mat, rows: Mat | None = None) -> tuple[Mat, Mat]:
+    """Column HNF: returns (H, R.U) with H = M.U, U unimodular, for rows R
+    stacked under M (by default the identity, giving U; the steps read only M).
 
     H is lower triangular in the staircase sense: pivot columns come first with
     strictly increasing pivot rows, pivots positive, entries left of a pivot in
-    its row reduced into [0, pivot); trailing columns are zero.  [H; U] is
+    its row reduced into [0, pivot); trailing columns are zero.  [H; R.U] is
     held as one list per column, so a column operation rebuilds two lists.
     """
     n, m = shape(M)
-    C = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(columns(M))]
+    R = identity(m) if rows is None else rows
+    if R and shape(R)[1] != m:
+        raise DimensionMismatchError("hermite_normal_form: rows of another width than M")
+    C = [list(col) + list(r) for col, r in zip(columns(M), columns(R) or repeat(()))]
 
     def colop(j, k, a, b, c, d):
         # (col_j, col_k) <- (a*col_j + b*col_k, c*col_j + d*col_k)
@@ -155,7 +159,7 @@ def hermite_normal_form(M: Mat) -> tuple[Mat, Mat]:
                 C[k] = [x - q * y for x, y in zip(C[k], cj)]
         piv += 1
     return (tuple(tuple(map(itemgetter(i), C)) for i in range(n)),
-            tuple(tuple(map(itemgetter(n + i), C)) for i in range(m)))
+            tuple(tuple(map(itemgetter(n + i), C)) for i in range(len(R))))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -189,7 +193,7 @@ def hnf_pivots(H: Mat) -> list[tuple[int, int]]:
 
 def column_lattice_basis(M: Mat) -> list[Vec]:
     """Basis (list of columns) of the lattice generated by the columns of M."""
-    H, _ = hermite_normal_form(M)
+    H, _ = hermite_normal_form(M, ())
     return [c for c in columns(H) if not is_zero_vec(c)]
 
 
@@ -201,20 +205,14 @@ def lattice_coordinates(B, v: Vec):
     n = len(B[0])
     if len(v) != n or any(len(b) != n for b in B):
         raise DimensionMismatchError("lattice_coordinates: ambient dimensions differ")
-    M = from_columns(B)
-    H, U = hermite_normal_form(M)
-    w = list(v)
-    t = [0] * len(B)
+    H, U = hermite_normal_form(from_columns(B))
+    w, t = list(v), [0] * len(B)
     for i, j in hnf_pivots(H):
-        if w[i] % H[i][j] != 0:
+        if w[i] % H[i][j]:
             return None
-        q = w[i] // H[i][j]
-        t[j] = q
-        for r in range(n):
-            w[r] -= q * H[r][j]
-    if any(w):
-        return None
-    return list(matvec(U, tuple(t)))
+        t[j] = q = w[i] // H[i][j]
+        w = [x - q * row[j] for x, row in zip(w, H)]
+    return None if any(w) else list(matvec(U, tuple(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +466,29 @@ def rational_solve(M: Mat, b: Vec):
     return tuple(x)
 
 
-def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
-    """(N, D, C) for M of full column rank: M.x = b iff C.b = 0, and then
-    x_i = N[i].b / D[i] with D[i] > 0; all entries are integers.
-
-    One Gauss-Jordan on [M | I]; x is the solution `rational_solve` returns.
-    """
+def solution_map(M: Mat) -> tuple[list, list[int], list, list[int]]:
+    """(N, D, C, pivots), all integers: M.x = b is solvable iff C.b = 0, and
+    `rational_solve(M, b)` is then N[k].b / D[k] (D[k] > 0) at pivots[k], 0
+    elsewhere.  One Gauss-Jordan on [M | I]: its steps read only M, so the
+    carried row k is the combination of M's rows that one on [M | b] leaves
+    in row k, and that row ends in its value at b."""
     n, m = shape(M)
     A, D, pivots = _rref_ints([list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)], m)
-    if len(pivots) != m:
+    r = len(pivots)
+    return [row[m:] for row in A[:r]], D[:r], [row[m:] for row in A[r:]], pivots
+
+
+def scaled_left_inverse(M: Mat) -> tuple[list, list[int], list]:
+    """(N, D, C) of `solution_map` for M of full column rank: M.x = b iff
+    C.b = 0, and then x_i = N[i].b / D[i]."""
+    N, D, C, pivots = solution_map(M)
+    if len(pivots) != shape(M)[1]:
         raise DimensionMismatchError("scaled_left_inverse: columns are linearly dependent")
-    return [row[m:] for row in A[:m]], D[:m], [row[m:] for row in A[m:]]
-
-
-def pivot_columns(M: Mat) -> list[int]:
-    """The pivot columns of M's Gauss-Jordan: left to right, each column
-    independent of those before it, as many as the rank."""
-    return _rref_ints(M, shape(M)[1])[2]
+    return N, D, C
 
 
 def rational_rank(M: Mat) -> int:
-    return len(pivot_columns(M))
+    return len(_rref_ints(M, shape(M)[1])[2])
 
 
 def rational_kernel(M: Mat) -> list[Vec]:
@@ -511,9 +511,7 @@ def rational_kernel(M: Mat) -> list[Vec]:
 def integer_kernel(M: Mat) -> list[Vec]:
     """Basis of the saturated lattice {x in Z^m : M.x = 0} for integer M."""
     H, U = hermite_normal_form(M)
-    ncols = shape(M)[1]
-    zero_cols = [j for j, c in enumerate(columns(H)) if is_zero_vec(c)]
-    return [tuple(U[i][j] for i in range(ncols)) for j in zero_cols]
+    return [u for h, u in zip(columns(H), columns(U)) if is_zero_vec(h)]
 
 
 def scaled(v) -> tuple[list, int]:

@@ -2,10 +2,33 @@
 
 Every column operation updates [H; U] entry by entry, one row at a time.  The
 intlin tests check that the library's column-major routine returns identical
-(H, U) values.
+(H, U) values on the matrices of `reference_draws`.
 """
 
+import random
+
 from gkzfactors.intlin import _xgcd, freeze, identity, shape
+
+EDGE = [(), ((),), ((), (), ()), ((0, 0, 0),), ((3, -6, 9, 0),), ((0, 0), (0, 0)),
+        ((2, 4, 6), (1, 2, 3)), ((0, 5), (0, 7), (0, 0)), ((-2,), (3,))]
+
+
+def reference_draws() -> list:
+    """1 500 seeded matrices of 1-5 rows and 1-7 columns, entries up to 1, 3,
+    9 or 40 in size at three densities; about 30% get a row and a column
+    repeated, so they are rank-deficient."""
+    rng = random.Random(21)
+    out = []
+    for _ in range(1500):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        bound, density = rng.choice((1, 3, 9, 40)), rng.choice((0.3, 0.7, 1.0))
+        rows = [tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+                      for _ in range(m)) for _ in range(n)]
+        if rng.random() < 0.3:  # rank-deficient: a row and a column repeated
+            rows.append(rows[0])
+            rows = [row + row[-1:] for row in rows]
+        out.append(tuple(rows))
+    return out
 
 
 def reference_hnf(M) -> tuple:

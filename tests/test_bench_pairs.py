@@ -1,7 +1,9 @@
-"""`tools/bench_pairs` on synthetic pairs: the three verdicts of `summarise`
-and the memory-against-ops line of `rss_per_op`."""
+"""`tools/bench_pairs` on synthetic pairs: the three verdicts of `summarise`,
+the memory-against-ops line of `rss_per_op`, and the report's machine block
+and traced pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -66,3 +68,32 @@ def test_rss_per_op_fits_memory_against_ops():
     assert rss_per_op(flat) == {"kb_per_op": 0.0, "intercept_mb": 24.0, "predicted_ratio": 1.0}
     # every run of the same length leaves the slope undetermined
     assert rss_per_op([{"old": _run(60, 23.0), "new": _run(60, 23.5)}]) is None
+
+
+def test_machine_record_says_whether_the_library_is_compiled(monkeypatch, tmp_path):
+    # the runs inherit the environment, so PYTHONDONTWRITEBYTECODE decides
+    # whether each fresh import compiles the library from source
+    module = _module()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert module.bytecode_flag() == 1
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert module.bytecode_flag() == 0
+    # and main writes it into the report's machine block, next to the run's
+    # own machine record; a traced pair keeps each side's nonzero metrics
+    spec = {"end_to_end": [HIGHER, LOWER]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    machine = {"python": "3.11.7", "nproc": 2}
+
+    def fake_run(root, workload, seed, seconds, trace=0):
+        metrics = {"ops_per_s": 100.0, "op_p50_ms": 10.0, "peak_rss_mb": 30.0} if not trace else \
+            {"member.calls_per_op": 19.7 if root.name == "old" else 10.5, "unused.calls": 0}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()}, "attempted": 50,
+                "correct": True, "failed": 0, "record": {"machine": machine}}
+    monkeypatch.setattr(module, "run_once", fake_run)
+    old, new, out = tmp_path / "old", tmp_path, tmp_path / "out.json"
+    assert module.main([str(old), str(new), "--workloads", "gaps", "--pairs", "2",
+                        "--traced", "gaps", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["machine"] == dict(machine, dont_write_bytecode=0)
+    assert report["traced"] == {"gaps/seed1": {"old": {"member.calls_per_op": 19.7},
+                                               "new": {"member.calls_per_op": 10.5}}}

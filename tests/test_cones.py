@@ -618,3 +618,41 @@ def test_public_entry_points_reject_wrong_lengths():
             with pytest.raises(DimensionMismatchError):
                 call(v)
     assert A46.lattice_coords((1, 0)) == (1, 0) and face.representative((1, 0)) == (0, 0)
+
+
+def test_facet_functionals_match_rational_solve_per_facet():
+    # facets() reads every l off one solution map of the ZA basis; on seeded
+    # draws, draws [A; v.A] with the row v.A put anywhere (n > rank: the
+    # solution is not unique, the free-variables-zero one must be kept, and
+    # the pivots need not be the first columns) and non-pointed draws it
+    # gives rational_solve's l, and the witness and scale that the
+    # per-facet formulas gave
+    rng = random.Random(23)
+    seen = {"n > rank": 0, "not pointed": 0, "scale > 1": 0, "facets": 0}
+    draws = []
+    for i in range(150):
+        n, N = rng.randint(1, 3), rng.randint(2, 6)
+        m = [[rng.randint(-4, 4) for _ in range(N)] for _ in range(n)]
+        if i % 3 == 1:
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            m.insert(rng.randint(0, n), [sum(a * x for a, x in zip(v, col)) for col in zip(*m)])
+        elif i % 3 == 2:
+            j = rng.randrange(N)
+            m = [row + [-row[j]] for row in m]
+        draws.append(m)
+    for m in draws + [[[2, 4, 6], [1, 2, 3]], [[1, 0, 1], [0, 2, 1], [2, 4, 4]]]:
+        try:
+            config = Configuration(m)
+        except DomainError:  # a zero matrix
+            continue
+        seen["n > rank"] += config.n > config.rank
+        seen["not pointed"] += not config.is_pointed()
+        B = il.freeze(config.lattice_basis)
+        for f in config.facets():
+            l = il.rational_solve(B, f.y)
+            witness = il.clear_denominators(l)
+            assert (f.l, f.witness) == (l, witness), (m, f.face)
+            assert f.scale == next(w // x for w, x in zip(witness, l) if x), (m, f.face)
+            seen["scale > 1"] += f.scale > 1
+            seen["facets"] += 1
+    assert all(seen.values()) and seen["n > rank"] > 30 and seen["not pointed"] > 30, seen

@@ -356,3 +356,148 @@ def test_one_smith_form_per_face_lattice(monkeypatch):
         for gens in gen_sets:
             assert face.query(gens).quotient is face.lattice_quotient
     assert calls == []
+
+
+def _every_face_components(family, config):
+    """`qdeg_components`' loop with no face skipped, the full face included,
+    and each class's key, torsion index and cover test recomputed from b
+    rather than carried through the walk."""
+    gap = family.kind == "gap"
+    if gap and config.is_normal()[0]:
+        return []
+    bounds, n = dg.facet_bounds(config), config.n
+    B = il.from_columns(config.lattice_basis, dim=n)
+    k_star, a_A = dg.conductor_multiplier(config), config.column_sum()
+    found = []
+    for face in config.all_faces():
+        over, mod_zf, k = face.facets_over, face.lattice_quotient, len(face.facets_over)
+        table = dg._ClosureTable(config, face, bounds)
+        guard, keys = table.guard, table.keys
+        covers = {}
+        for comp in found:
+            if set(face.indices) < set(comp.face.indices):
+                ann = comp.face.annihilator
+                covers.setdefault(ann, set()).add(tuple(il.dot(w, comp.base) for w in ann))
+        a_vals = [il.dot(f.witness, a_A) // f.scale for f in over]
+        a_ge, skip_ge = table.at_least(a_vals), table.at_least([k_star * a for a in a_vals])
+        G = il.matmul(B, il.from_columns(face.class_quotient.section_basis, dim=config.rank))
+        values = [[il.dot(f.witness, g) // f.scale for f in over] for g in il.columns(G)]
+        M = [[v[i] for v in values] for i in range(k)]
+        for p in dg.box_walk(M, table.top, il.identity(len(values))):
+            b = il.matvec(G, p[k:])
+            if any(tuple(il.dot(w, b) for w in ann) in vals for ann, vals in covers.items()):
+                continue
+            at = table.pack(p[:k]) + table.bias
+            if gap and (at + skip_ge) & guard == guard:
+                continue
+            for d in face.deltas:
+                x = il.vadd(b, d)
+                key = at + mod_zf.index(mod_zf.project(x)[1])
+                less = (at - table.pack(a_vals)
+                        + mod_zf.index(mod_zf.project(il.vsub(x, a_A))[1]))
+                if gap:
+                    ok = key not in keys
+                else:
+                    ok = key in keys and not ((at + a_ge) & guard == guard and less in keys)
+                if ok:
+                    found.append(dg.QDegComponent(
+                        base=dg._witness_base(family, config, face, x), face=face))
+                    break
+    return found
+
+
+def test_full_face_is_skipped_without_changing_components(monkeypatch):
+    # at the full face ℤF = ℤA, so no class passes: qdeg_components builds no
+    # closure table there, and both families match the loop over every face
+    built = []
+
+    class Recording(dg._ClosureTable):
+        def __init__(self, config, face, bounds):
+            built.append(face.codim)
+            super().__init__(config, face, bounds)
+    compared = {"module": 0, "gap": 0}
+    for matrix in _agreement_inputs():
+        try:
+            config = Configuration(matrix)
+        except DomainError:  # a zero matrix
+            continue
+        for family in (dg.module_family(), dg.gap_family()):
+            with monkeypatch.context() as patch:
+                patch.setattr(dg, "_ClosureTable", Recording)
+                try:
+                    got = dg.qdeg_components(family, config)
+                except ComputationLimitError:
+                    continue
+            want = _every_face_components(family, config)
+            assert [(c.base, c.face.indices) for c in got] == \
+                [(c.base, c.face.indices) for c in want], (matrix, family.kind)
+            compared[family.kind] += bool(want)
+    assert built and 0 not in built
+    assert compared["module"] > 40 and compared["gap"] > 12, compared
+
+
+def _searched_hole(config):
+    """`Configuration.is_normal`'s hole with every Hilbert generator searched."""
+    base = config.face_data(()).query(config.cols)
+    return next((g for g in sorted(config.saturation_hilbert_basis())
+                 if not sg.member(base, g)), None)
+
+
+def _searched_conductor(config):
+    """`degrees._conductor_search` with every Hilbert generator searched."""
+    a_A = config.column_sum()
+    base = config.face_data(()).query(config.cols)
+    k_star = 0
+    for h in config.saturation_hilbert_basis():
+        m_h = next((m for m in range(1, dg.SEARCH_CAP) if sg.member(base, il.vscale(m, h))), None)
+        if m_h is None:
+            raise ComputationLimitError("no multiple", stage="degrees.conductor_multiplier",
+                                        used=dg.SEARCH_CAP - 1, limit=dg.SEARCH_CAP - 1)
+        k_h = 0
+        for r in range(m_h):
+            while not sg.member(base, il.vadd(il.vscale(k_h, a_A), il.vscale(r, h))):
+                k_h += 1
+                if k_h == dg.SEARCH_CAP:
+                    raise ComputationLimitError("cap", stage="degrees.conductor_multiplier",
+                                                used=dg.SEARCH_CAP, limit=dg.SEARCH_CAP)
+        k_star += k_h
+    return k_star
+
+
+def test_column_generators_are_not_searched(monkeypatch):
+    # a Hilbert generator that is a column lies in NA: where every generator
+    # is one, normality and the conductor search nothing
+    config = Configuration([[1, 1, 1], [0, 1, 2]])
+    assert set(config.saturation_hilbert_basis()) <= set(config.cols)
+    calls = _count_member_calls(monkeypatch)
+    assert config.is_normal() == (True, None) and dg.conductor_multiplier(config) == 0
+    assert calls == []
+    monkeypatch.undo()
+    # elsewhere the first hole and k* are those of the search over every
+    # generator, which asks more
+    inputs = list(_agreement_inputs()) + [[[0, -1, -2, -2], [1, 2, 0, 3], [-2, 3, 3, 3]]]
+    holes, fewer, search = 0, {"hole": 0, "k*": 0}, sg.member
+    for matrix in inputs:
+        try:
+            config = Configuration(matrix)
+        except DomainError:
+            continue
+        calls = _count_member_calls(monkeypatch)
+        verdict, hole = config.is_normal()
+        got = {"hole": len(calls)}
+        k_star = _outcome(dg._conductor_search, config)
+        got["k*"] = len(calls) - got["hole"]
+        monkeypatch.undo()
+        asked = []
+        monkeypatch.setattr(sg, "member", lambda *args: asked.append(args) or search(*args))
+        want_hole = _searched_hole(config)
+        want = {"hole": len(asked)}
+        want_k = _outcome(_searched_conductor, config)
+        want["k*"] = len(asked) - want["hole"]
+        monkeypatch.undo()
+        assert (verdict, hole, k_star) == (want_hole is None, want_hole, want_k), matrix
+        holes += hole is not None
+        for part in fewer:
+            assert got[part] <= want[part], (matrix, part)
+            fewer[part] += got[part] < want[part]
+    assert holes > 12 and min(fewer.values()) > 30, (holes, fewer)

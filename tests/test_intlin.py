@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_hnf import reference_hnf
+from reference_hnf import EDGE, reference_draws, reference_hnf
 from reference_smith import reference_smith
 
 from gkzfactors import intlin as il
@@ -288,26 +288,30 @@ def test_quotient_matches_reference_smith():
 def test_hnf_matches_row_major_reference():
     # the column-major routine performs the reference's column operations in
     # the same order, so H and U are identical values, not just equivalent
-    rng = random.Random(21)
-    edge = [(), ((),), ((), (), ()), ((0, 0, 0),), ((3, -6, 9, 0),), ((0, 0), (0, 0)),
-            ((2, 4, 6), (1, 2, 3)), ((0, 5), (0, 7), (0, 0)), ((-2,), (3,))]
-    for M in edge:
+    for M in EDGE:
         assert il.hermite_normal_form(M) == reference_hnf(M), M
     ranks = set()
-    for _ in range(1500):
-        n, m = rng.randint(1, 5), rng.randint(1, 7)
-        bound, density = rng.choice((1, 3, 9, 40)), rng.choice((0.3, 0.7, 1.0))
-        rows = [tuple(rng.randint(-bound, bound) if rng.random() < density else 0
-                      for _ in range(m)) for _ in range(n)]
-        if rng.random() < 0.3:  # rank-deficient: a row and a column repeated
-            rows.append(rows[0])
-            rows = [row + row[-1:] for row in rows]
-        M = tuple(rows)
+    for M in reference_draws():
         H, U = il.hermite_normal_form(M)
         assert (H, U) == reference_hnf(M), M
         assert il.matmul(M, U) == H
         ranks.add((len(il.hnf_pivots(H)) < min(il.shape(M)), il.shape(M)[0] == 1))
     assert ranks == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_hnf_carries_stacked_rows():
+    # the one HNF transforms whatever rows are stacked under M by the same
+    # column operations: R.U for rows R, nothing for no rows, U by default
+    rng = random.Random(23)
+    for M in EDGE + reference_draws():
+        H, U = reference_hnf(M)
+        m = il.shape(M)[1]
+        R = il.freeze([[rng.randint(-9, 9) for _ in range(m)] for _ in range(rng.randint(1, 4))])
+        assert il.hermite_normal_form(M, R) == (H, il.matmul(R, U)), (M, R)
+        assert il.hermite_normal_form(M, ()) == (H, ()), M
+        assert il.hermite_normal_form(M, il.identity(m)) == (H, U), M
+    with pytest.raises(DimensionMismatchError):
+        il.hermite_normal_form(((1, 2),), ((1, 2, 3),))
 
 
 def _entrywise(u, v, c):

@@ -19,10 +19,16 @@ least-squares line of ``peak_rss_mb`` against ``attempted`` over every run of
 both sides (KB per op and an intercept in MB), and the ``peak_rss_mb`` ratio
 that line predicts from the change in median ``attempted`` alone.  A ratio
 near the measured one puts the change in memory on the harness's per-op
-records, not on the library.  Standard library only.
+records, not on the library.  ``--traced`` adds one traced pair (``--trace 1``)
+per named workload at the first seed, kept under "traced" as each side's
+nonzero per-layer metrics, to show which layer a change moved.  The machine
+record gains ``dont_write_bytecode``, the flag a run starts with: when it is
+1, every fresh import in a run's set-up compiles the library from source
+(a new checkout has no bytecode cache), so ``setup_s`` includes that
+compile time.  Standard library only.
 
     python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
-        --seeds 1,2 --pairs 10 --seconds 25 --out BENCH.json
+        --seeds 1,2 --pairs 10 --seconds 25 --traced gaps --out BENCH.json
 
 A root is a checkout holding ``perfbench/run.py`` and ``src/gkzfactors``,
 such as a ``git archive`` of another commit.  The metrics and which way is
@@ -39,13 +45,21 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one run, with its machine record under "record"."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True, check=True)
     *_, record, result = done.stdout.strip().splitlines()
     return dict(json.loads(result), record=json.loads(record)["record"])
+
+
+def bytecode_flag() -> int:
+    """sys.flags.dont_write_bytecode in a process started as the runs are."""
+    probe = "import sys; print(sys.flags.dont_write_bytecode)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    return int(done.stdout)
 
 
 def spread(values: list) -> dict:
@@ -104,6 +118,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="1", help="comma-separated seeds")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--traced", default="", help="comma-separated workloads to trace one pair of")
     p.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = p.parse_args(argv)
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
@@ -131,7 +146,15 @@ def main(argv=None) -> int:
                 rss_per_op=rss_per_op(pairs),
                 all_correct=all(p[s]["correct"] for p in pairs for s in p),
                 failed=sum(p[s]["failed"] for p in pairs for s in p))
-    report["machine"] = next(iter(report["runs"].values()))[0]["old"]["record"]["machine"]
+    seed = int(args.seeds.split(",")[0])
+    for workload in filter(None, args.traced.split(",")):
+        pair = {side: run_once(roots[side], workload, seed, args.seconds, trace=1)
+                for side in roots}
+        report.setdefault("traced", {})[f"{workload}/seed{seed}"] = {
+            side: {name: m["value"] for name, m in pair[side]["metrics"].items() if m["value"]}
+            for side in roots}
+    report["machine"] = dict(next(iter(report["runs"].values()))[0]["old"]["record"]["machine"],
+                             dont_write_bytecode=bytecode_flag())
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
