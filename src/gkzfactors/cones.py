@@ -70,8 +70,12 @@ class Configuration:
     # -- basic lattice helpers -------------------------------------------------
 
     def in_span(self, v) -> bool:
-        """v ∈ QA for rational v."""
-        return self.lattice_coords(v) is not None
+        """v ∈ QA for rational v: C.u = 0 in integers, for the rows C of
+        `_za_inverse` and u = e.v, e the lcm of v's denominators."""
+        if len(v) != self.n:
+            raise DimensionMismatchError(f"in_span: length {len(v)} in Z^{self.n}")
+        u, _e = il.scaled(v)
+        return not any(sum(map(mul, row, u)) for row in self._za_inverse[2])
 
     @cached_property
     def _za_inverse(self):

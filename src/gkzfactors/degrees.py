@@ -181,10 +181,12 @@ def _conductor_search(config: Configuration) -> int:
 
 
 def facet_bounds(config: Configuration) -> dict:
-    """Per-facet enumeration bound: the facet value of a_A plus conductor."""
+    """Per-facet enumeration bound (k* + 1)·l_F(a_A), in integers: a_A ∈ ℤA,
+    where l_F = witness / scale is integral, so scale divides witness·a_A."""
     k_star = conductor_multiplier(config)
     a_A = config.column_sum()
-    return {f.face.indices: int((k_star + 1) * f.value(a_A)) for f in config.facets()}
+    return {f.face.indices: (k_star + 1) * (il.dot(f.witness, a_A) // f.scale)
+            for f in config.facets()}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ translation lattice tests, and the four derived parameter sets
           ``false_up_to_bounds`` with ``"certified": false``),
 * wres  = sres ∪ dres,
 
-plus the facet-sign approximations SRes/DRes.
+plus the facet-sign approximations SRes/DRes.  Each public call scales γ
+once, to u = e·γ with e the lcm of its denominators, and reads every facet
+value as the integer witness·u over scale·e (`_numerators`); only
+`classify`'s output is built as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -52,51 +55,66 @@ class ResonanceProfile:
     resonant_facets: tuple  # indices of facets with integer value
 
 
-def _require_in_span(config: Configuration, gamma) -> None:
+def _require_in_span(config: Configuration, gamma) -> tuple[list, int]:
+    """(u, e) of γ: e the lcm of its denominators and u = e·γ, an integer
+    vector in QA iff γ is; raises DomainError unless γ lies in QA."""
     if len(gamma) != config.n:
         raise DomainError("parameter dimension does not match the configuration")
-    if not config.in_span(gamma):
+    u, e = il.scaled(gamma)
+    if not config.in_span(u):
         raise DomainError("parameter lies outside the column span")
+    return u, e
+
+
+def _numerators(config: Configuration, gamma) -> list:
+    """(facet, t, d) per facet, with l_F(γ) = t / d and d > 0, from one
+    scaling of γ: l_F = witness / scale, so t = witness·u and d = scale·e.
+
+    Every verdict reads these integers: l_F(γ) is an integer iff
+    t % d == 0, and then it has the sign of t.
+    """
+    u, e = _require_in_span(config, gamma)
+    return [(f, il.dot(f.witness, u), f.scale * e) for f in config.facets()]
+
+
+def _integral_signs(nums) -> set:
+    """The signs (−1, 0, 1) of the facet values that are integers."""
+    return {(t > 0) - (t < 0) for _f, t, d in nums if t % d == 0}
 
 
 def classify(config: Configuration, gamma) -> ResonanceProfile:
-    _require_in_span(config, gamma)
-    values = tuple((f.face.indices, f.value(gamma)) for f in config.facets())
-    integral = [(idx, v) for idx, v in values if v.denominator == 1]
+    nums = _numerators(config, gamma)
+    integral = [(f.face.indices, t) for f, t, d in nums if t % d == 0]
     return ResonanceProfile(
-        facet_values=values,
+        facet_values=tuple((f.face.indices, Fraction(t, d)) for f, t, d in nums),
         is_nonresonant=not integral,
-        is_weak=all(v == 0 for _, v in integral),
-        is_semi=all(v >= 0 for _, v in integral),
+        is_weak=all(t == 0 for _, t in integral),
+        is_semi=all(t >= 0 for _, t in integral),
         resonant_facets=tuple(idx for idx, _ in integral),
     )
 
 
 def in_res(config: Configuration, gamma) -> bool:
-    return not classify(config, gamma).is_nonresonant
+    return bool(_integral_signs(_numerators(config, gamma)))
 
 
 def in_SRes(config: Configuration, gamma) -> bool:
-    _require_in_span(config, gamma)
-    return any(v.denominator == 1 and v < 0 for v in (f.value(gamma) for f in config.facets()))
+    return -1 in _integral_signs(_numerators(config, gamma))
 
 
 def in_DRes(config: Configuration, gamma) -> bool:
-    _require_in_span(config, gamma)
-    return any(v.denominator == 1 and v > 0 for v in (f.value(gamma) for f in config.facets()))
-
-
-def _largest_below(q: Fraction) -> int:
-    """Largest integer strictly below q."""
-    return q.numerator // q.denominator - (1 if q.denominator == 1 else 0)
+    return 1 in _integral_signs(_numerators(config, gamma))
 
 
 def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
-    bound, and a_A has positive value on every facet, so only finitely many
-    shifts can work per face.
+    bound b_F (`degrees.facet_bounds`), and a_A has positive value on every
+    facet, so only finitely many shifts can work per face.  With
+    l_F(γ) = t / d (`_numerators`) and the integer s = l_F(a_A) > 0 (a_A ∈ ℤA,
+    where l_F is integral), l_F(γ + m·a_A) < b_F iff m·s·d < b_F·d − t, so
+    the largest such m is (b_F·d − t − 1) // (s·d).
 
     Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
     `FaceData.deltas` δ, where z is `FaceData.representative`:
@@ -108,19 +126,19 @@ def in_sres(config: Configuration, gamma) -> bool:
     `class_candidates` of γ, each shifted by m·z(a_A), are the same vectors
     in the same order at every shift.
     """
-    _require_in_span(config, gamma)
+    nums = _numerators(config, gamma)
     bounds = dg.facet_bounds(config)
     a_A = config.column_sum()
-    values = {f.face.indices: (f.value(gamma), f.value(a_A)) for f in config.facets()}
+    shifts = {}
+    for f, t, d in nums:
+        step = il.dot(f.witness, a_A) // f.scale
+        shifts[f.face.indices] = (bounds[f.face.indices] * d - t - 1) // (step * d)
     family = dg.module_family()
     for face in config.all_faces():
         if face.codim == 0:
             continue
-        m_max = 0
-        for f in face.facets_over:
-            value, step = values[f.face.indices]
-            m_max = max(m_max, _largest_below((bounds[f.face.indices] - value) / step))
-        if m_max == 0:
+        m_max = max([shifts[f.face.indices] for f in face.facets_over], default=0)
+        if m_max <= 0:
             continue
         candidates = dg.class_candidates(config, face, gamma)
         if not candidates:
@@ -143,7 +161,8 @@ def _dres_certificate(config: Configuration, gamma):
     many (level, face) pairs, but that a good class decides dres is proven
     only on normal input (ROADMAP item 5), so `in_dres` certifies a miss
     only there or off the resonant set.  The candidates of a face do not
-    depend on the level, so each face's are built once, on first use.
+    depend on the level, so each face's are built once, on first use.  A
+    hit lies in ℤA, where every l_F = witness / scale is an integer.
     """
     candidates: dict = {}
     for level in range(config.rank):
@@ -155,19 +174,18 @@ def _dres_certificate(config: Configuration, gamma):
                 candidates[face.indices] = dg.class_candidates(config, face, gamma)
             hit = dg.first_passing(fam, config, face, candidates[face.indices])
             if hit is not None:
-                total = sum(f.value(hit) for f in face.facets_over)
-                return level, face, max(2, int(total) + 1)
+                total = sum(il.dot(f.witness, hit) // f.scale for f in face.facets_over)
+                return level, face, max(2, total + 1)
     return None
 
 
 def in_dres(config: Configuration, gamma) -> TriState:
-    _require_in_span(config, gamma)
+    signs = _integral_signs(_numerators(config, gamma))
     cert = _dres_certificate(config, gamma)
     normal, _ = config.is_normal()
     if normal:
-        # on normal input the facet-sign test must agree with the reduction
-        direct = in_DRes(config, gamma)
-        if direct != (cert is not None):
+        # on normal input the facet-sign test (DRes) must agree with the reduction
+        if (1 in signs) != (cert is not None):
             raise GKZError("facet test disagrees with the stratum reduction "
                            "on a normal configuration")
     if cert is not None:
@@ -176,7 +194,7 @@ def in_dres(config: Configuration, gamma) -> TriState:
                                  "power": k_wit})
     if normal:
         return TriState("false", {"certified": True, "method": "stratum reduction"})
-    if not in_res(config, gamma):
+    if not signs:
         return TriState("false", {"certified": True, "method": "nonresonant"})
     # no proof yet that the stratum search is complete on non-normal input
     return TriState("false_up_to_bounds",

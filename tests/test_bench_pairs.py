@@ -97,3 +97,42 @@ def test_machine_record_says_whether_the_library_is_compiled(monkeypatch, tmp_pa
     assert report["machine"] == dict(machine, dont_write_bytecode=0)
     assert report["traced"] == {"gaps/seed1": {"old": {"member.calls_per_op": 19.7},
                                                "new": {"member.calls_per_op": 10.5}}}
+
+
+def test_rss_bound_ops_ratio_reaches_the_bound(monkeypatch, tmp_path):
+    module = _module()
+    # 20 MB plus 0.5 KB per op, exactly: at the old median of 2048 ops the
+    # line reads 21 MB, and it reaches 21 * 1.15 = 24.15 MB at 8499.2 ops
+    line = lambda ops: 20 + ops * 0.5 / 1024  # noqa: E731
+    pairs = [{"old": _run(ops, line(ops)), "new": _run(ops + 2048, line(ops + 2048))}
+             for ops in (1024, 2048, 3072)]
+    r = module.rss_bound_ops_ratio(module.rss_per_op(pairs), 2048, 0.15)
+    assert abs(r - 8499.2 / 2048) < 1e-9 and abs(line(r * 2048) - 1.15 * line(2048)) < 1e-9
+    # a flat line never reaches it, nor is there a ratio without a line or a bound
+    flat = [{"old": _run(ops, 24.0), "new": _run(ops + 2000, 24.0)} for ops in (100, 300)]
+    assert module.rss_bound_ops_ratio(module.rss_per_op(flat), 200, 0.15) is None
+    assert module.rss_bound_ops_ratio(None, 200, 0.15) is None
+    assert module.rss_bound_ops_ratio(module.rss_per_op(pairs), 2048, None) is None
+    # the scan fit of BENCH_23.json leaves about half again as many ops
+    scan = json.loads((BENCH_PAIRS.parents[1] / "BENCH_23.json").read_text())["summary"]["scan/seed1"]
+    assert round(module.rss_bound_ops_ratio(scan["rss_per_op"], scan["attempted"]["old"], 0.15),
+                 2) == 1.51
+    # main writes it beside rss_per_op, with the peak_rss_mb bound of BENCHMARK.json
+    rss = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [rss]}))
+    runs = iter([1024, 3072, 3072, 1024])  # old first in pair 1, new first in pair 2
+
+    def fake_run(*args, **kwargs):
+        ops = next(runs)
+        return {"attempted": ops, "correct": True, "failed": 0, "record": {"machine": {}},
+                "metrics": {"ops_per_s": {"value": ops / 25}, "peak_rss_mb": {"value": line(ops)}}}
+    monkeypatch.setattr(module, "run_once", fake_run)
+    monkeypatch.setattr(module, "bytecode_flag", lambda: 0)
+    out = tmp_path / "out.json"
+    assert module.main([str(tmp_path), str(tmp_path), "--workloads", "scan", "--pairs", "2",
+                        "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]["scan/seed1"]
+    assert summary["attempted"] == {"old": 1024, "new": 3072}
+    assert abs(summary["rss_bound_ops_ratio"]
+               - module.rss_bound_ops_ratio(summary["rss_per_op"], 1024, 0.15)) < 1e-12
+    assert summary["rss_bound_ops_ratio"] > 1

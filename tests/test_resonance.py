@@ -198,6 +198,11 @@ def test_implication_chain_random(rows, gamma_raw, denom):
 
 # the per-shift and per-level formulations that in_sres and _dres_certificate
 # replaced: a class search at every shift, candidates rebuilt at every level
+def _largest_below(q: Fraction) -> int:
+    """Largest integer strictly below q."""
+    return q.numerator // q.denominator - (1 if q.denominator == 1 else 0)
+
+
 def _per_shift_sres(config, gamma):
     rs._require_in_span(config, gamma)
     bounds = dg.facet_bounds(config)
@@ -209,7 +214,7 @@ def _per_shift_sres(config, gamma):
         m_max = 0
         for f in face.facets_over:
             q = (bounds[f.face.indices] - f.value(gamma)) / f.value(a_A)
-            m_max = max(m_max, rs._largest_below(q))
+            m_max = max(m_max, _largest_below(q))
         for m in range(1, m_max + 1):
             shifted = tuple(Fraction(g) + m * Fraction(c) for g, c in zip(gamma, a_A))
             if good_class_exists(family, config, face, shifted):
@@ -283,3 +288,122 @@ def test_class_representative_is_linear():
                 z_k = face.representative(shifted)
                 assert z_k == (None if z is None else
                                tuple(x + k * y for x, y in zip(z, z_a))), (m, gamma, face)
+
+
+# the facet values and facet-sign verdicts in `Fraction`s, as
+# `FacetFunctional.value` gives them, next to the integer path of `resonance`
+def _fraction_verdicts(config, gamma):
+    values = tuple((f.face.indices, f.value(gamma)) for f in config.facets())
+    integral = [(idx, v) for idx, v in values if v.denominator == 1]
+    return (values, not integral, all(v == 0 for _, v in integral),
+            all(v >= 0 for _, v in integral), tuple(idx for idx, _ in integral),
+            bool(integral), any(v < 0 for _, v in integral), any(v > 0 for _, v in integral))
+
+
+def _integer_verdicts(config, gamma):
+    p = rs.classify(config, gamma)
+    return (p.facet_values, p.is_nonresonant, p.is_weak, p.is_semi, p.resonant_facets,
+            rs.in_res(config, gamma), rs.in_SRes(config, gamma), rs.in_DRes(config, gamma))
+
+
+def _differential_draws(seed, count):
+    """Seeded (matrix, γ): 1-3 rows, at most 5 columns, entries in [-3, 3];
+    every third draw gains a row v.A (n > rank) put anywhere, every third a
+    column's negative (a line in the cone); γ is a combination of the
+    columns whose coefficients are integers or have denominators up to 12."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if i % 3 == 1:
+            v = [rng.randint(-2, 2) for _ in m]
+            m.insert(rng.randint(0, rows), [sum(c * r[j] for c, r in zip(v, m)) for j in range(cols)])
+        elif i % 3 == 2:
+            j = rng.randrange(cols)
+            for r in m:
+                r.append(-r[j])
+        coeffs = [Fraction(rng.randint(-12, 12), rng.choice([1, 1, rng.randint(2, 12)]))
+                  for _ in m[0]]
+        yield m, tuple(sum(c * x for c, x in zip(coeffs, r)) for r in m)
+
+
+def test_integer_verdicts_match_fraction_formulas():
+    rng = random.Random(7)
+    seen = dict.fromkeys(["n > rank", "non-pointed", "resonant", "SRes", "DRes",
+                          "outside", "denominator > 6"], 0)
+    for m, gamma in _differential_draws(3, 240):
+        if not any(any(r) for r in m):
+            continue
+        config = Configuration(m)
+        assert config.in_span(gamma)
+        want = _fraction_verdicts(config, gamma)
+        assert _integer_verdicts(config, gamma) == want, (m, gamma)
+        seen["n > rank"] += config.n > config.rank
+        seen["non-pointed"] += not config.is_pointed()
+        seen["resonant"] += want[5]
+        seen["SRes"] += want[6]
+        seen["DRes"] += want[7]
+        seen["denominator > 6"] += any(Fraction(x).denominator > 6 for x in gamma)
+        # a unit step off γ on each axis: in_span against lattice_coords, and
+        # the same DomainError texts as before outside QA or at another length
+        for k in range(config.n):
+            off = tuple(x + (Fraction(1, rng.randint(1, 12)) if i == k else 0)
+                        for i, x in enumerate(gamma))
+            inside = config.lattice_coords(off) is not None
+            assert config.in_span(off) == inside, (m, off)
+            if not inside:
+                seen["outside"] += 1
+                with pytest.raises(DomainError, match="^parameter lies outside the column span$"):
+                    rs.classify(config, off)
+        for call in (rs.classify, rs.in_res, rs.in_SRes, rs.in_DRes, rs.in_sres, rs.in_dres):
+            with pytest.raises(DomainError,
+                               match="^parameter dimension does not match the configuration$"):
+                call(config, gamma + (0,))
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+
+def _unimodular(rng, n):
+    """The identity after 3n row operations with coefficients in [-2, 2] and
+    the sign flip of one row."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    k = rng.randrange(n)
+    U[k] = [-a for a in U[k]]
+    return U
+
+
+def test_resonance_is_invariant_under_unimodular_maps_and_column_order(monkeypatch):
+    # A -> U.A with its columns permuted and γ -> U.γ: the facet values move
+    # with the relabelled facets, and every verdict string stays; the dres
+    # bounds are not compared, since their face and power follow the order
+    # in which the faces are walked
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 20_000)
+    rng = random.Random(11)
+    compared = 0
+    for m, gamma in _span_draws(4, 150):
+        if not any(any(r) for r in m):
+            continue
+        n, N = len(m), len(m[0])
+        U = _unimodular(rng, n)
+        perm = rng.sample(range(N), N)  # column k of the image is U times column perm[k]
+        image = [[sum(U[i][t] * m[t][perm[k]] for t in range(n)) for k in range(N)]
+                 for i in range(n)]
+        image_gamma = tuple(sum(U[i][t] * gamma[t] for t in range(n)) for i in range(n))
+        config, moved = Configuration(m), Configuration(image)
+        try:
+            want = [rs.SET_VERDICTS[name](config, gamma) for name in rs.SET_NAMES]
+        except ComputationLimitError:
+            continue
+        got = [rs.SET_VERDICTS[name](moved, image_gamma) for name in rs.SET_NAMES]
+        assert got == want, (m, gamma, U, perm)
+        relabel = {j: k for k, j in enumerate(perm)}
+        p, q = rs.classify(config, gamma), rs.classify(moved, image_gamma)
+        assert sorted((tuple(sorted(relabel[j] for j in idx)), v) for idx, v in p.facet_values) \
+            == sorted(q.facet_values), (m, gamma, U, perm)
+        assert (p.is_nonresonant, p.is_weak, p.is_semi) == (q.is_nonresonant, q.is_weak, q.is_semi)
+        compared += 1
+    assert compared >= 130

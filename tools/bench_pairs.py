@@ -19,13 +19,16 @@ least-squares line of ``peak_rss_mb`` against ``attempted`` over every run of
 both sides (KB per op and an intercept in MB), and the ``peak_rss_mb`` ratio
 that line predicts from the change in median ``attempted`` alone.  A ratio
 near the measured one puts the change in memory on the harness's per-op
-records, not on the library.  ``--traced`` adds one traced pair (``--trace 1``)
-per named workload at the first seed, kept under "traced" as each side's
-nonzero per-layer metrics, to show which layer a change moved.  The machine
-record gains ``dont_write_bytecode``, the flag a run starts with: when it is
-1, every fresh import in a run's set-up compiles the library from source
-(a new checkout has no bytecode cache), so ``setup_s`` includes that
-compile time.  Standard library only.
+records, not on the library.  Beside it, ``rss_bound_ops_ratio`` is the
+ratio of op counts to the old median at which that line reaches the old
+side's predicted ``peak_rss_mb`` plus its bound: how much faster a change
+may run before the per-op records alone fail the bound.  ``--traced`` adds
+one traced pair (``--trace 1``) per named workload at the first seed, kept
+under "traced" as each side's nonzero per-layer metrics, to show which layer
+a change moved.  The machine record gains ``dont_write_bytecode``, the flag
+a run starts with: when it is 1, every fresh import in a run's set-up
+compiles the library from source (a new checkout has no bytecode cache), so
+``setup_s`` includes that compile time.  Standard library only.
 
     python3 tools/bench_pairs.py OLD_ROOT NEW_ROOT --workloads gaps,fixtures \\
         --seeds 1,2 --pairs 10 --seconds 25 --traced gaps --out BENCH.json
@@ -110,6 +113,17 @@ def rss_per_op(pairs: list) -> dict | None:
             "predicted_ratio": (intercept + slope * new) / (intercept + slope * old)}
 
 
+def rss_bound_ops_ratio(fit: dict | None, ops: float, bound: float | None) -> float | None:
+    """r with intercept + slope * r * ops = (1 + bound) * (intercept + slope * ops),
+    that is r = 1 + bound * (intercept + slope * ops) / (slope * ops), for the
+    `rss_per_op` line `fit`; None when the line does not rise, or when the
+    line or the bound is missing."""
+    if fit is None or bound is None or fit["kb_per_op"] <= 0:
+        return None
+    slope = fit["kb_per_op"] / 1024
+    return 1 + bound * (fit["intercept_mb"] + slope * ops) / (slope * ops)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", type=Path, help="root of the reference tree")
@@ -122,6 +136,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = p.parse_args(argv)
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
+    rss_bound = next((m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb"), None)
     roots = {"old": args.old, "new": args.new}
 
     report = {"seconds": args.seconds, "pairs": args.pairs, "order": "alternating",
@@ -139,11 +154,14 @@ def main(argv=None) -> int:
                     for side in ("old", "new")), file=sys.stderr, flush=True)
             label = f"{workload}/seed{seed}"
             report["runs"][label] = pairs
+            attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
+                         for side in roots}
+            fit = rss_per_op(pairs)
             report["summary"][label] = dict(
                 summarise(pairs, spec["end_to_end"]),
-                attempted={side: statistics.median(p[side]["attempted"] for p in pairs)
-                           for side in roots},
-                rss_per_op=rss_per_op(pairs),
+                attempted=attempted,
+                rss_per_op=fit,
+                rss_bound_ops_ratio=rss_bound_ops_ratio(fit, attempted["old"], rss_bound),
                 all_correct=all(p[s]["correct"] for p in pairs for s in p),
                 failed=sum(p[s]["failed"] for p in pairs for s in p))
     seed = int(args.seeds.split(",")[0])
