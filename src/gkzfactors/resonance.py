@@ -112,9 +112,10 @@ def in_sres(config: Configuration, gamma) -> bool:
     Any witnessed class keeps some invariant facet value below the conductor
     bound b_F (`degrees.facet_bounds`), and a_A has positive value on every
     facet, so only finitely many shifts can work per face.  With
-    l_F(γ) = t / d (`_numerators`) and the integer s = l_F(a_A) > 0 (a_A ∈ ℤA,
-    where l_F is integral), l_F(γ + m·a_A) < b_F iff m·s·d < b_F·d − t, so
-    the largest such m is (b_F·d − t − 1) // (s·d).
+    l_F(γ) = t / d (`_numerators`) and the integer step = l_F(a_A) > 0
+    (a_A ∈ ℤA, where l_F is integral), l_F(γ + m·a_A) < b_F iff
+    m·step·d < b_F·d − t, so the largest such m is
+    (b_F·d − t − 1) // (step·d).
 
     Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
     `FaceData.deltas` δ, where z is `FaceData.representative`:

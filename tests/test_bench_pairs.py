@@ -114,7 +114,8 @@ def test_rss_bound_ops_ratio_reaches_the_bound(monkeypatch, tmp_path):
     assert module.rss_bound_ops_ratio(None, 200, 0.15) is None
     assert module.rss_bound_ops_ratio(module.rss_per_op(pairs), 2048, None) is None
     # the scan fit of BENCH_23.json leaves about half again as many ops
-    scan = json.loads((BENCH_PAIRS.parents[1] / "BENCH_23.json").read_text())["summary"]["scan/seed1"]
+    report = json.loads((BENCH_PAIRS.parents[1] / "BENCH_23.json").read_text())
+    scan = report["summary"]["scan/seed1"]
     assert round(module.rss_bound_ops_ratio(scan["rss_per_op"], scan["attempted"]["old"], 0.15),
                  2) == 1.51
     # main writes it beside rss_per_op, with the peak_rss_mb bound of BENCHMARK.json

@@ -317,7 +317,8 @@ def _differential_draws(seed, count):
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         if i % 3 == 1:
             v = [rng.randint(-2, 2) for _ in m]
-            m.insert(rng.randint(0, rows), [sum(c * r[j] for c, r in zip(v, m)) for j in range(cols)])
+            row = [sum(c * r[j] for c, r in zip(v, m)) for j in range(cols)]
+            m.insert(rng.randint(0, rows), row)
         elif i % 3 == 2:
             j = rng.randrange(cols)
             for r in m:
@@ -360,7 +361,6 @@ def test_integer_verdicts_match_fraction_formulas():
                                match="^parameter dimension does not match the configuration$"):
                 call(config, gamma + (0,))
     assert all(count >= 5 for count in seen.values()), seen
-
 
 
 def _unimodular(rng, n):
