@@ -14,22 +14,27 @@ absorption identities that reduce everything to semigroup membership with a
 lattice part (ℕA − ℕF = ℕA + ℤF and friends); the saturation side is a
 sign test on facet values.  There are two engines, one per job.  The per-γ
 test (`first_passing` over `class_candidates`, which `resonance` calls)
-asks `semigroup.member`.  `qdeg_components`, for the module and gap
-families, checks the size of the conductor's facet-value box against the
-budget (exit 3 before any work), walks the lattice points of the box along
-a Hermite normal form (`box_walk`), skips the gap classes the conductor
-already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a lookup in
-one closure per face, a set of single-integer keys (`_ClosureTable`): a
-class test is an add and a set lookup, and only the witness of each
-reported class runs a search.  A face is its `cones.FaceData` record
-throughout.
+decides y ∈ ℕA + ℤF by three proven integer steps on the facet values of y
+over F (`_passes_exact`): a sign step (some value < 0: no), a conductor
+step (every value at least the conductor's: yes) and, for the ideal
+families, a face-span step for the deeper faces; it asks
+`semigroup.member` only what they leave open.  `qdeg_components`, for the
+module and gap families, checks the size of the conductor's facet-value box
+against the budget (exit 3 before any work), walks the lattice points of the
+box along a Hermite normal form (`box_walk`), skips the gap classes the
+conductor already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by a
+lookup in one closure per face, a set of single-integer keys
+(`_ClosureTable`): a class test is an add and a set lookup, and only the
+witness of each reported class runs a search.  A face is its
+`cones.FaceData` record throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from operator import add
+from operator import add, ge
 
 from . import intlin as il
 from .cones import Configuration, FaceData
@@ -88,27 +93,84 @@ def class_candidates(config: Configuration, face: FaceData, gamma) -> list:
 # good classes
 # ---------------------------------------------------------------------------
 
-def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
-    """Is the ℤF-class of the lattice point x good?  Each y ∈ ℕ·gens + ℤF
-    (+ the minimal face) is asked of `semigroup.member`.  For y ∈ ℤA,
-    y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F (FacetFunctional.witness
-    is a positive multiple of l_G): (⇐) l_G(a_F) > 0 for G ⊉ F, so
-    y + m·a_F ∈ sat for large m; (⇒) l_G >= 0 on sat and l_G = 0 on ℤF.
-    """
-    def inside(gens, y):
-        return member(face.query(gens), y)
+class _FaceSteps:
+    """What `_passes_exact` reads at a face F, built once per configuration
+    (`_face_steps`): the witness rows of the facets G ⊇ F; each one's
+    threshold k*·witness·a_A (`facet_record`), for the families that take
+    the conductor step; and the faces G ⊇ F, for the ideal families."""
 
-    def nonneg(y):
-        return all(il.dot(f.witness, y) >= 0 for f in face.facets_over)
+    def __init__(self, config: Configuration, face: FaceData):
+        self.config, self.face = config, face
+        self.rows = tuple(f.witness for f in face.facets_over)
+
+    @cached_property
+    def floors(self) -> tuple:
+        record, k_star = facet_record(self.config), conductor_multiplier(self.config)
+        return tuple(k_star * record[f.face.indices].wa for f in self.face.facets_over)
+
+    @cached_property
+    def ideal_floors(self) -> tuple | None:
+        """`floors` on normal input, where k* = 0 needs no search; else None."""
+        return self.floors if self.config.is_normal()[0] else None
+
+    @cached_property
+    def uppers(self) -> tuple:
+        idx = set(self.face.indices)
+        return tuple(g for g in self.config.all_faces() if idx <= set(g.indices))
+
+
+def _face_steps(config: Configuration, face: FaceData) -> _FaceSteps:
+    by_face = config._cache.setdefault("steps", {})
+    steps = by_face.get(face.indices)
+    if steps is None:
+        steps = by_face[face.indices] = _FaceSteps(config, face)
+    return steps
+
+
+def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
+    """Is the ℤF-class of the lattice point x ∈ ℤA good?
+
+    Each target y ∈ ℤA is asked "y ∈ ℕA + ℤF?" (ℤF holds the minimal face)
+    on its values v_G = witness_G·y over the facets G ⊇ F, where
+    FacetFunctional.witness is a positive multiple of l_G.
+
+    Lemma: y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F.  (⇐) l_G(a_F)
+    > 0 for G ⊉ F, so y + m·a_F ∈ sat for large m; (⇒) l_G >= 0 on sat and
+    l_G = 0 on ℤF.
+
+    1. Sign step: some v_G < 0 means no, since ℕA + ℤF ⊆ sat + ℤF.
+    2. Conductor step: v_G >= k*·(witness_G·a_A) for every G ⊇ F means yes:
+       then l_G(y − k*·a_A) >= 0, so y − k*·a_A ∈ sat + ℤF by the lemma, and
+       y ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`).  The module
+       and gap families read k*; the ideal families take this step only on
+       normal input, where k* = 0 needs no search, and never start the
+       conductor search.
+    3. Search: whatever is left is asked of `semigroup.member`.
+
+    Ideal families, the deeper faces: x ∈ ℕG + ℤF for a face G ⊇ F iff
+    x ∈ ℕA + ℤF and x ∈ ℚG (`FaceData.in_span`), so no query over G's
+    columns is built.  (⇒) F ⊆ G.  (⇐) write x = Σ n_j·a_j + f with n_j >= 0
+    and f ∈ ℤF.  Every facet H ⊇ G has l_H(x) = 0 and l_H(f) = 0, so
+    Σ n_j·l_H(a_j) = 0 and each a_j with n_j > 0 has l_H(a_j) = 0 for all
+    such H: it lies on every facet containing G, hence in G.
+    """
+    steps = _face_steps(config, face)
+    floors = steps.ideal_floors if family.kind == "ideal" else steps.floors
+
+    def inside(y):
+        values = [il.dot(w, y) for w in steps.rows]
+        if any(v < 0 for v in values):
+            return False
+        if floors is not None and all(map(ge, values, floors)):
+            return True
+        return member(face.query(config.cols), y)
     if family.kind == "gap":
-        return nonneg(x) and not inside(config.cols, x)
-    if not inside(config.cols, x):
+        return all(il.dot(w, x) >= 0 for w in steps.rows) and not inside(x)
+    if not inside(x):
         return False
     if family.kind == "module":
-        y = il.vsub(x, config.column_sum())
-        return not (nonneg(y) and inside(config.cols, y))
-    return not any(inside(g.cols, x) for g in config.all_faces()
-                   if g.codim > family.level and set(face.indices) <= set(g.indices))
+        return not inside(il.vsub(x, config.column_sum()))
+    return not any(g.in_span(x) for g in steps.uppers if g.codim > family.level)
 
 
 def first_passing(family: DegreeFamily, config: Configuration, face: FaceData, candidates):
@@ -180,13 +242,32 @@ def _conductor_search(config: Configuration) -> int:
     return k_star
 
 
+@dataclass(frozen=True)
+class FacetStep:
+    wa: int     # witness·a_A; the conductor step's threshold is k*·wa
+    step: int   # l_F(a_A) = wa // scale
+    bound: int  # the enumeration bound (k* + 1)·step
+
+
+def facet_record(config: Configuration) -> dict:
+    """Facet indices -> `FacetStep`, built once per configuration and kept
+    next to the conductor.  In integers: a_A ∈ ℤA, where l_F = witness /
+    scale is integral, so scale divides witness·a_A."""
+    record = config._cache.get("facet_record")
+    if record is None:
+        k_star, a_A = conductor_multiplier(config), config.column_sum()
+        record = {}
+        for f in config.facets():
+            wa = il.dot(f.witness, a_A)
+            step = wa // f.scale
+            record[f.face.indices] = FacetStep(wa, step, (k_star + 1) * step)
+        config._cache["facet_record"] = record
+    return record
+
+
 def facet_bounds(config: Configuration) -> dict:
-    """Per-facet enumeration bound (k* + 1)·l_F(a_A), in integers: a_A ∈ ℤA,
-    where l_F = witness / scale is integral, so scale divides witness·a_A."""
-    k_star = conductor_multiplier(config)
-    a_A = config.column_sum()
-    return {f.face.indices: (k_star + 1) * (il.dot(f.witness, a_A) // f.scale)
-            for f in config.facets()}
+    """Per-facet enumeration bound (k* + 1)·l_F(a_A) (`facet_record`)."""
+    return {idx: r.bound for idx, r in facet_record(config).items()}
 
 
 # ---------------------------------------------------------------------------

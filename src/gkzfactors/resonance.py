@@ -110,7 +110,7 @@ def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
-    bound b_F (`degrees.facet_bounds`), and a_A has positive value on every
+    bound b_F (`degrees.facet_record`), and a_A has positive value on every
     facet, so only finitely many shifts can work per face.  With
     l_F(γ) = t / d (`_numerators`) and the integer step = l_F(a_A) > 0
     (a_A ∈ ℤA, where l_F is integral), l_F(γ + m·a_A) < b_F iff
@@ -128,12 +128,11 @@ def in_sres(config: Configuration, gamma) -> bool:
     in the same order at every shift.
     """
     nums = _numerators(config, gamma)
-    bounds = dg.facet_bounds(config)
-    a_A = config.column_sum()
+    record = dg.facet_record(config)
     shifts = {}
     for f, t, d in nums:
-        step = il.dot(f.witness, a_A) // f.scale
-        shifts[f.face.indices] = (bounds[f.face.indices] * d - t - 1) // (step * d)
+        r = record[f.face.indices]
+        shifts[f.face.indices] = (r.bound * d - t - 1) // (r.step * d)
     family = dg.module_family()
     for face in config.all_faces():
         if face.codim == 0:

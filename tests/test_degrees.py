@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from gkzfactors.cones import Configuration
 from gkzfactors import cli, cones
+from gkzfactors import resonance as rs
 from gkzfactors import degrees as dg
 from gkzfactors import intlin as il
 from gkzfactors import semigroup as sg
 from gkzfactors.errors import ComputationLimitError, DomainError, check_budget
 from reference_closure import reference_closure
+from reference_passes import reference_passes_exact
 
 A23 = Configuration([[2, 3]])
 A46 = Configuration([[1, 0, 1], [0, 2, 1]])
@@ -501,3 +504,182 @@ def test_column_generators_are_not_searched(monkeypatch):
             assert got[part] <= want[part], (matrix, part)
             fewer[part] += got[part] < want[part]
     assert holes > 12 and min(fewer.values()) > 30, (holes, fewer)
+
+
+def _step_draws(seed, count):
+    """Seeded matrices of 1-3 rows, at most 5 columns and entries in [-3, 3];
+    every third gains a row v.A (n > rank) put anywhere, every third a
+    column's negative (a line in the cone)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if i % 3 == 1:
+            v = [rng.randint(-2, 2) for _ in m]
+            m.insert(rng.randint(0, rows), [sum(c * r[j] for c, r in zip(v, m))
+                                            for j in range(cols)])
+        elif i % 3 == 2:
+            j = rng.randrange(cols)
+            for r in m:
+                r.append(-r[j])
+        yield m
+
+
+def _decided(fn, *args):
+    try:
+        return fn(*args)
+    except ComputationLimitError as exc:
+        return (exc.stage, exc.used, exc.limit)
+
+
+def _targets(config, rng):
+    """(face, x): the class candidates of two seeded γ at every face,
+    shifted by m·z(a_A) for m = 0 and three m up to 30."""
+    for _ in range(2):
+        den = rng.choice([1, 1, 2])
+        coeffs = [Fraction(rng.randint(-4, 4), den) for _ in config.cols]
+        gamma = tuple(sum(c * a[i] for c, a in zip(coeffs, config.cols))
+                      for i in range(config.n))
+        for face in config.all_faces():
+            z_a = face.column_sum_representative
+            for m in sorted({0, *rng.sample(range(1, 31), 3)}):
+                for c in dg.class_candidates(config, face, gamma):
+                    yield face, il.vadd(c, il.vscale(m, z_a))
+
+
+def test_passes_exact_matches_search(monkeypatch):
+    # every family and level: the same verdict as the search-only test, and
+    # a search for exactly the targets over the columns that the sign and
+    # conductor steps leave open.  The conductor is found under a budget of
+    # 20 000 states and the targets are asked under one of 2 000; a target
+    # that the old test cannot decide within it may now be decided.
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return sg.member(*args, **kwargs)
+    monkeypatch.setattr(dg, "member", counted)
+    rng = random.Random(2525)
+    decided = dict.fromkeys(["sign", "conductor", "search", "old limit"], 0)
+    kinds = dict.fromkeys(["normal", "non-normal", "non-pointed", "n > rank"], 0)
+    compared: dict = {}
+    for matrix in _step_draws(25, 75):
+        with monkeypatch.context() as patch:
+            patch.setattr(sg, "DEFAULT_BUDGET", 20_000)
+            try:
+                config = Configuration(matrix)
+                normal = config.is_normal()[0]
+            except (DomainError, ComputationLimitError):
+                continue
+            k_star = _decided(dg.conductor_multiplier, config)
+        kinds["normal" if normal else "non-normal"] += 1
+        kinds["non-pointed"] += not config.is_pointed()
+        kinds["n > rank"] += config.n > config.rank
+        families = [dg.ideal_family(level) for level in range(config.rank)]
+        if isinstance(k_star, int):
+            families += [dg.module_family(), dg.gap_family()]
+        a_A = config.column_sum()
+        monkeypatch.setattr(sg, "DEFAULT_BUDGET", 2_000)
+        for face, x in _targets(config, rng):
+            over = face.facets_over
+            for family in families:
+                asked = []
+                want = _decided(reference_passes_exact, family, config, face, x, asked)
+                searches.clear()
+                got = _decided(dg._passes_exact, family, config, face, x)
+                if not isinstance(want, bool):
+                    assert got == want or isinstance(got, bool), (matrix, face, x, family)
+                    decided["old limit"] += 1
+                    continue
+                assert got == want, (matrix, face, x, family)
+                left, steps = 0, family.kind != "ideal" or normal
+                for gens, y in asked:
+                    if gens != config.cols:
+                        continue
+                    values = [il.dot(f.witness, y) for f in over]
+                    if any(v < 0 for v in values):
+                        decided["sign"] += 1
+                    elif steps and all(v >= k_star * il.dot(f.witness, a_A)
+                                       for v, f in zip(values, over)):
+                        decided["conductor"] += 1
+                    else:
+                        decided["search"] += 1
+                        left += 1
+                assert len(searches) == left, (matrix, face, x, family)
+                key = (family.kind, family.level)
+                compared[key] = compared.get(key, 0) + 1
+    assert min(kinds.values()) >= 8, kinds
+    assert min(decided[k] for k in ("sign", "conductor", "search")) >= 50, decided
+    assert set(compared) == {("module", None), ("gap", None), ("ideal", 0), ("ideal", 1),
+                             ("ideal", 2)}, compared
+    assert min(compared.values()) >= 100, compared
+
+
+def test_face_generators_are_the_face_span():
+    # for faces F ⊆ G and x ∈ ℕA + ℤF, the search over G's columns finds
+    # x ∈ ℕG + ℤF exactly when x ∈ ℚG, the step `_passes_exact` takes for
+    # the ideal families instead of that search
+    rng = random.Random(2626)
+    outcomes = {True: 0, False: 0}
+    for matrix in _step_draws(26, 120):
+        try:
+            config = Configuration(matrix)
+        except DomainError:
+            continue
+        faces, cols = config.all_faces(), config.cols
+        for F in faces:
+            for G in faces:
+                if not set(F.indices) <= set(G.indices):
+                    continue
+                for _ in range(4):
+                    # a point of ℕA + ℤF, often of ℕG + ℤF, and sometimes moved
+                    # by a point of ℤA
+                    support = G.indices if rng.random() < 0.5 else range(config.N)
+                    x = (0,) * config.n
+                    for j in support:
+                        x = il.vadd(x, il.vscale(rng.randint(0, 3), cols[j]))
+                    for j in F.indices:
+                        x = il.vadd(x, il.vscale(rng.randint(-3, 3), cols[j]))
+                    if rng.random() < 0.3:
+                        for a in cols:
+                            x = il.vadd(x, il.vscale(rng.randint(-2, 2), a))
+                    if not sg.member(F.query(cols), x):
+                        continue
+                    want = G.in_span(x)
+                    assert sg.member(F.query(G.cols), x) == want, (matrix, F, G, x)
+                    outcomes[want] += 1
+    assert min(outcomes.values()) >= 600, outcomes
+
+
+FOLDED_CUBE = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]]
+
+
+def test_normal_walls_answer_without_search(monkeypatch, capsys):
+    # on normal input the sign and conductor steps decide every target, so
+    # far-out γ answer at once, where a search from γ down would pass its budget
+    for matrix in ([[1]], FOLDED_CUBE):
+        config = Configuration(matrix)
+        calls = _count_member_calls(monkeypatch)
+        for g in (300_000, 10**9):
+            gamma = (g,) * config.n
+            assert not rs.in_sres(config, gamma)
+            assert rs.in_dres(config, gamma).bounds["power"] == g + 1
+        assert calls == []
+        monkeypatch.undo()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"matrix": [[1]]})))
+    assert cli.main(["resonance", "-", "--gamma", "300000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sets"]["dres"]["verdict"] == "true"
+
+
+def test_ideal_family_starts_no_conductor_search(monkeypatch, capsys, tmp_path):
+    # seed 664718630's matrix is not normal, and its conductor search passes
+    # the membership budget; dres reads only the ideal families, so it
+    # answers without starting that search
+    def refused(config):
+        raise AssertionError("conductor search started")
+    monkeypatch.setattr(dg, "_conductor_search", refused)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[1, 0, -1, -3], [1, -2, -2, 2], [-2, 0, -1, -2]]}))
+    assert cli.main(["sets", "dres", str(path), "--box=-1:1,-1:1,-1:1", "--json"]) == 0
+    verdicts = [p["verdict"] for p in json.loads(capsys.readouterr().out)["grid"]]
+    assert verdicts.count("true") == 12 and verdicts.count("false_up_to_bounds") == 15
