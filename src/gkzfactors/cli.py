@@ -304,6 +304,11 @@ def run_fixture(fix: dict) -> list:
 
 
 def cmd_verify(args):
+    fixtures = [json.loads(path.read_text()) for path in _fixture_files()]
+    if args.filter:
+        fixtures = [fix for fix in fixtures if args.filter in fix["name"]]
+        if not fixtures:
+            raise DomainError(f"no fixture name contains --filter {args.filter!r}")
     payload = {"fixtures": [], "suite": None, "ok": True}
     if args.suite:
         rep = bruteforce.property_suite(instances=args.instances)
@@ -311,10 +316,7 @@ def cmd_verify(args):
                             "failures": rep.failures, "notes": rep.notes}
         payload["ok"] = payload["ok"] and rep.ok
     if args.fixtures or not args.suite:
-        for path in _fixture_files():
-            fix = json.loads(path.read_text())
-            if args.filter and args.filter not in fix["name"]:
-                continue
+        for fix in fixtures:
             mismatches = run_fixture(fix)
             payload["fixtures"].append({"name": fix["name"],
                                         "ok": not mismatches,

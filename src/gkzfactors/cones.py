@@ -34,13 +34,15 @@ class FacetFunctional:
     The functional is l = witness / scale on the ambient Z^n; its pairing
     with the column lattice is integral, surjective onto Z, nonnegative on
     columns and zero exactly on the face.  `witness` is primitive, and
-    `scale` is a positive integer because `y` is primitive.
+    `scale` is a positive integer because `y` is primitive.  `sum_value` =
+    l(a_A) is an integer >= 1: a_A ∈ ZA, and some column lies off the face.
     """
 
     face: "FaceData"
     witness: tuple  # primitive integers: a positive multiple of l
     scale: int
     y: tuple  # the same functional on the ZA basis: primitive integers
+    sum_value: int  # l on the column sum a_A: witness.a_A / scale
 
     @property
     def l(self) -> tuple:
@@ -114,12 +116,13 @@ class Configuration:
         e, T = lcm(*D), [(0,) * self.rank] * self.n
         for row, d, c in zip(N, D, pivots):
             T[c] = il.vscale(e // d, row)
-        out = []
+        out, a_A = [], self.column_sum()
         for face_idx, y in _facet_values(self.col_coords, self.rank):
             u = il.matvec(T, y)
             g = gcd(*u)
-            out.append(FacetFunctional(face=self.face_data(face_idx),
-                                       witness=tuple(x // g for x in u), scale=e // g, y=y))
+            w = tuple(x // g for x in u)
+            out.append(FacetFunctional(face=self.face_data(face_idx), witness=w, scale=e // g,
+                                       y=y, sum_value=il.dot(w, a_A) // (e // g)))
         self._cache["facets"] = out
         return out
 
@@ -134,9 +137,8 @@ class Configuration:
     @cached_property
     def _face_codims(self) -> dict:
         """Index set -> codimension of every face, by a top-down walk of the
-        face lattice.  The facets of a face F are the inclusion-maximal
-        proper intersections F ∩ Z over the cone's facets Z (as in
-        `pulling_triangulation`); the lattice is graded, so the codimension
+        face lattice.  The facets of a face come from `_facets_of`, as in
+        `pulling_triangulation`; the lattice is graded, so the codimension
         is the depth at which the walk first meets a face.  Index sets are
         bitmasks here; the faces found may not exceed FACE_BUDGET."""
         zeros = [sum(1 << j for j in f.face.indices) for f in self.facets()]
@@ -314,7 +316,8 @@ class FaceData:
     (`reduce`) `hnf`; pullbacks `deltas`, and `ann` and `representative`
     only for a class other than the trivial one, the latter only outside QF;
     class candidates `representative` and `deltas`, and `in_sres` also
-    `column_sum_representative`.  In turn `representative` needs
+    `column_sum_representative`; the ideal families' good-class test
+    `uppers`.  In turn `representative` needs
     `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
     `span_lat` only when a pivot of `hnf` exceeds 1.  So `ann`, a kernel, is
     built only where `ann`, `inner` or `annihilator` is read.
@@ -494,6 +497,12 @@ class FaceData:
         idx = set(self.indices)
         return [f for f in self.config.facets() if idx <= set(f.face.indices)]
 
+    @cached_property
+    def uppers(self) -> tuple:
+        """The faces G ⊇ F, in the order of `Configuration.all_faces`."""
+        idx = set(self.indices)
+        return tuple(g for g in self.config.all_faces() if idx <= set(g.indices))
+
 
 def _facet_values(coords, r: int) -> list:
     """Facets of the cone spanned by integer vectors of rank r in Z^r.
@@ -573,21 +582,20 @@ def pulling_triangulation(zeros, n: int) -> list:
     """Simplicial cones of a pulling triangulation of a pointed cone.
 
     The cone is spanned by n nonzero generators and `zeros` lists the
-    generator indices on each facet.  A face F, as its index set, is coned
-    from its least index v over the triangulations of its facets that miss v;
-    F's facets are the inclusion-maximal sets F ∩ Z ≠ F over the facet zero
-    sets Z.  The facets of F missing v are cut out of F by functionals
-    positive on v, so v ∉ span of such a facet and every simplex found has
-    independent generators.  Returns index tuples, one per simplex.
+    generator indices on each facet.  A face F, as a bitmask, is coned from
+    its least index v over the triangulations of its facets (`_facets_of`)
+    that miss v.  Those are cut out of F by functionals positive on v, so
+    v ∉ span of such a facet and every simplex found has independent
+    generators.  Returns index tuples, one per simplex.
     """
-    zeros = [frozenset(z) for z in zeros]
-    memo = {frozenset(): [()]}
+    masks = [sum(1 << j for j in z) for z in zeros]
+    memo = {0: [()]}
 
     def tri(face):
         if face not in memo:
-            v = min(face)
-            subs = {face & z for z in zeros} - {face}
-            memo[face] = [(v,) + s for h in subs if v not in h and not any(h < k for k in subs)
+            low = face & -face
+            v = low.bit_length() - 1
+            memo[face] = [(v,) + s for h in _facets_of(face, masks) if not h & low
                           for s in tri(h)]
         return memo[face]
-    return tri(frozenset(range(n)))
+    return tri((1 << n) - 1)

@@ -26,13 +26,14 @@ conductor already puts in ℕA + ℤF, and decides membership in ℕA + ℤF by 
 lookup in one closure per face, a set of single-integer keys
 (`_ClosureTable`): a class test is an add and a set lookup, and only the
 witness of each reported class runs a search.  A face is its
-`cones.FaceData` record throughout.
+`cones.FaceData` record and a facet its `cones.FacetFunctional`, l_F(a_A)
+included, throughout; this module keeps only the conductor in
+`Configuration._cache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from operator import add, ge
 
@@ -93,57 +94,25 @@ def class_candidates(config: Configuration, face: FaceData, gamma) -> list:
 # good classes
 # ---------------------------------------------------------------------------
 
-class _FaceSteps:
-    """What `_passes_exact` reads at a face F, built once per configuration
-    (`_face_steps`): the witness rows of the facets G ⊇ F; each one's
-    threshold k*·witness·a_A (`facet_record`), for the families that take
-    the conductor step; and the faces G ⊇ F, for the ideal families."""
-
-    def __init__(self, config: Configuration, face: FaceData):
-        self.config, self.face = config, face
-        self.rows = tuple(f.witness for f in face.facets_over)
-
-    @cached_property
-    def floors(self) -> tuple:
-        record, k_star = facet_record(self.config), conductor_multiplier(self.config)
-        return tuple(k_star * record[f.face.indices].wa for f in self.face.facets_over)
-
-    @cached_property
-    def ideal_floors(self) -> tuple | None:
-        """`floors` on normal input, where k* = 0 needs no search; else None."""
-        return self.floors if self.config.is_normal()[0] else None
-
-    @cached_property
-    def uppers(self) -> tuple:
-        idx = set(self.face.indices)
-        return tuple(g for g in self.config.all_faces() if idx <= set(g.indices))
-
-
-def _face_steps(config: Configuration, face: FaceData) -> _FaceSteps:
-    by_face = config._cache.setdefault("steps", {})
-    steps = by_face.get(face.indices)
-    if steps is None:
-        steps = by_face[face.indices] = _FaceSteps(config, face)
-    return steps
-
-
 def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
     """Is the ℤF-class of the lattice point x ∈ ℤA good?
 
     Each target y ∈ ℤA is asked "y ∈ ℕA + ℤF?" (ℤF holds the minimal face)
-    on its values v_G = witness_G·y over the facets G ⊇ F, where
-    FacetFunctional.witness is a positive multiple of l_G.
+    on its values v_G = witness_G·y over the facets G ⊇ F
+    (`FaceData.facets_over`), where FacetFunctional.witness is a positive
+    multiple of l_G.
 
     Lemma: y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F.  (⇐) l_G(a_F)
     > 0 for G ⊉ F, so y + m·a_F ∈ sat for large m; (⇒) l_G >= 0 on sat and
     l_G = 0 on ℤF.
 
     1. Sign step: some v_G < 0 means no, since ℕA + ℤF ⊆ sat + ℤF.
-    2. Conductor step: v_G >= k*·(witness_G·a_A) for every G ⊇ F means yes:
+    2. Conductor step: v_G >= k*·(witness_G·a_A) for every G ⊇ F means yes,
+       where witness_G·a_A = scale_G·l_G(a_A) (`FacetFunctional.sum_value`):
        then l_G(y − k*·a_A) >= 0, so y − k*·a_A ∈ sat + ℤF by the lemma, and
        y ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`).  The module
-       and gap families read k*; the ideal families take this step only on
-       normal input, where k* = 0 needs no search, and never start the
+       and gap families read k* once per call; the ideal families take this
+       step only on normal input, where k* = 0, and never start the
        conductor search.
     3. Search: whatever is left is asked of `semigroup.member`.
 
@@ -152,25 +121,28 @@ def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x
     columns is built.  (⇒) F ⊆ G.  (⇐) write x = Σ n_j·a_j + f with n_j >= 0
     and f ∈ ℤF.  Every facet H ⊇ G has l_H(x) = 0 and l_H(f) = 0, so
     Σ n_j·l_H(a_j) = 0 and each a_j with n_j > 0 has l_H(a_j) = 0 for all
-    such H: it lies on every facet containing G, hence in G.
+    such H: it lies on every facet containing G, hence in G
+    (`FaceData.uppers`).
     """
-    steps = _face_steps(config, face)
-    floors = steps.ideal_floors if family.kind == "ideal" else steps.floors
+    over, floors = face.facets_over, None
+    if family.kind != "ideal" or config.is_normal()[0]:
+        k_star = conductor_multiplier(config)  # 0, with no search, on normal input
+        floors = [k_star * f.scale * f.sum_value for f in over]
 
     def inside(y):
-        values = [il.dot(w, y) for w in steps.rows]
+        values = [il.dot(f.witness, y) for f in over]
         if any(v < 0 for v in values):
             return False
         if floors is not None and all(map(ge, values, floors)):
             return True
         return member(face.query(config.cols), y)
     if family.kind == "gap":
-        return all(il.dot(w, x) >= 0 for w in steps.rows) and not inside(x)
+        return all(il.dot(f.witness, x) >= 0 for f in over) and not inside(x)
     if not inside(x):
         return False
     if family.kind == "module":
         return not inside(il.vsub(x, config.column_sum()))
-    return not any(g.in_span(x) for g in steps.uppers if g.codim > family.level)
+    return not any(g.in_span(x) for g in face.uppers if g.codim > family.level)
 
 
 def first_passing(family: DegreeFamily, config: Configuration, face: FaceData, candidates):
@@ -242,32 +214,11 @@ def _conductor_search(config: Configuration) -> int:
     return k_star
 
 
-@dataclass(frozen=True)
-class FacetStep:
-    wa: int     # witness·a_A; the conductor step's threshold is k*·wa
-    step: int   # l_F(a_A) = wa // scale
-    bound: int  # the enumeration bound (k* + 1)·step
-
-
-def facet_record(config: Configuration) -> dict:
-    """Facet indices -> `FacetStep`, built once per configuration and kept
-    next to the conductor.  In integers: a_A ∈ ℤA, where l_F = witness /
-    scale is integral, so scale divides witness·a_A."""
-    record = config._cache.get("facet_record")
-    if record is None:
-        k_star, a_A = conductor_multiplier(config), config.column_sum()
-        record = {}
-        for f in config.facets():
-            wa = il.dot(f.witness, a_A)
-            step = wa // f.scale
-            record[f.face.indices] = FacetStep(wa, step, (k_star + 1) * step)
-        config._cache["facet_record"] = record
-    return record
-
-
 def facet_bounds(config: Configuration) -> dict:
-    """Per-facet enumeration bound (k* + 1)·l_F(a_A) (`facet_record`)."""
-    return {idx: r.bound for idx, r in facet_record(config).items()}
+    """Facet indices -> the enumeration bound (k* + 1)·l_F(a_A)
+    (`FacetFunctional.sum_value`)."""
+    top = conductor_multiplier(config) + 1
+    return {f.face.indices: top * f.sum_value for f in config.facets()}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +430,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
             linear += ann
         tor = k + 1 + len(linear)
         linear += il.transpose([mod_zf.project(e)[1] for e in il.identity(n)])
-        a_vals = [il.dot(f.witness, a_A) // f.scale for f in over]
+        a_vals = [f.sum_value for f in over]
         a_key, a_tor = table.pack(a_vals), [-x for x in mod_zf.project(a_A)[1]]
         a_ge, skip_ge = table.at_least(a_vals), table.at_least([k_star * a for a in a_vals])
         offsets = [mod_zf.project(d)[1] for d in face.deltas]

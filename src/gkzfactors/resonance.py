@@ -110,12 +110,11 @@ def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
     Any witnessed class keeps some invariant facet value below the conductor
-    bound b_F (`degrees.facet_record`), and a_A has positive value on every
-    facet, so only finitely many shifts can work per face.  With
-    l_F(γ) = t / d (`_numerators`) and the integer step = l_F(a_A) > 0
-    (a_A ∈ ℤA, where l_F is integral), l_F(γ + m·a_A) < b_F iff
-    m·step·d < b_F·d − t, so the largest such m is
-    (b_F·d − t − 1) // (step·d).
+    bound b_F = (k* + 1)·l_F(a_A) (`degrees.facet_bounds`), and a_A has
+    positive value on every facet, so only finitely many shifts can work per
+    face.  With l_F(γ) = t / d (`_numerators`) and the integer
+    s = l_F(a_A) >= 1 (`FacetFunctional.sum_value`), l_F(γ + m·a_A) < b_F
+    iff m·s·d < b_F·d − t, so the largest such m is (b_F·d − t − 1) // (s·d).
 
     Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
     `FaceData.deltas` δ, where z is `FaceData.representative`:
@@ -128,11 +127,9 @@ def in_sres(config: Configuration, gamma) -> bool:
     in the same order at every shift.
     """
     nums = _numerators(config, gamma)
-    record = dg.facet_record(config)
-    shifts = {}
-    for f, t, d in nums:
-        r = record[f.face.indices]
-        shifts[f.face.indices] = (r.bound * d - t - 1) // (r.step * d)
+    top = dg.conductor_multiplier(config) + 1
+    shifts = {f.face.indices: (top * f.sum_value * d - t - 1) // (f.sum_value * d)
+              for f, t, d in nums}
     family = dg.module_family()
     for face in config.all_faces():
         if face.codim == 0:

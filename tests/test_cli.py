@@ -350,6 +350,11 @@ def test_verify_filter(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [f["name"] for f in payload["fixtures"]] == ["coprime-pair"]
+    # a filter that matches no fixture checks nothing, so it is an input error
+    code = cli.main(["verify", "--fixtures", "--filter", "nosuch", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "'nosuch'" in captured.err
 
 
 def test_run_fixture_builds_one_configuration(tmp_path, capsys, monkeypatch):

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from fourier_motzkin import fm_query
 from reference_facets import reference_facets
+from reference_triangulation import reference_triangulation
 
 from gkzfactors import bruteforce as bf
 from gkzfactors import cli, cones
 from gkzfactors import degrees as dg
 from gkzfactors import factors as fa
 from gkzfactors import intlin as il
+from gkzfactors import semigroup as sg
 from gkzfactors.cones import Configuration
 from gkzfactors.errors import ComputationLimitError, DimensionMismatchError, DomainError
 from gkzfactors.semigroup import member
@@ -50,6 +52,25 @@ def test_facets_fixture_values():
     assert sorted(f.face.indices for f in AW.facets()) == [(0,), (2,)]
 
 
+def _assert_column_sum_values(config):
+    """`FacetFunctional.sum_value` is l_F(a_A) >= 1, and `facet_bounds` is
+    (k* + 1)·l_F(a_A), with l_F(a_A) taken in Fractions.  The conductor is
+    asked under small budgets, and a configuration whose conductor search
+    passes them is not compared."""
+    a_A = config.column_sum()
+    for f in config.facets():
+        assert f.sum_value == f.value(a_A) and f.sum_value >= 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sg, "DEFAULT_BUDGET", 2_000)
+        patch.setattr(dg, "SEARCH_CAP", 50)
+        try:
+            k_star = dg.conductor_multiplier(config)
+        except ComputationLimitError:
+            return
+    assert dg.facet_bounds(config) == {f.face.indices: (k_star + 1) * f.value(a_A)
+                                       for f in config.facets()}
+
+
 def test_facet_functional_axioms_on_fixtures():
     for config in (A23, A46, AW, A54):
         for f in config.facets():
@@ -63,6 +84,7 @@ def test_facet_functional_axioms_on_fixtures():
             for b in config.lattice_basis:
                 g = gcd(g, int(f.value(b)))
             assert g == 1
+        _assert_column_sum_values(config)
 
 
 def test_face_codims():
@@ -199,11 +221,17 @@ def test_pulling_triangulation_volume_is_order_free():
     # on a homogeneous configuration sum |det| over a triangulation is the
     # normalized volume, the same for every pulling order, and it never
     # exceeds the sum over all full-rank r-subsets
+    # for every order, the simplices are the frozenset recursion's
     for seed, rows, cols, count in ((1, 3, 5, 3), (2, 3, 6, 2), (3, 4, 5, 3)):
         for m in _homogeneous_draws(seed, rows, cols, count):
             columns = il.columns(il.freeze(m))
-            volumes = {_triangulation_volume([columns[j] for j in perm])
-                       for perm in permutations(range(cols))}
+            volumes = set()
+            for perm in permutations(range(cols)):
+                ordered = [columns[j] for j in perm]
+                zeros = [z for z, _y in cones._facet_values(ordered, rows)]
+                assert sorted(cones.pulling_triangulation(zeros, cols)) == \
+                    sorted(reference_triangulation(zeros, cols)), (m, perm)
+                volumes.add(_triangulation_volume(ordered))
             assert len(volumes) == 1, m
             subsets = sum(il.quotient(rows, s).torsion_order()
                           for s in combinations(columns, rows)
@@ -346,6 +374,8 @@ def test_face_rejects_non_face():
 
 @settings(max_examples=40, deadline=None)
 @given(small_configs)
+@example([[1, -1, 0, 0], [0, 0, 2, 3]])  # not pointed, not normal
+@example([[1, 1, 1], [2, 2, 2], [0, 1, 3]])  # n > rank, not normal
 def test_facet_axioms_random(rows):
     if all(all(x == 0 for x in r) for r in rows):
         return
@@ -361,6 +391,7 @@ def test_facet_axioms_random(rows):
         for b in config.lattice_basis:
             g = gcd(g, int(f.value(b)))
         assert g == 1
+    _assert_column_sum_values(config)
 
 
 @settings(max_examples=30, deadline=None)
