@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import le, mul
 
 from . import intlin as il
@@ -261,26 +261,11 @@ class Configuration:
             raise DomainError("hilbert basis requires a pointed cone")
         simplices = [[coords[j] for j in s]
                      for s in pulling_triangulation([z for z, _y in facets], len(coords))]
-        quots = [il.quotient(r, s) for s in simplices]
         check_budget("hilbert candidate enumeration", "cones.saturation_hilbert_basis",
-                     sum(q.torsion_order() for q in quots), HILBERT_BUDGET)
+                     sum(map(_volume, simplices)), HILBERT_BUDGET)
         candidates = set(coords)
-        for combo, quot in zip(simplices, quots):
-            # the parallelepiped point of a class y is M.frac(M^-1 y), and
-            # frac is additive modulo 1: over the common denominator e of
-            # M^-1, step through the sums of the Smith generators' numerators
-            M = il.from_columns(combo, dim=r)
-            N, D, _C = il.scaled_left_inverse(M)
-            e = lcm(*D)
-            fracs = [(0,) * r]  # e.frac(M^-1 y), one per class y
-            for unit, d in zip(il.identity(len(quot.torsion)), quot.torsion):
-                gen = quot.section((), unit)
-                num = tuple(il.dot(row, gen) * (e // dd) for row, dd in zip(N, D))
-                step = fracs
-                for _ in range(d - 1):
-                    step = [tuple((a + x) % e for a, x in zip(f, num)) for f in step]
-                    fracs.extend(step)
-            candidates.update(tuple(x // e for x in il.matvec(M, f)) for f in fracs)
+        for combo in simplices:
+            candidates.update(_parallelepiped(combo))
         candidates.discard(tuple(0 for _ in range(r)))
         values = {p: tuple(il.dot(y, p) for _zero, y in facets) for p in candidates}
         basis: list = []
@@ -292,12 +277,16 @@ class Configuration:
 
     def is_normal(self):
         """(verdict, witness): witness is a hole of the semigroup on false, the
-        least Hilbert generator outside NA; columns lie in NA, unsearched."""
+        least Hilbert generator outside NA.  Columns lie in NA, unsearched; on
+        a pointed cone no other generator g does, so only a non-pointed cone's
+        are searched: if g = Σ n_j.a_j with Σ n_j >= 2, then g = a_j + (g − a_j),
+        both nonzero points of sat (a functional positive on the cone is
+        positive on every nonzero column), and g would not be irreducible."""
         if "normal" in self._cache:
             return self._cache["normal"]
-        cols = set(self.cols)
+        cols, pointed = set(self.cols), self.is_pointed()
         hole = next((g for g in sorted(self.saturation_hilbert_basis())
-                     if g not in cols and not self.semigroup_member(g)), None)
+                     if g not in cols and (pointed or not self.semigroup_member(g))), None)
         self._cache["normal"] = (hole is None, hole)
         return self._cache["normal"]
 
@@ -319,7 +308,7 @@ class FaceData:
     `column_sum_representative`; the ideal families' good-class test
     `uppers`.  In turn `representative` needs
     `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
-    `span_lat` only when a pivot of `hnf` exceeds 1.  So `ann`, a kernel, is
+    `span_lat` only when ZF is not saturated in Z^n.  So `ann`, a kernel, is
     built only where `ann`, `inner` or `annihilator` is read.
     """
 
@@ -453,12 +442,15 @@ class FaceData:
     def deltas(self) -> list:
         """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors.
 
-        If every pivot of `hnf` is 1, ZF is saturated in Z^n: solving v = sum
-        c_i h_i for an integer v in QF down the pivot rows, each c_i is v's
-        entry there minus an integer combination of the earlier c_j.  So
-        QF ∩ ZA = ZF and 0 is the only coset.
+        ZF is saturated in Z^n iff the maximal minors of its basis H (`hnf`)
+        have gcd 1: if every pivot of H is 1, or else if every pivot of the
+        Hermite form of H^T is 1, since unimodular column steps keep that
+        gcd.  Then QF ∩ ZA ⊆ QF ∩ Z^n = ZF and 0 is the only coset: no
+        kernel is built.
         """
-        if all(col[r] == 1 for r, col in self.hnf) or not self.inner:
+        unit = all(col[r] == 1 for r, col in self.hnf)  # the pivot rows' minor is 1
+        HT = None if unit else il.hermite_normal_form(il.freeze(c for _r, c in self.hnf), ())[0]
+        if unit or all(HT[r][c] == 1 for r, c in il.hnf_pivots(HT)):
             return [tuple(0 for _ in range(self.config.n))]
         # the columns' coordinates on `inner`, exact integers
         N, D, _C = il.scaled_left_inverse(il.from_columns(self.inner))
@@ -599,3 +591,36 @@ def pulling_triangulation(zeros, n: int) -> list:
                           for s in tri(h)]
         return memo[face]
     return tri((1 << n) - 1)
+
+
+def _volume(combo) -> int:
+    """|det M| for the nonsingular square matrix M with columns `combo`: the
+    product of its Hermite pivots, which lie on the diagonal."""
+    H, _ = il.hermite_normal_form(il.from_columns(combo), ())
+    return prod(H[i][i] for i in range(len(H)))
+
+
+def _parallelepiped(combo) -> list:
+    """The lattice points M.frac(M⁻¹y) of the half-open parallelepiped of the
+    nonsingular square M with columns `combo`, one per class y of Z^r / M.Z^r.
+    Over the common denominator e of M⁻¹, e.frac(M⁻¹y) = e.M⁻¹y mod e is
+    additive in y, with kernel M.Z^r, so its values form a group generated
+    by the images of the unit vectors, the columns of e.M⁻¹ mod e.  Adding
+    a generator g to every point of the subgroup H found so far gives the
+    coset H + g, then H + 2g, and so on until k.g, the first point of the
+    coset, lies in H: cosets are equal or disjoint, so each point comes once.
+    """
+    M = il.from_columns(combo)
+    N, D, _C = il.scaled_left_inverse(M)
+    e = lcm(*D)
+    zero = (0,) * len(M)
+    fracs, seen = [zero], {zero}
+    for gen in zip(*(il.vscale(e // d, row) for row, d in zip(N, D))):
+        step = fracs
+        while True:
+            step = [tuple((a + x) % e for a, x in zip(f, gen)) for f in step]
+            if step[0] in seen:
+                break
+            fracs.extend(step)
+            seen.update(step)
+    return [tuple(x // e for x in il.matvec(M, f)) for f in fracs]

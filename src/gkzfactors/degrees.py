@@ -186,24 +186,23 @@ def _conductor_search(config: Configuration) -> int:
     a_A ∈ ℕA, so k·a_A + r·h ∈ ℕA implies (k + 1)·a_A + r·h ∈ ℕA: the least
     k that serves r is found by scanning upwards from the least k that
     serves every r' < r, and k_h is where the scan ends after r = m_h − 1.
-    Each k is tried once per r, and k_h must stay below SEARCH_CAP.  A
-    column h lies in ℕA, so m_h = 1 and k_h = 0: it is not searched.
+    r = 0 is served by k = 0.  A found m_h > 1 shows h ∉ ℕA, so the scan for
+    r = 1 starts at k = 1: no target is asked twice.  k_h must stay below
+    SEARCH_CAP.  A column h lies in ℕA, so m_h = 1 and k_h = 0: it is not
+    searched.  On a pointed cone no other generator lies in ℕA
+    (`Configuration.is_normal`), so the m_h scan starts at m = 2.
     """
     a_A = config.column_sum()
     base = config.face_data(()).query(config.cols)
-    k_star, cols = 0, set(config.cols)
+    k_star, cols, low = 0, set(config.cols), 2 if config.is_pointed() else 1
     for h in [h for h in config.saturation_hilbert_basis() if h not in cols]:
-        m_h = None
-        for m in range(1, SEARCH_CAP):
-            if member(base, il.vscale(m, h)):
-                m_h = m
-                break
+        m_h = next((m for m in range(low, SEARCH_CAP) if member(base, il.vscale(m, h))), None)
         if m_h is None:
             raise ComputationLimitError("no multiple of a saturation generator found in the semigroup",
                                         stage="degrees.conductor_multiplier",
                                         used=SEARCH_CAP - 1, limit=SEARCH_CAP - 1)
-        k_h = 0
-        for r in range(m_h):
+        k_h = min(m_h - 1, 1)
+        for r in range(1, m_h):
             while not member(base, il.vadd(il.vscale(k_h, a_A), il.vscale(r, h))):
                 k_h += 1
                 if k_h == SEARCH_CAP:

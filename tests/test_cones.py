@@ -3,14 +3,16 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_motzkin import fm_query
+from reference_deltas import reference_deltas
 from reference_facets import reference_facets
+from reference_parallelepiped import reference_parallelepiped
 from reference_triangulation import reference_triangulation
 
 from gkzfactors import bruteforce as bf
@@ -521,24 +523,6 @@ def _full_codim(config, indices):
     return config.rank - (il.rational_rank(il.from_columns(sub, dim=config.n)) if sub else 0)
 
 
-def _full_deltas(config, indices):
-    """(QF ∩ ZA) / ZF from `inner`, a left inverse and a Smith form, always."""
-    ann = il.rational_kernel([config.col_coords[j] for j in indices]) if indices else None
-    if not indices:
-        inner = []
-    else:
-        inner = il.integer_kernel(tuple(ann)) if ann else il.columns(il.identity(config.rank))
-    if not inner:
-        return [tuple(0 for _ in range(config.n))]
-    N, D, _C = il.scaled_left_inverse(il.from_columns(inner))
-    coords = [tuple(il.dot(row, config.col_coords[j]) // d for row, d in zip(N, D))
-              for j in indices]
-    quot = il.quotient(len(inner), coords)
-    B = il.from_columns(config.lattice_basis)
-    S = il.from_columns([il.matvec(B, u) for u in inner], dim=config.n)
-    return [il.matvec(S, t) for t in quot.coset_representatives()]
-
-
 def _full_pullback(config, indices, cls):
     """`factors.pullback_solutions` with z always from `FaceData.representative`."""
     z = config.face_data(indices).representative(il.vneg(cls.representative))
@@ -546,7 +530,7 @@ def _full_pullback(config, indices, cls):
         return []
     base = il.vadd(cls.representative, z)
     out = [fa._make_class(config, indices, il.vadd(base, d))
-           for d in _full_deltas(config, indices)]
+           for d in reference_deltas(config, indices)]
     return sorted(out, key=lambda c: c.canonical)
 
 
@@ -568,7 +552,7 @@ def _shortcut_draws(seed: int, count: int) -> list:
 
 
 def test_face_record_shortcuts_match_full_computation():
-    # the codimension from `ann`, `deltas` skipped on unit HNF pivots, and
+    # the codimension from `ann`, `deltas` skipped where ZF is saturated, and
     # z = 0 in pullbacks for a class already in QF all agree with the full
     # computation; every branch of both shortcuts is taken
     fixtures = [json.loads(p.read_text())["matrix"] for p in cli._fixture_files()]
@@ -586,7 +570,7 @@ def test_face_record_shortcuts_match_full_computation():
         for face in config.all_faces():
             data = config.face_data(face.indices)
             assert face.codim == _full_codim(config, face.indices), (m, face)
-            assert data.deltas == _full_deltas(config, face.indices), (m, face)
+            assert data.deltas == reference_deltas(config, face.indices), (m, face)
             unit = all(col[r] == 1 for r, col in data.hnf)
             seen["unit pivots" if unit else "other pivots"] += 1
             seen["torsion"] += len(data.deltas) > 1
@@ -598,6 +582,81 @@ def test_face_record_shortcuts_match_full_computation():
                 assert [(c.representative, c.canonical, c.order) for c in got] == \
                     [(c.representative, c.canonical, c.order) for c in want], (m, face, cls)
     assert all(seen.values()), seen
+
+
+def _det(rows) -> int:
+    """The determinant of a square integer matrix, by elimination in fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(a)):
+        piv = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            a[i], a[piv], det = a[piv], a[i], -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return int(det)
+
+
+def _saturation_index(cols, n) -> int:
+    """[QF ∩ Z^n : ZF], the gcd of the maximal minors of the columns."""
+    k = il.rational_rank(il.from_columns(cols, dim=n)) if cols else 0
+    g = 0
+    for rows in combinations(range(n), k):
+        for sub in combinations(cols, k):
+            g = gcd(g, _det([[c[i] for c in sub] for i in rows]))
+    return g if k else 1
+
+
+def test_deltas_match_kernel_path():
+    # `deltas` builds no kernel on a face whose ZF is saturated in Z^n, and
+    # gives the kernel path's list on every face; half the draws are T.A for
+    # an integer T of determinant 2-4, so that ZA is not saturated in Z^n
+    # and some faces saturated in ZA still take the kernel path
+    rng = random.Random(27)
+    seen = {"no kernel": 0, "kernel, one coset": 0, "kernel, torsion": 0, "ZA unsaturated": 0}
+    for i, m in enumerate(_shortcut_draws(27, 90)):
+        if i % 2:
+            while True:
+                T = [[rng.randint(-2, 2) for _ in m] for _ in m]
+                if 2 <= abs(_det(T)) <= 4:
+                    break
+            m = [list(row) for row in il.matmul(il.freeze(T), il.freeze(m))]
+        config = Configuration(m)
+        seen["ZA unsaturated"] += _saturation_index(config.cols, config.n) > 1
+        for face in config.all_faces():
+            data = config.face_data(face.indices)
+            got = data.deltas
+            assert got == reference_deltas(config, face.indices), (m, face)
+            kernel = "inner" in data.__dict__
+            assert kernel == (_saturation_index(data.cols, config.n) > 1), (m, face)
+            seen["kernel, torsion" if len(got) > 1 else
+                 "kernel, one coset" if kernel else "no kernel"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_parallelepiped_matches_smith_stepping():
+    # the points stepped through from the columns of e.M⁻¹ are those of the
+    # Smith generators, each once, and the Hermite diagonal counts them
+    rng = random.Random(28)
+    seen = dict.fromkeys(range(2, 6), 0)
+    while min(seen.values()) < 12:
+        r = rng.randint(2, 5)
+        combo = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r)]
+        volume = abs(_det(il.from_columns(combo)))
+        if not volume:
+            continue
+        got = cones._parallelepiped(combo)
+        assert len(set(got)) == len(got) == cones._volume(combo) == volume, combo
+        assert set(got) == set(reference_parallelepiped(combo)), combo
+        M = il.from_columns(combo)
+        for p in got[:50]:
+            assert all(0 <= x < 1 for x in il.rational_solve(M, p)), (combo, p)
+        seen[r] += volume > 1
+    assert sum(seen.values()) >= 48, seen
 
 
 def test_face_record_matches_old_face_and_functional():

@@ -532,6 +532,46 @@ def _decided(fn, *args):
         return (exc.stage, exc.used, exc.limit)
 
 
+def test_pointed_lemma_both_ways(monkeypatch):
+    # on a pointed cone a non-column Hilbert generator is never in NA, so
+    # normality and the conductor never ask for one, and still give the hole
+    # and k* of the search over every generator; on the non-pointed third of
+    # the draws (a column and its negative) the hole search still runs
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 2_000)
+    monkeypatch.setattr(dg, "SEARCH_CAP", 50)
+    seen = {"pointed": 0, "k* compared": 0, "holes": 0, "non-pointed searched": 0}
+    for i, matrix in enumerate(_step_draws(27, 150)):
+        try:
+            config = Configuration(matrix)
+        except DomainError:
+            continue
+        others = {g for g in config.saturation_hilbert_basis() if g not in config.cols}
+        with monkeypatch.context() as patch:
+            calls = _count_member_calls(patch)
+            normal = _outcome(Configuration.is_normal, config)
+            asked_hole = [t for _q, t in calls if t in others]
+            k_star = _outcome(dg.conductor_multiplier, config)
+            asked = [t for _q, t in calls if t in others]
+        if config.is_pointed():
+            seen["pointed"] += 1
+            assert asked == [], (matrix, asked)
+            assert normal == (not others, min(others, default=None)), matrix
+        elif others:
+            assert asked_hole, matrix
+            seen["non-pointed searched"] += i % 3 == 2
+        try:
+            want_hole = _searched_hole(config)
+        except ComputationLimitError:  # the search over every generator
+            continue
+        assert normal == (want_hole is None, want_hole), matrix
+        seen["holes"] += want_hole is not None
+        want_k = _outcome(_searched_conductor, config)
+        if isinstance(want_k, int):
+            assert k_star == want_k, matrix
+            seen["k* compared"] += 1
+    assert min(seen.values()) >= 12, seen
+
+
 def _targets(config, rng):
     """(face, x): the class candidates of two seeded γ at every face,
     shifted by m·z(a_A) for m = 0 and three m up to 30."""
