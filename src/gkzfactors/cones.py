@@ -279,9 +279,10 @@ class Configuration:
         """(verdict, witness): witness is a hole of the semigroup on false, the
         least Hilbert generator outside NA.  Columns lie in NA, unsearched; on
         a pointed cone no other generator g does, so only a non-pointed cone's
-        are searched: if g = Σ n_j.a_j with Σ n_j >= 2, then g = a_j + (g − a_j),
-        both nonzero points of sat (a functional positive on the cone is
-        positive on every nonzero column), and g would not be irreducible."""
+        are searched: if g = Σ n_j.a_j over the nonzero columns with Σ n_j >= 2,
+        then g = a_j + (g − a_j) for an a_j with n_j > 0, both nonzero points of
+        sat (a functional positive on the cone is positive on every nonzero
+        column), and g would not be irreducible."""
         if "normal" in self._cache:
             return self._cache["normal"]
         cols, pointed = set(self.cols), self.is_pointed()
@@ -443,14 +444,14 @@ class FaceData:
         """Coset representatives of (QF ∩ ZA) / ZF, as ambient vectors.
 
         ZF is saturated in Z^n iff the maximal minors of its basis H (`hnf`)
-        have gcd 1: if every pivot of H is 1, or else if every pivot of the
-        Hermite form of H^T is 1, since unimodular column steps keep that
-        gcd.  Then QF ∩ ZA ⊆ QF ∩ Z^n = ZF and 0 is the only coset: no
-        kernel is built.
+        have gcd 1, i.e. iff every pivot of the Hermite form of H^T is 1
+        (unimodular column steps keep that gcd); unit pivots of H show it
+        first, without that form.  Then QF ∩ ZA ⊆ QF ∩ Z^n = ZF and 0 is the
+        only coset: no kernel is built.
         """
-        unit = all(col[r] == 1 for r, col in self.hnf)  # the pivot rows' minor is 1
-        HT = None if unit else il.hermite_normal_form(il.freeze(c for _r, c in self.hnf), ())[0]
-        if unit or all(HT[r][c] == 1 for r, c in il.hnf_pivots(HT)):
+        if all(col[r] == 1 for r, col in self.hnf) or all(  # H's pivots, else H^T's
+                HT[r][c] == 1 for HT in [il.hermite_normal_form([col for _r, col in self.hnf], ())[0]]
+                for r, c in il.hnf_pivots(HT)):
             return [tuple(0 for _ in range(self.config.n))]
         # the columns' coordinates on `inner`, exact integers
         N, D, _C = il.scaled_left_inverse(il.from_columns(self.inner))

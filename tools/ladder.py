@@ -6,7 +6,7 @@ The inputs are the 24 homogeneous draws
 known walls: four matrices whose conductor k* is 32–49, seed 664718630's
 matrix, whose conductor search passes the membership budget, and a 3×4
 matrix with k* = 66.  Each input runs three stages, each as one subprocess
-under a cap of ``--cap`` seconds:
+under a cap of ``CAP_S`` (30) seconds:
 
 * ``normality`` — ``gkzfactors normality --json``;
 * ``conductor`` — ``degrees.conductor_multiplier`` on the configuration;
@@ -21,7 +21,7 @@ Any other exit is ``error`` with its code.  It reads
 ``perfbench/inputs.py`` of this checkout and writes nothing under
 ``perfbench/``.  Standard library only.
 
-    python3 tools/ladder.py [--root ROOT] [--cap 30] > ladder.jsonl
+    python3 tools/ladder.py [--root ROOT] > ladder.jsonl
 
 ROOT is a directory holding ``src/gkzfactors``, such as a ``git archive`` of
 another commit; by default the checkout this script is in.
@@ -42,6 +42,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
+CAP_S = 30.0  # seconds per stage
 STAGES = ("normality", "conductor", "gap-factors")
 SIZES = ((3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (4, 8))
 WALLS = {
@@ -122,7 +123,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", type=Path, default=HERE,
                    help="source tree to run (holds src/gkzfactors)")
-    p.add_argument("--cap", type=float, default=30.0, help="seconds per stage")
     args = p.parse_args(argv)
     src = args.root.resolve() / "src"
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
             path.write_text(json.dumps({"matrix": matrix}))
             for stage in STAGES:
                 line = {"input": name, "matrix": matrix, "stage": stage,
-                        **run_stage(stage, src, path, args.cap)}
+                        **run_stage(stage, src, path, CAP_S)}
                 print(json.dumps(line), flush=True)
     return 0
 
