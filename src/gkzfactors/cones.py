@@ -42,7 +42,7 @@ class FacetFunctional:
     witness: tuple  # primitive integers: a positive multiple of l
     scale: int
     y: tuple  # the same functional on the ZA basis: primitive integers
-    sum_value: int  # l on the column sum a_A: witness.a_A / scale
+    sum_value: int  # l(a_A) = witness.a_A / scale: the conductor step, the box, the sres skip
 
     @property
     def l(self) -> tuple:
@@ -302,12 +302,11 @@ class FaceData:
     `Configuration.all_faces` and exists only for faces.  Each consumer
     builds only what it reads: membership queries and closure tables
     `facets_over`, `lattice_part` and its `lattice_quotient`; `in_span`
-    (dmod tables, gap components) `annihilator`, derived from `ann`; classes
-    (`reduce`) `hnf`; pullbacks `deltas`, and `ann` and `representative`
-    only for a class other than the trivial one, the latter only outside QF;
-    class candidates `representative` and `deltas`, and `in_sres` also
-    `column_sum_representative`; the ideal families' good-class test
-    `uppers`.  In turn `representative` needs
+    (dmod tables, gap components, the dres certificate) `annihilator`,
+    derived from `ann`; classes (`reduce`) `hnf`; pullbacks `deltas`, and
+    `ann` and `representative` only for a class other than the trivial one,
+    the latter only outside QF; class candidates `representative` and
+    `deltas`; the dres certificate also `uppers`.  In turn `representative` needs
     `class_quotient` and `inner`, and `deltas` needs `hnf`, and `inner` and
     `span_lat` only when ZF is not saturated in Z^n.  So `ann`, a kernel, is
     built only where `ann`, `inner` or `annihilator` is read.
@@ -478,11 +477,6 @@ class FaceData:
             return None
         z = quot.section(tuple(int(v) for v in free), tuple(0 for _ in quot.torsion))
         return il.matvec(il.from_columns(config.lattice_basis, dim=config.n), z)
-
-    @cached_property
-    def column_sum_representative(self):
-        """z(a_A), which `resonance.in_sres` shifts by at every call."""
-        return self.representative(self.config.column_sum())
 
     @cached_property
     def facets_over(self) -> list[FacetFunctional]:

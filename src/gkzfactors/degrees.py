@@ -13,12 +13,12 @@ point b ≡ γ (mod ℚF) satisfies b + ℕF ⊆ D.  This is decided exactly by
 absorption identities that reduce everything to semigroup membership with a
 lattice part (ℕA − ℕF = ℕA + ℤF and friends); the saturation side is a
 sign test on facet values.  There are two engines, one per job.  The per-γ
-test (`first_passing` over `class_candidates`, which `resonance` calls)
-decides y ∈ ℕA + ℤF by three proven integer steps on the facet values of y
-over F (`_passes_exact`): a sign step (some value < 0: no), a conductor
-step (every value at least the conductor's: yes) and, for the ideal
-families, a face-span step for the deeper faces; it asks
-`semigroup.member` only what they leave open.  `qdeg_components`, for the
+question y ∈ ℕA + ℤF (`member_mod_face`, which both `resonance` loci ask)
+takes two proven integer steps on the facet values of y over F, a sign step
+(some value < 0: no) and a conductor step (every value at least the
+conductor's: yes), and asks `semigroup.member` only what they leave open;
+`_passes_exact` and `first_passing` state the per-family good-class tests
+on it, for the tests to compare against.  `qdeg_components`, for the
 module and gap families, checks the size of the conductor's facet-value box
 against the budget (exit 3 before any work), walks the lattice points of the
 box along a Hermite normal form (`box_walk`), skips the gap classes the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add, ge
+from operator import add
 
 from . import intlin as il
 from .cones import Configuration, FaceData
@@ -94,60 +94,57 @@ def class_candidates(config: Configuration, face: FaceData, gamma) -> list:
 # good classes
 # ---------------------------------------------------------------------------
 
-def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
-    """Is the ℤF-class of the lattice point x ∈ ℤA good?
-
-    Each target y ∈ ℤA is asked "y ∈ ℕA + ℤF?" (ℤF holds the minimal face)
-    on its values v_G = witness_G·y over the facets G ⊇ F
-    (`FaceData.facets_over`), where FacetFunctional.witness is a positive
-    multiple of l_G.
+def member_mod_face(config: Configuration, face: FaceData, y, k_star=None) -> bool:
+    """y ∈ ℕA + ℤF for y ∈ ℤA (ℤF holds the minimal face), read on the
+    values v_G = witness_G·y over the facets G ⊇ F (`FaceData.facets_over`),
+    where FacetFunctional.witness is a positive multiple of l_G.
 
     Lemma: y ∈ sat + ℤF iff l_G(y) >= 0 for every facet G ⊇ F.  (⇐) l_G(a_F)
     > 0 for G ⊉ F, so y + m·a_F ∈ sat for large m; (⇒) l_G >= 0 on sat and
     l_G = 0 on ℤF.
 
     1. Sign step: some v_G < 0 means no, since ℕA + ℤF ⊆ sat + ℤF.
-    2. Conductor step: v_G >= k*·(witness_G·a_A) for every G ⊇ F means yes,
-       where witness_G·a_A = scale_G·l_G(a_A) (`FacetFunctional.sum_value`):
-       then l_G(y − k*·a_A) >= 0, so y − k*·a_A ∈ sat + ℤF by the lemma, and
-       y ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`).  The module
-       and gap families read k* once per call; the ideal families take this
-       step only on normal input, where k* = 0, and never start the
-       conductor search.
+    2. Conductor step, when a conductor k* (`conductor_multiplier`) is
+       given: v_G >= k*·(witness_G·a_A) for every G ⊇ F means yes, where
+       witness_G·a_A = scale_G·l_G(a_A) (`FacetFunctional.sum_value`): then
+       l_G(y − k*·a_A) >= 0, so y − k*·a_A ∈ sat + ℤF by the lemma, and
+       y ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF.
     3. Search: whatever is left is asked of `semigroup.member`.
-
-    Ideal families, the deeper faces: x ∈ ℕG + ℤF for a face G ⊇ F iff
-    x ∈ ℕA + ℤF and x ∈ ℚG (`FaceData.in_span`), so no query over G's
-    columns is built.  (⇒) F ⊆ G.  (⇐) write x = Σ n_j·a_j + f with n_j >= 0
-    and f ∈ ℤF.  Every facet H ⊇ G has l_H(x) = 0 and l_H(f) = 0, so
-    Σ n_j·l_H(a_j) = 0 and each a_j with n_j > 0 has l_H(a_j) = 0 for all
-    such H: it lies on every facet containing G, hence in G
-    (`FaceData.uppers`).
     """
-    over, floors = face.facets_over, None
+    values = [il.dot(f.witness, y) for f in face.facets_over]
+    if any(v < 0 for v in values):
+        return False
+    if k_star is not None and all(v >= k_star * f.scale * f.sum_value
+                                  for v, f in zip(values, face.facets_over)):
+        return True
+    return member(face.query(config.cols), y)
+
+
+def _passes_exact(family: DegreeFamily, config: Configuration, face: FaceData, x) -> bool:
+    """Is the ℤF-class of the lattice point x ∈ ℤA good?  The per-family
+    definition on `member_mod_face`, which the tests compare the `resonance`
+    loci against: module, x ∈ ℕA + ℤF and x − a_A ∉ ℕA + ℤF; ideal at level
+    i, x ∈ ℕA + ℤF and x ∉ ℚG for every face G ⊇ F of codim > i
+    (`resonance._dres_certificate`); gap, x ∈ sat + ℤF and x ∉ ℕA + ℤF.  The
+    ideal families take the conductor step only on normal input (k* = 0).
+    """
+    k_star = None
     if family.kind != "ideal" or config.is_normal()[0]:
         k_star = conductor_multiplier(config)  # 0, with no search, on normal input
-        floors = [k_star * f.scale * f.sum_value for f in over]
-
-    def inside(y):
-        values = [il.dot(f.witness, y) for f in over]
-        if any(v < 0 for v in values):
-            return False
-        if floors is not None and all(map(ge, values, floors)):
-            return True
-        return member(face.query(config.cols), y)
+    inside = member_mod_face(config, face, x, k_star)
     if family.kind == "gap":
-        return all(il.dot(f.witness, x) >= 0 for f in over) and not inside(x)
-    if not inside(x):
+        return all(il.dot(f.witness, x) >= 0 for f in face.facets_over) and not inside
+    if not inside:
         return False
     if family.kind == "module":
-        return not inside(il.vsub(x, config.column_sum()))
+        return not member_mod_face(config, face, il.vsub(x, config.column_sum()), k_star)
     return not any(g.in_span(x) for g in face.uppers if g.codim > family.level)
 
 
 def first_passing(family: DegreeFamily, config: Configuration, face: FaceData, candidates):
-    """The first ℤF-class representative among `candidates` that passes: some
-    b ≡ γ (mod ℚF) has b + ℕF ⊆ D iff one of γ's `class_candidates` does."""
+    """The first of `candidates` that passes `_passes_exact`, a reference for
+    the tests: some b ≡ γ (mod ℚF) has b + ℕF ⊆ D iff one of γ's
+    `class_candidates` does."""
     return next((x for x in candidates if _passes_exact(family, config, face, x)), None)
 
 
@@ -214,8 +211,8 @@ def _conductor_search(config: Configuration) -> int:
 
 
 def facet_bounds(config: Configuration) -> dict:
-    """Facet indices -> the enumeration bound (k* + 1)·l_F(a_A)
-    (`FacetFunctional.sum_value`)."""
+    """Facet indices -> the bound (k* + 1)·l_F(a_A) of the component box of
+    `qdeg_components` (`FacetFunctional.sum_value`)."""
     top = conductor_multiplier(config) + 1
     return {f.face.indices: top * f.sum_value for f in config.facets()}
 
@@ -378,7 +375,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     lookup.  On a face without torsion that index is 0 and δ = 0 only.
 
     Gap family: x lies in sat + ℤF, its facet values being >= 0 (see
-    `_passes_exact`), so only x ∉ ℕA + ℤF is asked.  A class with
+    `member_mod_face`), so only x ∉ ℕA + ℤF is asked.  A class with
     l_G(b) >= k*·l_G(a_A) for every G ⊇ F is skipped: then y = b − k*·a_A
     has l_G(y) >= 0 for G ⊇ F, so y ∈ sat + ℤF and
     b ∈ k*·a_A + sat + ℤF ⊆ ℕA + ℤF (`conductor_multiplier`); no
@@ -395,7 +392,7 @@ def qdeg_components(family: DegreeFamily, config: Configuration) -> list[QDegCom
     passes either test.  Its box, one empty tuple, still counts towards
     QDEG_BUDGET.
 
-    The ideal families are decided per γ only (`first_passing`).
+    The ideal families are decided per γ only (`resonance._dres_certificate`).
     """
     if family.kind == "ideal":
         raise DomainError("components are enumerated for the module and gap families only")

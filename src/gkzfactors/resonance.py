@@ -5,17 +5,20 @@ translation lattice tests, and the four derived parameter sets
 
 * res   = ℤA + ⋃ ℂF over facets (⟺ some facet value is an integer),
 * sres  = negative multiples of a_A plus the witnessed degree classes of the
-          quotient by the shifted module (decided exactly),
+          quotient by the shifted module (decided exactly, by one question
+          c ∈ ℕA + ℤF per face F and class c of γ + ℚF),
 * dres  = degree classes killed in powers of the stratum ideals (positive
-          side decided exactly through the stratum reduction; resonant
-          negatives on non-normal configurations are reported as
-          ``false_up_to_bounds`` with ``"certified": false``),
+          side decided exactly through the stratum reduction, one question
+          per face and class; resonant negatives on non-normal
+          configurations are reported as ``false_up_to_bounds`` with
+          ``"certified": false``),
 * wres  = sres ∪ dres,
 
 plus the facet-sign approximations SRes/DRes.  Each public call scales γ
 once, to u = e·γ with e the lcm of its denominators, and reads every facet
 value as the integer witness·u over scale·e (`_numerators`); only
-`classify`'s output is built as `Fraction`s.
+`classify`'s output is built as `Fraction`s.  The questions are
+`degrees.member_mod_face`'s.
 """
 
 from __future__ import annotations
@@ -109,42 +112,28 @@ def in_DRes(config: Configuration, gamma) -> bool:
 def in_sres(config: Configuration, gamma) -> bool:
     """γ ∈ −m·a_A + (witnessed module degree classes) for some m ≥ 1; exact.
 
-    Any witnessed class keeps some invariant facet value below the conductor
-    bound b_F = (k* + 1)·l_F(a_A) (`degrees.facet_bounds`), and a_A has
-    positive value on every facet, so only finitely many shifts can work per
-    face.  With l_F(γ) = t / d (`_numerators`) and the integer
-    s = l_F(a_A) >= 1 (`FacetFunctional.sum_value`), l_F(γ + m·a_A) < b_F
-    iff m·s·d < b_F·d − t, so the largest such m is (b_F·d − t − 1) // (s·d).
-
-    Per face F, the candidates at shift m are z(γ + m·a_A) + δ over the
-    `FaceData.deltas` δ, where z is `FaceData.representative`:
-    z(v) = B·section(free(coords(v)), 0), B the ℤA basis.  Each of coords,
-    free and section(·, 0) is linear, so z is linear where it is defined.
-    Since a_A ∈ ℤA, free(coords(a_A)) is integral, so free(coords(γ + m·a_A))
-    is integral iff free(coords(γ)) is: z(γ + m·a_A) is None iff z(γ) is,
-    and otherwise z(γ + m·a_A) = z(γ) + m·z(a_A).  So the face's
-    `class_candidates` of γ, each shifted by m·z(a_A), are the same vectors
-    in the same order at every shift.
+    Fix a face F of codim > 0 and write S_c(k) for c + k·a_A ∈ ℕA + ℤF
+    (`degrees.member_mod_face`), c a lattice point ≡ γ (mod ℚF); S_c depends
+    on c modulo ℤF only.  Adding m·a_A maps the ℤF-classes of γ + ℚF onto
+    those of γ + m·a_A + ℚF, so γ + m·a_A has a good module class at F iff
+    S_c(m) holds and S_c(m − 1) fails for some c.  S_c is monotone, as
+    a_A ∈ ℕA, and holds once every l_G(c + k·a_A), G ⊇ F, is at least
+    k*·l_G(a_A) (the conductor step).  So some m ≥ 1 works iff S_c(0) fails
+    for some c: one question per class, asked of x − a_A for the
+    `class_candidates` x of γ + a_A.  A face where every l_G(γ) = t / d
+    (`_numerators`) has t >= k*·l_G(a_A)·d passes the conductor step for
+    every c, and is skipped.
     """
     nums = _numerators(config, gamma)
-    top = dg.conductor_multiplier(config) + 1
-    shifts = {f.face.indices: (top * f.sum_value * d - t - 1) // (f.sum_value * d)
-              for f, t, d in nums}
-    family = dg.module_family()
-    for face in config.all_faces():
-        if face.codim == 0:
+    k_star = dg.conductor_multiplier(config)
+    low = {f.face.indices for f, t, d in nums if t < k_star * f.sum_value * d}
+    a_A = config.column_sum()
+    shifted = il.vadd(gamma, a_A)
+    for face in config.all_faces()[1:]:  # the full face comes first
+        if not any(f.face.indices in low for f in face.facets_over):
             continue
-        m_max = max([shifts[f.face.indices] for f in face.facets_over], default=0)
-        if m_max <= 0:
-            continue
-        candidates = dg.class_candidates(config, face, gamma)
-        if not candidates:
-            continue
-        z_a = face.column_sum_representative
-        for m in range(1, m_max + 1):
-            shift = il.vscale(m, z_a)
-            if dg.first_passing(family, config, face,
-                                (il.vadd(c, shift) for c in candidates)) is not None:
+        for x in dg.class_candidates(config, face, shifted):
+            if not dg.member_mod_face(config, face, il.vsub(x, a_A), k_star):
                 return True
     return False
 
@@ -152,27 +141,43 @@ def in_sres(config: Configuration, gamma) -> bool:
 def _dres_certificate(config: Configuration, gamma):
     """(level, face, k) for a witnessed power-quotient class, or None; exact.
 
-    A class is witnessed at level i only along faces of codimension above i,
-    and there it survives into the k-th power precisely for k above the
-    invariant facet-value sum.  The search is exhaustive over the finitely
-    many (level, face) pairs, but that a good class decides dres is proven
-    only on normal input (ROADMAP item 5), so `in_dres` certifies a miss
-    only there or off the resonant set.  The candidates of a face do not
-    depend on the level, so each face's are built once, on first use.  A
-    hit lies in ℤA, where every l_F = witness / scale is an integer.
+    A class candidate x of γ at F (`degrees.class_candidates`) is good at
+    level i < codim F iff x ∈ ℕA + ℤF and x ∉ ℕG + ℤF for every face G ⊇ F
+    of codim > i.  Once x ∈ ℕA + ℤF, x ∈ ℕG + ℤF iff x ∈ ℚG.  (⇒) F ⊆ G.
+    (⇐) write x = Σ n_j·a_j + f with n_j >= 0 and f ∈ ℤF.  Every facet
+    H ⊇ G has l_H(x) = l_H(f) = 0, so each a_j with n_j > 0 has l_H(a_j) = 0:
+    it lies on every facet containing G, hence in G.  So x is good at level
+    i iff x ∈ ℕA + ℤF and L(x) <= i < codim F, L(x) the largest codim of a
+    face G ⊇ F (`FaceData.uppers`) with x ∈ ℚG, and the search over levels,
+    then faces, then candidates first hits the least (L(x), face,
+    candidate) with x ∈ ℕA + ℤF.  Each candidate is ranked once, after the
+    sign step, and asked at most once: at once if L(x) = 0, else after
+    every face.  The conductor step is taken only on normal input, where
+    k* = 0, so no conductor search starts.
+
+    That a good class decides dres is proven only on normal input (ROADMAP
+    item 5), so `in_dres` certifies a miss only there or off the resonant
+    set.  A hit lies in ℤA, where every l_F = witness / scale is an integer.
     """
-    candidates: dict = {}
-    for level in range(config.rank):
-        fam = dg.ideal_family(level)
-        for face in config.all_faces():
-            if face.codim <= level:
-                continue
-            if face.indices not in candidates:
-                candidates[face.indices] = dg.class_candidates(config, face, gamma)
-            hit = dg.first_passing(fam, config, face, candidates[face.indices])
-            if hit is not None:
-                total = sum(il.dot(f.witness, hit) // f.scale for f in face.facets_over)
-                return level, face, max(2, total + 1)
+    k_star = 0 if config.is_normal()[0] else None
+
+    def ranked():
+        later = []
+        for face in config.all_faces()[1:]:
+            for x in dg.class_candidates(config, face, gamma):
+                if any(il.dot(f.witness, x) < 0 for f in face.facets_over):
+                    continue  # the sign step: x ∉ ℕA + ℤF
+                # L(x): `uppers` run by increasing codim, and x ∈ ℤA ⊆ ℚA
+                level = next(g.codim for g in reversed(face.uppers) if g.in_span(x))
+                if level == 0:
+                    yield 0, face, x
+                elif level < face.codim:
+                    later.append((level, face, x))
+        yield from sorted(later, key=lambda r: r[0])  # stable: face, candidate order
+    for level, face, x in ranked():
+        if dg.member_mod_face(config, face, x, k_star):
+            total = sum(il.dot(f.witness, x) // f.scale for f in face.facets_over)
+            return level, face, max(2, total + 1)
     return None
 
 

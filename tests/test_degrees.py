@@ -581,7 +581,7 @@ def _targets(config, rng):
         gamma = tuple(sum(c * a[i] for c, a in zip(coeffs, config.cols))
                       for i in range(config.n))
         for face in config.all_faces():
-            z_a = face.column_sum_representative
+            z_a = face.representative(config.column_sum())
             for m in sorted({0, *rng.sample(range(1, 31), 3)}):
                 for c in dg.class_candidates(config, face, gamma):
                     yield face, il.vadd(c, il.vscale(m, z_a))

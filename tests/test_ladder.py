@@ -40,3 +40,24 @@ def test_stage_outcomes(tmp_path):
     limit = ladder.run_stage("gap-factors", ROOT / "src", path, 60)
     assert (limit["outcome"], limit["limit_stage"], limit["used"], limit["limit"]) == \
         ("limit", "degrees.qdeg_components", 265748440, 200000)
+
+
+def test_locus_stages_and_the_gamma_wall(tmp_path):
+    ladder = _module()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"matrix": [[2, 3]]}))
+    # sres on [-2, 2] is {-2, -1, 1}; dres holds only 2 there, the rest is uncertified
+    assert ladder.run_stage("sets sres", ROOT / "src", path, 60)["true"] == 3
+    assert ladder.run_stage("sets dres", ROOT / "src", path, 60)["true"] == 1
+    _name, matrix, (stage,) = ladder.GAMMA_WALL
+    assert (matrix, stage) == ([[2, 3]], "resonance --gamma 1000000")
+    command = ladder.stage_command(stage, ROOT / "src", path)
+    assert command[-5:] == ["resonance", str(path), "--gamma", "1000000", "--json"]
+    wall = ladder.run_stage(stage, ROOT / "src", path, 60)
+    assert (wall["outcome"], wall["limit_stage"], wall["used"]) == \
+        ("limit", "semigroup.member", 200001)
+    path.write_text(json.dumps({"matrix": [[1, 1], [0, 1], [1, 0], [2, 1]]}))
+    assert ladder.stage_command("sets dres", ROOT / "src", path)[-4:] == \
+        ["dres", str(path), "--box=-1:1,-1:1,-1:1,-1:1", "--json"]
+    path.write_text(json.dumps({"matrix": [[1, 1], [0, 1], [1, 0]]}))
+    assert ladder.stage_command("sets sres", ROOT / "src", path)[-2] == "--box=-2:2,-2:2,-2:2"

@@ -407,3 +407,99 @@ def test_resonance_is_invariant_under_unimodular_maps_and_column_order(monkeypat
         assert (p.is_nonresonant, p.is_weak, p.is_semi) == (q.is_nonresonant, q.is_weak, q.is_semi)
         compared += 1
     assert compared >= 130
+
+
+def _index_draws(seed, count):
+    """Seeded T·A: A of 2-3 rows, at most 5 columns and entries in [-3, 3],
+    T a unimodular map with one row scaled by 2-4 (|det T| of 2-4); every
+    third gains a row v·T·A (n > rank) put anywhere, every third a column's
+    negative (a line in the cone)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rows, cols = rng.randint(2, 3), rng.randint(2, 5)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        t = _unimodular(rng, rows)
+        k = rng.randrange(rows)
+        t[k] = [rng.randint(2, 4) * x for x in t[k]]
+        m = [[sum(x * r[j] for x, r in zip(row, a)) for j in range(cols)] for row in t]
+        if i % 3 == 1:
+            v = [rng.randint(-2, 2) for _ in m]
+            m.insert(rng.randint(0, rows), [sum(c * r[j] for c, r in zip(v, m))
+                                            for j in range(cols)])
+        elif i % 3 == 2:
+            j = rng.randrange(cols)
+            for r in m:
+                r.append(-r[j])
+        yield m
+
+
+def test_one_question_per_class_matches_references_with_fewer_searches(monkeypatch):
+    # in_sres and in_dres against the per-shift and per-level references on
+    # T·A draws, faces with torsion in (ℚF ∩ ℤA)/ℤF among them (where the
+    # class bijection of the sres proof moves the candidates): the same
+    # verdicts and bounds, and per γ no more membership searches
+    monkeypatch.setattr(sg, "DEFAULT_BUDGET", 20_000)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sg.member(*args, **kwargs)
+    monkeypatch.setattr(dg, "member", counted)
+
+    def run(fn, *args):
+        calls.clear()
+        try:
+            return fn(*args), len(calls)
+        except ComputationLimitError as exc:
+            return ("limit", exc.stage, exc.used, exc.limit), len(calls)
+
+    def sres(test):
+        return lambda config, gamma: (rs._word(test(config, gamma)), {})
+
+    def dres(certificate):
+        def verdict(config, gamma):
+            with monkeypatch.context() as patch:
+                patch.setattr(rs, "_dres_certificate", certificate)
+                d = rs.in_dres(config, gamma)
+            return d.verdict, d.bounds
+        return verdict
+    pairs = [("sres", sres(rs.in_sres), sres(_per_shift_sres)),
+             ("dres", dres(rs._dres_certificate), dres(_per_level_dres_certificate))]
+    rng = random.Random(29)
+    seen = dict.fromkeys(["torsion faces", "n > rank", "non-pointed", "sres", "dres"], 0)
+    totals = {"sres": [0, 0], "dres": [0, 0]}
+    for matrix in _index_draws(29, 100):
+        try:
+            config = Configuration(matrix)
+            config.is_normal()
+            dg.conductor_multiplier(config)
+        except (DomainError, ComputationLimitError):
+            continue
+        seen["torsion faces"] += sum(len(face.deltas) > 1 for face in config.all_faces())
+        seen["n > rank"] += config.n > config.rank
+        seen["non-pointed"] += not config.is_pointed()
+        for _ in range(4):
+            den = rng.choice([1, 1, 2])
+            coeffs = [Fraction(rng.randint(-3, 3), den) for _ in config.cols]
+            gamma = tuple(sum(c * a[i] for c, a in zip(coeffs, config.cols))
+                          for i in range(config.n))
+            for name, test, reference in pairs:
+                got, n_got = run(test, config, gamma)
+                want, n_want = run(reference, config, gamma)
+                if want[0] == "limit" and got[0] != "limit":
+                    continue  # the reference passed its budget, and one question answers
+                assert got == want, (matrix, gamma, name)
+                assert n_got <= n_want, (matrix, gamma, name)
+                totals[name][0] += n_got
+                totals[name][1] += n_want
+                seen[name] += got[0] == "true"
+    assert all(got < want for got, want in totals.values()), totals
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sres_answers_where_the_per_shift_search_passes_its_budget():
+    # k* = 14; asked at every shift, this γ sends one membership search past
+    # the default 200 000 states, while one question per class answers
+    config = Configuration([[-1, -3, 1, 3], [0, -2, -2, -3], [0, 0, -2, 2]])
+    assert not rs.in_sres(config, (2, -34, 6))
+    assert dg.conductor_multiplier(config) == 14

@@ -5,16 +5,22 @@ The inputs are the 24 homogeneous draws
 3×7, 4×6, 4×7 and 4×8 (all-ones first row, entries in [−2, 2]), then the
 known walls: four matrices whose conductor k* is 32–49, seed 664718630's
 matrix, whose conductor search passes the membership budget, and a 3×4
-matrix with k* = 66.  Each input runs three stages, each as one subprocess
+matrix with k* = 66.  Each input runs five stages, each as one subprocess
 under a cap of ``CAP_S`` (30) seconds:
 
 * ``normality`` — ``gkzfactors normality --json``;
 * ``conductor`` — ``degrees.conductor_multiplier`` on the configuration;
-* ``gap-factors`` — ``gkzfactors gap-factors --json``.
+* ``gap-factors`` — ``gkzfactors gap-factors --json``;
+* ``sets sres`` and ``sets dres`` — ``gkzfactors sets NAME --json`` on the
+  integer box [−2, 2] on each axis for input of up to three rows, [−1, 1]
+  for more.
+
+Last comes the one-stage wall ``resonance --gamma 1000000`` on ``[[2, 3]]``.
 
 Each run writes one JSON line with the input's name, matrix and stage, and
 one of three outcomes: ``answer`` with its seconds (and the normality
-verdict, the conductor or the gap-label count, plus a digest of stdout);
+verdict, the conductor, the gap-label count, the number of "true" grid
+points or the verdict of each set, plus a digest of stdout);
 ``limit`` for exit 3, with the stage (``limit_stage``), ``used`` and
 limit that the error names; or ``cap`` when the process ran past the cap.
 Any other exit is ``error`` with its code.  It reads
@@ -43,7 +49,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
 CAP_S = 30.0  # seconds per stage
-STAGES = ("normality", "conductor", "gap-factors")
+STAGES = ("normality", "conductor", "gap-factors", "sets sres", "sets dres")
 SIZES = ((3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (4, 8))
 WALLS = {
     "wall-k49": [[-1, -1, 3, -2], [3, -1, 2, 2], [-1, -3, 1, -2]],
@@ -53,6 +59,7 @@ WALLS = {
     "wall-664718630": [[1, 0, -1, -3], [1, -2, -2, 2], [-2, 0, -1, -2]],
     "wall-k66": [[1, 3, -1, -2], [-3, 2, -2, 3], [1, 1, 0, 1]],
 }
+GAMMA_WALL = ("wall-2-3-gamma", [[2, 3]], ("resonance --gamma 1000000",))  # (name, matrix, stages)
 CLI = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
        "from gkzfactors.cli import main; sys.exit(main(sys.argv[1:]))")
 CONDUCTOR = ("import json, pathlib, sys; sys.path.insert(0, sys.argv[1]); "
@@ -85,9 +92,17 @@ def ladder_inputs(seed: int) -> list:
 
 
 def stage_command(stage: str, src: Path, path: Path) -> list:
+    """The subprocess of a stage: the command's words, the input, then its
+    options (the ``sets`` box from the input's row count)."""
     if stage == "conductor":
         return [sys.executable, "-c", CONDUCTOR, str(src), str(path)]
-    return [sys.executable, "-c", CLI, str(src), stage, str(path), "--json"]
+    words = stage.split()
+    cut = next((i for i, w in enumerate(words) if w.startswith("--")), len(words))
+    command, options = words[:cut], words[cut:]
+    if command[0] == "sets":
+        rows = len(json.loads(path.read_text())["matrix"])
+        options.append("--box=" + ",".join(["-2:2" if rows <= 3 else "-1:1"] * rows))
+    return [sys.executable, "-c", CLI, str(src), *command, str(path), *options, "--json"]
 
 
 def run_stage(stage: str, src: Path, path: Path, cap: float) -> dict:
@@ -114,8 +129,13 @@ def run_stage(stage: str, src: Path, path: Path, cap: float) -> dict:
         out.update(normal=payload["normal"], hole=payload["hole"])
     elif stage == "conductor":
         out.update(conductor=payload["conductor"])
-    else:
+    elif stage == "gap-factors":
         out.update(labels=len(payload["labels"]))
+    elif stage.startswith("sets"):
+        out.update(true=[p["verdict"] for p in payload["grid"]].count("true"))
+    else:
+        out.update(sets={name: v if isinstance(v, bool) else v["verdict"]
+                         for name, v in payload["sets"].items()})
     return out
 
 
@@ -125,11 +145,12 @@ def main(argv=None) -> int:
                    help="source tree to run (holds src/gkzfactors)")
     args = p.parse_args(argv)
     src = args.root.resolve() / "src"
+    runs = [(name, matrix, STAGES) for name, matrix in ladder_inputs(SEED)] + [GAMMA_WALL]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, matrix in ladder_inputs(SEED):
+        for name, matrix, stages in runs:
             path = Path(tmp) / "input.json"
             path.write_text(json.dumps({"matrix": matrix}))
-            for stage in STAGES:
+            for stage in stages:
                 line = {"input": name, "matrix": matrix, "stage": stage,
                         **run_stage(stage, src, path, CAP_S)}
                 print(json.dumps(line), flush=True)
